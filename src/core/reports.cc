@@ -620,8 +620,8 @@ printOpstats(std::ostream &os)
     table.addRow({"spmm", "bell",
                   strfmt("%lld", (long long)s.spmmBell)});
     table.print(os);
-    os << strfmt("  simd: %s   calibration: %s mode, %s, %.3f ms\n\n",
-                 s.simd ? "avx2" : "scalar", s.mode.c_str(),
+    os << strfmt("  simd: %s   calibration: %s, %.3f ms\n\n",
+                 s.simd ? "avx2" : "scalar",
                  s.calibrated ? "ran" : "not run", s.calibMs);
 }
 

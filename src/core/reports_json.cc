@@ -526,7 +526,6 @@ opstatsJson()
     w.beginObject();
     w.key("opstats").beginObject();
     w.key("simd").value(s.simd);
-    w.key("mode").value(s.mode);
     w.key("calibrated").value(s.calibrated);
     w.key("calib_ms").value(s.calibMs);
     w.key("gemm_naive").value(s.gemmNaive);

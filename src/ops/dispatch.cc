@@ -50,10 +50,6 @@ struct Dispatch::Impl
     std::mutex mu; // guards calibration + env state
     bool calibrated = false;
     double calibMs = 0.0;
-    bool measureMode = false;
-    // Measured-mode preferences (meaningless in model mode).
-    bool measuredPrefersNaiveGemm = false;
-    bool measuredPrefersScalarSpmm = false;
     // GNNMARK_OP_VARIANT pins (nullopt = auto).
     std::optional<GemmVariant> gemmOverride;
     std::optional<SpmmVariant> spmmCsrOverride;
@@ -183,14 +179,6 @@ Dispatch::reloadEnv()
     }
     impl_->gemmOverride = pins.gemm;
     impl_->spmmCsrOverride = pins.spmmCsr;
-    impl_->measureMode = false;
-    if (const char *env = std::getenv("GNNMARK_OP_CALIBRATE")) {
-        if (std::strcmp(env, "measure") == 0)
-            impl_->measureMode = true;
-        else if (std::strcmp(env, "model") != 0)
-            warn("GNNMARK_OP_CALIBRATE: unknown mode '%s' "
-                 "(want model|measure)", env);
-    }
 }
 
 void
@@ -210,25 +198,12 @@ Dispatch::ensureCalibrated()
         const std::vector<float> b = probeDense(rng, k * n, 0.0);
         std::vector<float> c_naive(m * n, 0.0f);
         std::vector<float> c_tiled(m * n, 0.0f);
-        double ms_naive = 0.0, ms_tiled = 0.0;
-        {
-            const auto s = std::chrono::steady_clock::now();
-            kern::gemmNaive(a.data(), b.data(), c_naive.data(), m, n,
-                            k);
-            ms_naive = wallMs(s);
-        }
-        {
-            const auto s = std::chrono::steady_clock::now();
-            kern::gemmTiled(a.data(), b.data(), c_tiled.data(), m, n,
-                            k);
-            ms_tiled = wallMs(s);
-        }
+        kern::gemmNaive(a.data(), b.data(), c_naive.data(), m, n, k);
+        kern::gemmTiled(a.data(), b.data(), c_tiled.data(), m, n, k);
         GNN_ASSERT(std::memcmp(c_naive.data(), c_tiled.data(),
                                c_naive.size() * sizeof(float)) == 0,
                    "calibration: tiled GEMM diverged bitwise from "
                    "naive");
-        if (impl_->measureMode)
-            impl_->measuredPrefersNaiveGemm = ms_naive < ms_tiled;
     }
 
     // SpMM probe across every format and both CSR flavours.
@@ -242,17 +217,8 @@ Dispatch::ensureCalibrated()
         std::vector<float> c_vector(rows * f, 0.0f);
         std::vector<float> c_coo(rows * f, 0.0f);
         std::vector<float> c_bell(rows * f, 0.0f);
-        double ms_scalar = 0.0, ms_vector = 0.0;
-        {
-            const auto s = std::chrono::steady_clock::now();
-            kern::spmmCsrScalar(csr, b.data(), c_scalar.data(), f);
-            ms_scalar = wallMs(s);
-        }
-        {
-            const auto s = std::chrono::steady_clock::now();
-            kern::spmmCsrVector(csr, b.data(), c_vector.data(), f);
-            ms_vector = wallMs(s);
-        }
+        kern::spmmCsrScalar(csr, b.data(), c_scalar.data(), f);
+        kern::spmmCsrVector(csr, b.data(), c_vector.data(), f);
         kern::spmmCoo(coo, b.data(), c_coo.data(), f);
         kern::spmmBell(bell, b.data(), c_bell.data(), f);
         const size_t bytes = c_scalar.size() * sizeof(float);
@@ -267,8 +233,6 @@ Dispatch::ensureCalibrated()
                                bytes) == 0,
                    "calibration: blocked-ELL SpMM diverged bitwise "
                    "from CSR");
-        if (impl_->measureMode)
-            impl_->measuredPrefersScalarSpmm = ms_scalar < ms_vector;
     }
 
     impl_->calibMs = wallMs(t0);
@@ -288,8 +252,6 @@ Dispatch::chooseGemm(int64_t m, int64_t n, int64_t k,
     GemmVariant v;
     if (impl_->gemmOverride) {
         v = *impl_->gemmOverride;
-    } else if (impl_->measureMode && impl_->measuredPrefersNaiveGemm) {
-        v = GemmVariant::Naive;
     } else if (m >= 4 && n >= 16 && k >= 4 && a_zero_frac <= 0.5) {
         // Register tiling amortises C traffic over K; once A is
         // mostly zeros the naive loop's whole-row skip wins instead.
@@ -324,9 +286,6 @@ Dispatch::chooseSpmm(SparseFormat format, int64_t m, int64_t f,
       default:
         if (impl_->spmmCsrOverride) {
             v = *impl_->spmmCsrOverride;
-        } else if (impl_->measureMode &&
-                   impl_->measuredPrefersScalarSpmm) {
-            v = SpmmVariant::CsrScalar;
         } else if (f >= 16 && nnz > 0 && m > 0) {
             // Full register strips available; below that the strip
             // tail dominates and the scalar loop is simpler/faster.
@@ -386,7 +345,6 @@ Dispatch::stats() const
         std::lock_guard<std::mutex> lock(impl_->mu);
         s.calibrated = impl_->calibrated;
         s.calibMs = impl_->calibMs;
-        s.mode = impl_->measureMode ? "measure" : "model";
     }
     return s;
 }

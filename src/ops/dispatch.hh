@@ -9,7 +9,7 @@
  *
  * Selection contract (documented in DESIGN.md):
  *  1. `GNNMARK_OP_VARIANT` (e.g. "gemm=naive,spmm=vector") pins a
- *     variant per op and wins over everything else — the CI
+ *     variant per op and wins over everything else — the
  *     reproducibility escape hatch.
  *  2. Otherwise the model decides from shape/sparsity. Because every
  *     variant of an op is bitwise-equal (see cpu_kernels.hh), the
@@ -18,16 +18,13 @@
  *  3. A one-shot seeded calibration pass runs before the first
  *     decision: it cross-checks every variant pair for bitwise
  *     equality on fixed probe operands (panics on divergence) and
- *     warms the kernels. With `GNNMARK_OP_CALIBRATE=measure` it also
- *     times the probes and lets local measurement override the model
- *     — explicitly non-reproducible, never the default.
+ *     warms the kernels.
  */
 
 #ifndef GNNMARK_OPS_DISPATCH_HH
 #define GNNMARK_OPS_DISPATCH_HH
 
 #include <cstdint>
-#include <string>
 
 #include "tensor/sparse.hh"
 
@@ -65,7 +62,6 @@ struct DispatchStats
     bool simd = false;       ///< AVX2 paths active on this host
     bool calibrated = false; ///< one-shot calibration has run
     double calibMs = 0.0;    ///< wall time of the calibration pass
-    std::string mode;        ///< "model" or "measure"
 };
 
 class Dispatch
@@ -103,7 +99,7 @@ class Dispatch
     DispatchStats stats() const;
     void resetStats();
 
-    /** Re-read GNNMARK_OP_VARIANT / GNNMARK_OP_CALIBRATE (tests). */
+    /** Re-read GNNMARK_OP_VARIANT (tests). */
     void reloadEnv();
 
     /**

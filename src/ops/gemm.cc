@@ -202,15 +202,6 @@ gemm(const Tensor &a, const Tensor &b, GemmOpts opts)
 }
 
 Tensor
-gemm(const Tensor &a, const Tensor &b, bool transpose_a,
-     bool transpose_b)
-{
-    return gemm(a, b,
-                GemmOpts{.trans_a = transpose_a,
-                         .trans_b = transpose_b});
-}
-
-Tensor
 gemv(const Tensor &a, const Tensor &x)
 {
     GNN_SPAN("op.gemv");

@@ -31,15 +31,6 @@ struct GemmOpts
  */
 Tensor gemm(const Tensor &a, const Tensor &b, GemmOpts opts = {});
 
-/**
- * @deprecated Bool-flag entry point kept for one release; use the
- * GemmOpts overload. (`transpose_a` has no default so `gemm(a, b)`
- * resolves uniquely to the new surface.)
- */
-[[deprecated("use ops::gemm(a, b, GemmOpts{...})")]]
-Tensor gemm(const Tensor &a, const Tensor &b, bool transpose_a,
-            bool transpose_b = false);
-
 /** y = A * x for A [M, K], x [K]; returns [M]. */
 Tensor gemv(const Tensor &a, const Tensor &x);
 

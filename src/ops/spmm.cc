@@ -301,18 +301,5 @@ spmm(const SparseMatrix &a, const Tensor &b)
     }
 }
 
-Tensor
-spmm(const CsrMatrix &a, const Tensor &b)
-{
-    GNN_SPAN("op.spmm");
-    GNN_ASSERT(b.dim() == 2 && b.size(0) == a.cols,
-               "spmm: A is %lldx%lld but B is %s",
-               static_cast<long long>(a.rows),
-               static_cast<long long>(a.cols), b.shapeString().c_str());
-    const SpmmVariant variant = Dispatch::instance().chooseSpmm(
-        SparseFormat::Csr, a.rows, b.size(1), a.nnz());
-    return spmmCsrImpl(a, b, variant);
-}
-
 } // namespace ops
 } // namespace gnnmark

@@ -7,7 +7,6 @@
 #ifndef GNNMARK_OPS_SPMM_HH
 #define GNNMARK_OPS_SPMM_HH
 
-#include "tensor/csr.hh"
 #include "tensor/sparse.hh"
 #include "tensor/tensor.hh"
 
@@ -30,13 +29,6 @@ namespace ops {
  * for regular slab reads.
  */
 Tensor spmm(const SparseMatrix &a, const Tensor &b);
-
-/**
- * @deprecated CSR-only entry point kept for one release; use
- * `ops::spmm(const SparseMatrix &, const Tensor &)`.
- */
-[[deprecated("use ops::spmm(const SparseMatrix &, const Tensor &)")]]
-Tensor spmm(const CsrMatrix &a, const Tensor &b);
 
 } // namespace ops
 } // namespace gnnmark

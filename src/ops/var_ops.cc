@@ -212,15 +212,6 @@ gemm(const Variable &a, const Variable &b, ops::GemmOpts opts)
 }
 
 Variable
-gemm(const Variable &a, const Variable &b, bool transpose_a,
-     bool transpose_b)
-{
-    return gemm(a, b,
-                ops::GemmOpts{.trans_a = transpose_a,
-                              .trans_b = transpose_b});
-}
-
-Variable
 spmm(const SparseMatrix &a, const SparseMatrix &a_t, const Variable &b)
 {
     GNN_ASSERT(a.rows() == a_t.cols() && a.cols() == a_t.rows() &&
@@ -233,12 +224,6 @@ spmm(const SparseMatrix &a, const SparseMatrix &a_t, const Variable &b)
         ops::spmm(a, b.value()), {b}, [a_t](VarNode &self) {
             backInto(self, 0, ops::spmm(a_t, self.grad));
         });
-}
-
-Variable
-spmm(const CsrMatrix &a, const CsrMatrix &a_t, const Variable &b)
-{
-    return spmm(SparseMatrix(a), SparseMatrix(a_t), b);
 }
 
 Variable

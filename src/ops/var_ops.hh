@@ -15,7 +15,6 @@
 #include "base/rng.hh"
 #include "ops/gemm.hh"
 #include "ops/variable.hh"
-#include "tensor/csr.hh"
 #include "tensor/sparse.hh"
 
 namespace gnnmark {
@@ -45,11 +44,6 @@ Variable dropout(const Variable &a, float p, Rng &rng);
 Variable gemm(const Variable &a, const Variable &b,
               ops::GemmOpts opts = {});
 
-/** @deprecated Bool-flag entry point; use the GemmOpts overload. */
-[[deprecated("use ag::gemm(a, b, ops::GemmOpts{...})")]]
-Variable gemm(const Variable &a, const Variable &b, bool transpose_a,
-              bool transpose_b = false);
-
 /**
  * C = A B for a constant sparse A; `a_t` is A transposed (used by
  * the backward pass: dB = A^T dC). Both operands may be in any
@@ -57,11 +51,6 @@ Variable gemm(const Variable &a, const Variable &b, bool transpose_a,
  */
 Variable spmm(const SparseMatrix &a, const SparseMatrix &a_t,
               const Variable &b);
-
-/** @deprecated CSR-only entry point; use the SparseMatrix overload. */
-[[deprecated("use ag::spmm(const SparseMatrix &, const SparseMatrix &, "
-             "const Variable &)")]]
-Variable spmm(const CsrMatrix &a, const CsrMatrix &a_t, const Variable &b);
 
 /** y = x + bias broadcast over rows. */
 Variable addBiasRows(const Variable &x, const Variable &bias);

@@ -138,7 +138,14 @@ class CheckpointFile : public ::testing::Test
     {
         auto wl = BenchmarkSuite::create("STGCN");
         wl->setup(smallConfig());
-        path_ = ::testing::TempDir() + "gnnmark_ckpt_io.bin";
+        // One file per test: ctest -j runs these cases as concurrent
+        // processes, and a shared path lets one's TearDown delete
+        // another's input.
+        path_ = ::testing::TempDir() + "gnnmark_ckpt_io_" +
+                ::testing::UnitTest::GetInstance()
+                    ->current_test_info()
+                    ->name() +
+                ".bin";
         writeCheckpointFile(path_, captureCheckpoint(*wl, 0));
     }
 

@@ -417,6 +417,22 @@ TEST(DdpOverlap, ScalingFromTimelinesInvariants)
         EXPECT_EQ(r.computeTimeSec, epoch_compute);
     }
 
+    // The overlap toggle touches only the comm model: the sync curve
+    // keeps the compute, exposes every byte, and is never faster.
+    DdpOptions off;
+    off.overlapComm = false;
+    auto sync = ddp::scalingFromTimelines(
+        link, timelines, epoch_compute, iters, bytes,
+        /*sampler_ddp_compatible=*/true, {1, 2, 4}, off);
+    ASSERT_EQ(sync.size(), curve.size());
+    for (size_t i = 0; i < sync.size(); ++i) {
+        EXPECT_EQ(sync[i].computeTimeSec, curve[i].computeTimeSec);
+        EXPECT_EQ(sync[i].commExposedSec, sync[i].commTimeSec);
+        EXPECT_EQ(sync[i].overlapFrac, 0.0);
+        EXPECT_LE(curve[i].epochTimeSec,
+                  sync[i].epochTimeSec * (1 + 1e-12));
+    }
+
     // An incompatible sampler pays the replication penalty on top.
     auto degraded = ddp::scalingFromTimelines(
         link, timelines, epoch_compute, iters, bytes,

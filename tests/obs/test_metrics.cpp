@@ -61,7 +61,8 @@ TEST_F(MetricsTest, HistogramObservationsLandInBuckets)
     m.observe("test.lat", 1.0);
     m.observe("test.lat", 1.9);
     m.observe("test.lat", 4.0);
-    const auto &buckets = m.snapshot().histograms.at("test.lat");
+    const obs::MetricsSnapshot snap = m.snapshot();
+    const auto &buckets = snap.histograms.at("test.lat");
     EXPECT_EQ(buckets[32], 2);
     EXPECT_EQ(buckets[34], 1);
 }

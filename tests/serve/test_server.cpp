@@ -10,6 +10,7 @@
 #include <cmath>
 
 #include "core/reports_json.hh"
+#include "obs/json.hh"
 #include "serve/server.hh"
 
 using namespace gnnmark;
@@ -334,6 +335,7 @@ TEST(ServingSimulator, StragglerFaultRaisesBurnAlertOverlappingFault)
     // must raise at least one alert overlapping it.
     opt.faults = FaultPlan({straggler(0, 0.1, 0.2, 10.0),
                             straggler(1, 0.1, 0.2, 10.0)});
+    opt.traceSampleEvery = 8;
     const ServingReport rep =
         ServingSimulator(flatTable(), opt).run();
     ASSERT_FALSE(rep.alerts.empty());
@@ -342,6 +344,38 @@ TEST(ServingSimulator, StragglerFaultRaisesBurnAlertOverlappingFault)
         overlaps = overlaps || (a.startSec < 0.3 && a.endSec > 0.1);
     EXPECT_TRUE(overlaps);
     EXPECT_GT(rep.budgetConsumed, 1.0);
+
+    // The --json document carries the timeline, alerts and tracing
+    // sections, and each slo_alert telemetry record matches its alert.
+    const obs::JsonValue root = obs::parseJson(reports::servingJson(rep));
+    const obs::JsonValue &doc = *root.find("serving");
+    const obs::JsonValue *timeline = doc.find("timeline");
+    ASSERT_NE(timeline, nullptr);
+    const std::vector<obs::JsonValue> &windows =
+        timeline->find("windows")->array;
+    ASSERT_EQ(windows.size(), rep.windows.size());
+    for (const char *key :
+         {"offered", "p50_ms", "p95_ms", "p99_ms", "goodput_per_sec",
+          "queue_depth_mean", "burn_rate", "budget_consumed"})
+        EXPECT_NE(windows.front().find(key), nullptr) << key;
+    const std::vector<obs::JsonValue> &alerts =
+        timeline->find("alerts")->array;
+    ASSERT_EQ(alerts.size(), rep.alerts.size());
+    EXPECT_GT(doc.find("tracing")->find("traced_requests")->number, 0);
+    for (size_t i = 0; i < alerts.size(); ++i) {
+        const obs::JsonValue rec = obs::parseJson(
+            reports::sloAlertRecordJson("serve", rep, rep.alerts[i]));
+        EXPECT_EQ(rec.find("type")->string, "slo_alert");
+        for (const auto &[key, value] : alerts[i].object) {
+            ASSERT_NE(rec.find(key), nullptr) << key;
+            EXPECT_EQ(rec.find(key)->string, value.string) << key;
+            EXPECT_EQ(rec.find(key)->number, value.number) << key;
+        }
+    }
+    const obs::JsonValue record =
+        obs::parseJson(reports::servingRecordJson("serve", rep));
+    EXPECT_EQ(record.find("type")->string, "serving");
+    EXPECT_EQ(record.find("label")->string, "serve");
 }
 
 TEST(ServingSimulator, HealthyRunRaisesNoAlerts)

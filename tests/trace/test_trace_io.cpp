@@ -72,7 +72,14 @@ class TraceFile : public ::testing::Test
     void
     SetUp() override
     {
-        path_ = ::testing::TempDir() + "gnnmark_trace_io.gnntrace";
+        // One file per test: ctest -j runs these cases as concurrent
+        // processes, and a shared path lets one's TearDown delete
+        // another's input.
+        path_ = ::testing::TempDir() + "gnnmark_trace_io_" +
+                ::testing::UnitTest::GetInstance()
+                    ->current_test_info()
+                    ->name() +
+                ".gnntrace";
         writeTraceFile(path_, makeTrace());
     }
 
