@@ -33,26 +33,6 @@ main(int argc, char **argv)
         std::cout << " " << loss;
     std::cout << "\n\n";
 
-    auto mix = profile.profiler.instructionMix();
-    std::cout << "Kernel launches:  " << profile.profiler.totalLaunches()
-              << "\n"
-              << "Kernel time:      "
-              << profile.profiler.totalKernelTimeSec() * 1e3 << " ms\n"
-              << "Epoch time (est): " << profile.epochTimeSec * 1e3
-              << " ms\n"
-              << "GFLOPS / GIOPS:   " << profile.profiler.gflops()
-              << " / " << profile.profiler.giops() << "\n"
-              << "IPC:              " << profile.profiler.avgIpc() << "\n"
-              << "Instruction mix:  int32 " << mix.int32Frac * 100
-              << "%, fp32 " << mix.fp32Frac * 100 << "%\n"
-              << "L1 / L2 hit:      "
-              << profile.profiler.l1HitRate() * 100 << "% / "
-              << profile.profiler.l2HitRate() * 100 << "%\n"
-              << "Divergent loads:  "
-              << profile.profiler.divergentLoadFraction() * 100 << "%\n"
-              << "H2D sparsity:     "
-              << profile.profiler.avgTransferSparsity() * 100 << "%\n\n";
-
-    reports::printKernelTable(profile, std::cout);
+    reports::printWorkloadSummary(profile, std::cout);
     return 0;
 }

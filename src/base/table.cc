@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <iostream>
 
 #include "base/logging.hh"
 #include "base/string_utils.hh"
@@ -23,21 +22,6 @@ looksNumeric(const std::string &s)
             return false;
     }
     return true;
-}
-
-std::string
-csvQuote(const std::string &s)
-{
-    if (s.find_first_of(",\"\n") == std::string::npos)
-        return s;
-    std::string out = "\"";
-    for (char c : s) {
-        if (c == '"')
-            out += '"';
-        out += c;
-    }
-    out += '"';
-    return out;
 }
 
 } // namespace
@@ -100,29 +84,6 @@ TablePrinter::print(std::ostream &os) const
     }
     for (const auto &r : rows_)
         emit(r, true);
-}
-
-void
-TablePrinter::print() const
-{
-    print(std::cout);
-}
-
-void
-TablePrinter::printCsv(std::ostream &os) const
-{
-    auto emit = [&](const std::vector<std::string> &row) {
-        for (size_t c = 0; c < row.size(); ++c) {
-            if (c > 0)
-                os << ",";
-            os << csvQuote(row[c]);
-        }
-        os << "\n";
-    };
-    if (!header_.empty())
-        emit(header_);
-    for (const auto &r : rows_)
-        emit(r);
 }
 
 } // namespace gnnmark

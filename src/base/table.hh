@@ -1,7 +1,7 @@
 /**
  * @file
  * Plain-text table printer used by the benchmark harnesses to emit
- * paper-style tables and figure series, plus a CSV writer for plotting.
+ * paper-style tables and figure series.
  */
 
 #ifndef GNNMARK_BASE_TABLE_HH
@@ -33,12 +33,6 @@ class TablePrinter
 
     /** Render to the stream. */
     void print(std::ostream &os) const;
-
-    /** Render to stdout. */
-    void print() const;
-
-    /** Render as CSV (no alignment, comma-separated, quoted as needed). */
-    void printCsv(std::ostream &os) const;
 
   private:
     std::string title_;

@@ -366,6 +366,47 @@ printCheckpointSweep(
 }
 
 void
+printWorkloadSummary(const WorkloadProfile &p, std::ostream &os)
+{
+    auto mix = p.profiler.instructionMix();
+    TablePrinter table(p.name + " summary");
+    table.setHeader({"Metric", "Value"});
+    if (!p.losses.empty()) {
+        table.addRow({"loss (first -> last)",
+                      strfmt("%.4f -> %.4f", p.losses.front(),
+                             p.losses.back())});
+    }
+    table.addRow({"kernel launches",
+                  strfmt("%lld", static_cast<long long>(
+                                     p.profiler.totalLaunches()))});
+    table.addRow({"kernel time",
+                  strfmt("%.3f ms",
+                         p.profiler.totalKernelTimeSec() * 1e3)});
+    table.addRow({"epoch time (est.)",
+                  strfmt("%.3f ms", p.epochTimeSec * 1e3)});
+    table.addRow({"GFLOPS / GIOPS",
+                  strfmt("%.1f / %.1f", p.profiler.gflops(),
+                         p.profiler.giops())});
+    table.addRow({"IPC", strfmt("%.2f", p.profiler.avgIpc())});
+    table.addRow({"instruction mix",
+                  strfmt("int32 %.1f%% fp32 %.1f%%",
+                         mix.int32Frac * 100, mix.fp32Frac * 100)});
+    table.addRow({"L1 / L2 hit rate",
+                  strfmt("%.1f%% / %.1f%%",
+                         p.profiler.l1HitRate() * 100,
+                         p.profiler.l2HitRate() * 100)});
+    table.addRow({"divergent loads",
+                  strfmt("%.1f%%",
+                         p.profiler.divergentLoadFraction() * 100)});
+    table.addRow({"H2D sparsity",
+                  strfmt("%.1f%%",
+                         p.profiler.avgTransferSparsity() * 100)});
+    table.print(os);
+    os << "\n";
+    printKernelTable(p, os);
+}
+
+void
 printKernelTable(const WorkloadProfile &profile, std::ostream &os,
                  int top_n)
 {

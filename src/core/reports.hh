@@ -87,6 +87,14 @@ void printServing(const serve::ServingReport &report, std::ostream &os);
  */
 void printGen(const gen::GenReport &report, std::ostream &os);
 
+/**
+ * One workload's headline figures followed by its kernel table. A
+ * profile without losses (a replayed trace of a run with no measured
+ * iterations) prints no loss row.
+ */
+void printWorkloadSummary(const WorkloadProfile &profile,
+                          std::ostream &os);
+
 /** nvprof-style top-kernel table for one workload. */
 void printKernelTable(const WorkloadProfile &profile, std::ostream &os,
                       int top_n = 12);

@@ -1,6 +1,41 @@
 #include "sim/gpu_config.hh"
 
+#include <bit>
+
+#include "base/string_utils.hh"
+
 namespace gnnmark {
+
+namespace {
+
+/** "" when CacheModel accepts the geometry; 1 GiB caps its tag array. */
+std::string
+validateCache(const char *name, uint64_t bytes, int assoc, int line)
+{
+    if (assoc >= 1 && assoc <= 64 && line >= 1 &&
+        std::has_single_bit(static_cast<unsigned>(line)) && bytes > 0 &&
+        bytes % (static_cast<uint64_t>(line) * assoc) == 0 && bytes <= GiB)
+        return "";
+    return strfmt("%s of %llu B, %d-way, %d B lines: needs a power-of-two "
+                  "line, 1 to 64 ways and a size that is a positive "
+                  "multiple of line x ways, up to 1 GiB",
+                  name, static_cast<unsigned long long>(bytes), assoc, line);
+}
+
+} // namespace
+
+std::string
+validateConfig(const GpuConfig &cfg)
+{
+    if (cfg.simSmCount < 1 || cfg.simSmCount > cfg.numSms)
+        return strfmt("need 1 <= detailed SMs (%d) <= SMs (%d)",
+                      cfg.simSmCount, cfg.numSms);
+    const std::string l1 = validateCache("L1", cfg.l1SizeBytes,
+                                         cfg.l1Assoc, cfg.cacheLineBytes);
+    return l1.empty() ? validateCache("L2", cfg.l2SizeBytes, cfg.l2Assoc,
+                                      cfg.cacheLineBytes)
+                      : l1;
+}
 
 GpuConfig
 GpuConfig::v100()

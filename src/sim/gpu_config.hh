@@ -11,6 +11,7 @@
 #define GNNMARK_SIM_GPU_CONFIG_HH
 
 #include <cstdint>
+#include <string>
 
 #include "base/units.hh"
 
@@ -91,6 +92,12 @@ struct GpuConfig
     /** Clock frequency in Hz. */
     double clockHz() const { return clockGhz * 1e9; }
 };
+
+/**
+ * "" when GpuDevice can be built from `cfg` (SM counts, L1/L2 geometry
+ * and a size cap per cache), else a one-line description of the problem.
+ */
+std::string validateConfig(const GpuConfig &cfg);
 
 } // namespace gnnmark
 

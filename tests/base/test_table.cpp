@@ -40,17 +40,6 @@ TEST(Table, TitlePrinted)
     EXPECT_EQ(os.str().rfind("My Title", 0), 0u);
 }
 
-TEST(Table, CsvEscapesSpecials)
-{
-    TablePrinter t;
-    t.setHeader({"a", "b"});
-    t.addRow({"has,comma", "has\"quote"});
-    std::ostringstream os;
-    t.printCsv(os);
-    EXPECT_NE(os.str().find("\"has,comma\""), std::string::npos);
-    EXPECT_NE(os.str().find("\"has\"\"quote\""), std::string::npos);
-}
-
 TEST(Table, ShortRowsPad)
 {
     TablePrinter t;

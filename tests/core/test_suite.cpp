@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "core/characterization.hh"
 #include "core/reports.hh"
 #include "core/suite.hh"
 
@@ -40,4 +41,23 @@ TEST(Reports, TableOnePrintsEveryWorkload)
     EXPECT_NE(os.str().find("PinSAGE"), std::string::npos);
     EXPECT_NE(os.str().find("DGL"), std::string::npos);
     EXPECT_NE(os.str().find("Heterogeneous"), std::string::npos);
+}
+
+TEST(Reports, WorkloadSummaryWithoutLossesSkipsTheLossRow)
+{
+    // A replayed trace of a run with no measured iterations has no
+    // losses; the summary must still print.
+    WorkloadProfile profile;
+    profile.name = "EMPTY";
+    std::ostringstream os;
+    reports::printWorkloadSummary(profile, os);
+    EXPECT_NE(os.str().find("EMPTY summary"), std::string::npos);
+    EXPECT_NE(os.str().find("kernel launches"), std::string::npos);
+    EXPECT_EQ(os.str().find("loss"), std::string::npos);
+
+    profile.losses = {2.5, 1.25};
+    std::ostringstream with_losses;
+    reports::printWorkloadSummary(profile, with_losses);
+    EXPECT_NE(with_losses.str().find("2.5000 -> 1.2500"),
+              std::string::npos);
 }

@@ -204,3 +204,27 @@ TEST(GpuDeviceDeath, InvalidGeometryPanics)
     KernelDesc desc = simpleKernel("k", 0, 1);
     EXPECT_DEATH(dev.launch(desc), "no blocks");
 }
+
+TEST(GpuConfig, ValidateAcceptsPresetsAndRejectsImpossibleGeometry)
+{
+    EXPECT_EQ(validateConfig(GpuConfig::v100()), "");
+    EXPECT_EQ(validateConfig(GpuConfig::a100()), "");
+
+    // Each of these would abort in a GpuDevice or CacheModel assertion.
+    GpuConfig cfg;
+    cfg.l2SizeBytes = 3460300; // 3.3 MiB: not a multiple of 128 B x 16
+    EXPECT_NE(validateConfig(cfg).find("L2 of 3460300 B"),
+              std::string::npos);
+    cfg = GpuConfig{};
+    cfg.l1SizeBytes = 0;
+    EXPECT_NE(validateConfig(cfg).find("L1 of 0 B"), std::string::npos);
+    cfg = GpuConfig{};
+    cfg.l2SizeBytes = 2 * GiB; // over the 1 GiB cap
+    EXPECT_NE(validateConfig(cfg).find("L2 of"), std::string::npos);
+    cfg = GpuConfig{};
+    cfg.numSms = 0;
+    EXPECT_NE(validateConfig(cfg).find("SMs"), std::string::npos);
+    cfg = GpuConfig{};
+    cfg.cacheLineBytes = 96;
+    EXPECT_NE(validateConfig(cfg).find("96 B lines"), std::string::npos);
+}

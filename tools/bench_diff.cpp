@@ -3,121 +3,70 @@
  * The perf-regression gate: compare two telemetry/report files and
  * fail loudly when the candidate drifted past tolerance.
  *
- *   bench_diff <baseline> <candidate> [--tol F]
- *              [--tol-prefix PREFIX=F]... [--allow-missing]
- *              [--ignore SUBSTR]... [--quiet]
- *
- * Inputs are either JSONL telemetry files (gnnmark --telemetry) or
- * single-document JSON reports (gnnmark --json); both flatten to
- * dotted-path metric maps (see obs/bench_compare.hh). Exit codes:
- * 0 within tolerance, 1 regression/missing/extra keys, 2 usage or
- * unreadable/unparseable input — so CI can distinguish "perf broke"
- * from "the harness broke".
+ * Inputs are either JSONL telemetry files (gnnmark's telemetry sink)
+ * or single-document JSON reports; both flatten to dotted-path metric
+ * maps (see obs/bench_compare.hh). Exit codes: 0 within tolerance, 1
+ * regression/missing/extra keys, 2 usage or unreadable/unparseable
+ * input — so CI can distinguish "perf broke" from "the harness broke".
  */
 
-#include <cstdlib>
 #include <iostream>
 #include <map>
+#include <stdexcept>
 #include <string>
 
-#include "base/io.hh"
+#include "cli.hh"
 #include "obs/bench_compare.hh"
-#include "obs/json.hh"
 
 using namespace gnnmark;
-
-namespace {
-
-[[noreturn]] void
-usage()
-{
-    std::cerr <<
-        "usage: bench_diff <baseline> <candidate> [options]\n"
-        "\n"
-        "options:\n"
-        "  --tol F             default relative tolerance (default 0)\n"
-        "  --abs F             absolute-difference floor below which a\n"
-        "                      pair always passes (default 0)\n"
-        "  --tol-prefix P=F    tolerance F for keys starting with P\n"
-        "                      (longest matching prefix wins; repeat\n"
-        "                      for several prefixes)\n"
-        "  --ignore SUBSTR     skip keys containing SUBSTR (repeatable;\n"
-        "                      wall_time / host_ are always skipped)\n"
-        "  --hist-pct          compare histograms via derived\n"
-        "                      count/p50/p95/p99 keys instead of raw\n"
-        "                      bucket-by-bucket counts\n"
-        "  --hist-tol F        relative tolerance for the derived\n"
-        "                      percentile keys (default 0.5 = one log2\n"
-        "                      bucket of drift)\n"
-        "  --allow-missing     keys present on one side only are not\n"
-        "                      failures\n"
-        "  --quiet             print nothing on success\n"
-        "\n"
-        "exit status: 0 ok, 1 regression, 2 usage/input error\n";
-    std::exit(2);
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
-    std::string baseline_path;
-    std::string candidate_path;
+    using cli::Flag;
     obs::CompareOptions opts;
     bool quiet = false;
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                usage();
-            return argv[++i];
-        };
-        if (a == "--tol") {
-            opts.defaultTolerance = std::atof(next());
-        } else if (a == "--abs") {
-            opts.absoluteFloor = std::atof(next());
-        } else if (a == "--tol-prefix") {
-            const std::string spec = next();
-            const size_t eq = spec.find('=');
-            if (eq == std::string::npos || eq == 0)
-                usage();
-            opts.tolerances[spec.substr(0, eq)] =
-                std::atof(spec.c_str() + eq + 1);
-        } else if (a == "--ignore") {
-            opts.ignoreSubstrings.push_back(next());
-        } else if (a == "--hist-pct") {
-            opts.histogramPercentiles = true;
-        } else if (a == "--hist-tol") {
-            opts.histogramTolerance = std::atof(next());
-        } else if (a == "--allow-missing") {
-            opts.allowMissing = true;
-        } else if (a == "--quiet") {
-            quiet = true;
-        } else if (a.rfind("--", 0) == 0) {
-            std::cerr << "unknown option: " << a << "\n";
-            usage();
-        } else if (baseline_path.empty()) {
-            baseline_path = a;
-        } else if (candidate_path.empty()) {
-            candidate_path = a;
-        } else {
-            usage();
-        }
-    }
-    if (baseline_path.empty() || candidate_path.empty())
-        usage();
+    cli::Command cmd{"bench_diff", {"<baseline>", "<candidate>"},
+                     "diff two telemetry or report files; exit 0 within "
+                     "tolerance, 1 on a regression, 2 on bad usage or input",
+                     {argv + 1, argv + argc}};
+    const std::vector<std::string> paths = cmd.parse(
+        {Flag{"--tol", "F", "default relative tolerance", cli::atLeast(0)}(
+             opts.defaultTolerance),
+         Flag{"--abs", "F", "absolute difference that always passes",
+              cli::atLeast(0)}(opts.absoluteFloor),
+         {"--tol-prefix", "P=F",
+          "tolerance F for keys starting with P (repeatable)", {},
+          [&opts](const std::string &spec) {
+              const size_t eq = spec.find('=');
+              if (eq == std::string::npos || eq == 0)
+                  return "expected PREFIX=F, got '" + spec + "'";
+              return cli::parseNumber(spec.substr(eq + 1),
+                                      opts.tolerances[spec.substr(0, eq)],
+                                      cli::atLeast(0));
+          }},
+         {"--ignore", "SUBSTR", "skip keys containing SUBSTR (repeatable)",
+          {},
+          [&opts](const std::string &v) {
+              opts.ignoreSubstrings.push_back(v);
+              return std::string();
+          }},
+         Flag{"--hist-pct", "", "diff histograms by count/p50/p95/p99"}(
+             opts.histogramPercentiles),
+         Flag{"--hist-tol", "F", "tolerance of the histogram percentiles",
+              cli::atLeast(0)}(opts.histogramTolerance),
+         Flag{"--allow-missing", "", "keys on one side only pass"}(
+             opts.allowMissing),
+         Flag{"--quiet", "", "print nothing on success"}(quiet)});
+    const std::string &baseline_path = paths[0];
+    const std::string &candidate_path = paths[1];
 
     std::map<std::string, double> baseline;
     std::map<std::string, double> candidate;
     try {
         baseline = obs::flattenTelemetryFile(baseline_path);
         candidate = obs::flattenTelemetryFile(candidate_path);
-    } catch (const IoError &e) {
-        std::cerr << "bench_diff: " << e.what() << "\n";
-        return 2;
-    } catch (const obs::JsonError &e) {
+    } catch (const std::runtime_error &e) { // IoError or obs::JsonError
         std::cerr << "bench_diff: " << e.what() << "\n";
         return 2;
     }

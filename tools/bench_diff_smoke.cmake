@@ -47,6 +47,10 @@ file(WRITE ${tele_bad} "${content}")
 expect_exit(1 ${BENCH_DIFF_BIN} ${tele_a} ${tele_bad})
 expect_exit(0 ${BENCH_DIFF_BIN} ${tele_a} ${tele_bad}
             --tol-prefix iteration.=1e9 --tol-prefix manifest.=1e9)
+# A malformed tolerance is a usage error, never a pass: "5%" must not
+# read as 5, a 500% tolerance.
+expect_exit(2 ${BENCH_DIFF_BIN} ${tele_a} ${tele_bad} --tol 5%)
+expect_exit(2 ${BENCH_DIFF_BIN} ${tele_a} ${tele_bad} --abs 1e9garbage)
 
 # A missing-record candidate is a failure unless --allow-missing.
 file(STRINGS ${tele_a} lines)

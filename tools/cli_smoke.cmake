@@ -43,6 +43,21 @@ expect_exit(2 gen --family rmat --n -4)     # vertex count must be > 1
 expect_exit(2 gen --family rmat --chunks 0) # chunking must be positive
 expect_exit(2 gen --family rmat --bogus)    # unknown option
 expect_exit(2 gen --family hyperbolic --gamma 2.0) # gamma must be > 2
+# Out-of-range and malformed values, and flags or positionals a verb
+# does not take, are usage errors: never a crash, never a silent 0.
+expect_exit(2 run STGCN --iters 0)
+expect_exit(2 scaling --iters 0)
+expect_exit(2 faults STGCN --iters 0)
+expect_exit(2 faults STGCN --interval -1)
+expect_exit(2 ttt --target 1.5)
+expect_exit(2 sweep STGCN --param l2 --points 0)
+expect_exit(2 sweep STGCN --param sms --points 0)
+expect_exit(2 sweep STGCN --param sms --points 0.5) # rounds to 0 SMs
+expect_exit(2 run STGCN --scale abc)
+expect_exit(2 serve --rps abc)
+expect_exit(2 run STGCN --rps 5)
+expect_exit(2 list --rps 5)
+expect_exit(2 run STGCN extra)
 expect_exit(0 list)                   # healthy baseline
 
 # A short serving run with every robustness mechanism engaged, plus
@@ -68,4 +83,8 @@ expect_exit(0 trace info ${trc})
 expect_exit(0 trace replay ${trc})
 expect_exit(0 trace diff ${trc} ${trc})
 expect_exit(0 sweep --trace ${trc} --param l2 --points 2,6)
+# Overrides the cache model cannot build exit 2 before any replay.
+expect_exit(2 trace replay ${trc} --l2 3.3)
+expect_exit(2 trace replay ${trc} --l1 0.01)
+expect_exit(2 sweep --trace ${trc} --param l1 --points 0.01)
 file(REMOVE ${trc})

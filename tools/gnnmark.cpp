@@ -1,47 +1,20 @@
 /**
  * @file
  * The `gnnmark` command-line driver — the front door a downstream user
- * runs, mirroring the run scripts of the original suite.
- *
- *   gnnmark list
- *   gnnmark run <workload> [--scale S] [--iters N] [--inference]
- *                          [--chrome-trace PATH]
- *   gnnmark characterize [--scale S] [--iters N] [--csv]
- *   gnnmark scaling [--scale S] [--weak] [--overlap on|off]
- *                   [--telemetry PATH]
- *   gnnmark ttt [--scale S] [--target F]
- *   gnnmark faults <workload> [--scale S] [--iters N] [--interval K]
- *                             [--plan FILE] [--save-plan FILE]
- *   gnnmark serve [--arrival poisson|bursty|diurnal] [--rps R]
- *                 [--duration S] [--slo-ms MS] [--replicas N]
- *                 [--batch-max K] [--faults SCENARIO] [--plan FILE]
- *                 [--save-plan FILE] [--hedge on|off] [--shed on|off]
- *                 [--fallback on|off] [--seed N] [--json]
- *                 [--telemetry PATH] [--window MS] [--slo-target F]
- *                 [--trace-requests [N]] [--chrome-trace PATH]
- *   gnnmark trace record <workload> [--out PATH] [--scale S] [--iters N]
- *   gnnmark trace replay <file> [--l2 MIB] [--l1 KIB] [--sms N]
- *                               [--chrome-trace PATH]
- *   gnnmark trace info <file>
- *   gnnmark trace diff <a> <b>
- *   gnnmark sweep (<workload> | --trace FILE) [--param l2|l1|sms|world]
- *                 [--points V,V,...] [--overlap on|off]
- *   gnnmark ops [--seed N] [--json] [--telemetry PATH]
- *   gnnmark gen --family rmat|rgg2d|hyperbolic|grid2d [--n N] [--m M]
- *               [--degree D] [--chunks C] [--lookahead L] [--seed N]
- *               [--gamma G] [--grid-rows R] [--grid-cols C] [--wrap]
- *               [--stream] [--stats] [--train-window N] [--json]
- *               [--telemetry PATH]
+ * runs, mirroring the run scripts of the original suite. Each verb in
+ * kVerbs declares its positional arguments, and its command function
+ * declares its flags once, bound to the library option structs they
+ * set (cli.hh). `gnnmark` alone lists the verbs; a usage error prints
+ * the verb's flags and exits 2.
  */
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
+#include <map>
 #include <memory>
-#include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "base/io.hh"
@@ -50,6 +23,7 @@
 #include "base/table.hh"
 #include "base/thread_pool.hh"
 #include "base/units.hh"
+#include "cli.hh"
 #include "core/characterization.hh"
 #include "core/reports.hh"
 #include "core/reports_json.hh"
@@ -83,419 +57,85 @@ using namespace gnnmark;
 
 namespace {
 
-struct Args
-{
-    std::string command;
-    std::string sub;      ///< trace subcommand (record/replay/info/diff)
-    std::string workload;
-    std::vector<std::string> files; ///< positional paths (trace cmds)
-    double scale = 1.0;
-    int iterations = 6;
-    bool iterationsSet = false;
-    int interval = 12;
-    double target = 0.85;
-    bool inference = false;
-    bool weak = false;
-    bool csv = false;
-    bool memstats = false;   ///< --memstats allocator report
-    bool opstats = false;    ///< --opstats dispatch report
-    std::string out;         ///< --out (trace record)
-    std::string tracePath;   ///< --trace (sweep)
-    std::string chromePath;  ///< --chrome-trace
-    std::string telemetryPath; ///< --telemetry (JSONL sink)
-    bool json = false;       ///< --json report documents
-    std::string overlap = "on"; ///< --overlap on|off (scaling, sweep)
-    std::string param = "l2"; ///< --param (sweep)
-    std::string points;      ///< --points (sweep)
-    double l2Mib = 0;        ///< --l2 replay override (0 = recorded)
-    double l1Kib = 0;        ///< --l1 replay override (0 = recorded)
-    int sms = 0;             ///< --sms replay override (0 = recorded)
+using cli::Flag;
 
-    /** @{ Serving (serve) and fault-plan options. */
-    std::string arrival = "poisson"; ///< --arrival process family
-    double rps = 0;           ///< --rps (0 = sized from capacity)
-    double durationSec = 2.0; ///< --duration (arrival horizon, sec)
-    double sloMs = 0;         ///< --slo-ms (0 = sized from batch cost)
-    int replicas = 3;         ///< --replicas
-    int batchMax = 8;         ///< --batch-max
-    std::string faultsScenario = "none"; ///< --faults scenario
-    std::string planPath;     ///< --plan (load a fault plan file)
-    std::string savePlanPath; ///< --save-plan (write the plan used)
-    std::string hedge = "on";    ///< --hedge on|off
-    std::string shed = "on";     ///< --shed on|off
-    std::string fallback = "on"; ///< --fallback on|off
-    uint64_t seed = 42;       ///< --seed
-    double windowMs = 0;      ///< --window (0 = no timeline)
-    double sloTarget = 0.99;  ///< --slo-target (burn-rate budget)
-    int64_t traceSampleEvery = 0; ///< --trace-requests (0 = off)
-    /** @} */
-
-    /** @{ Generation (gen) options; defaults mirror GeneratorConfig. */
-    std::string family;       ///< --family (required for gen)
-    int64_t genN = 1 << 16;   ///< --n
-    int64_t genM = 0;         ///< --m (0 = derive from --degree)
-    double degree = 8.0;      ///< --degree
-    int chunks = 8;           ///< --chunks
-    int lookahead = 4;        ///< --lookahead
-    double gamma = 2.8;       ///< --gamma
-    int64_t gridRows = 0;     ///< --grid-rows
-    int64_t gridCols = 0;     ///< --grid-cols
-    bool gridWrap = false;    ///< --wrap
-    bool stream = false;      ///< --stream: train over the stream
-    bool stats = false;       ///< --stats: degree-distribution shape
-    int64_t trainWindow = 0;  ///< --train-window (chunks, 0 = off)
-    /** @} */
-};
-
-[[noreturn]] void
-usage()
-{
-    std::cerr <<
-        "usage: gnnmark <command> [options]\n"
-        "\n"
-        "commands:\n"
-        "  list                       print the suite inventory\n"
-        "  run <workload>             train + profile one workload\n"
-        "  characterize               profile the whole suite\n"
-        "  scaling                    DDP strong scaling over 1/2/4 GPUs\n"
-        "  ttt                        MLPerf-style time-to-train\n"
-        "  faults <workload>          fault-injected DDP run with\n"
-        "                             checkpoint/resume + elastic recovery\n"
-        "  serve                      SLO-aware inference serving sim:\n"
-        "                             admission control, deadline\n"
-        "                             batching, hedging, degradation\n"
-        "  trace record <workload>    capture a run into a trace file\n"
-        "  trace replay <file>        re-characterize from a trace\n"
-        "  trace info <file>          per-op-class trace statistics\n"
-        "  trace diff <a> <b>         compare two traces' streams\n"
-        "  sweep                      L1/L2/SM sensitivity sweep, live\n"
-        "                             (<workload>) or trace-driven\n"
-        "                             (--trace FILE)\n"
-        "  ops                        operator roofline sweep: run the\n"
-        "                             GEMM/SpMM variants over shapes,\n"
-        "                             sparsities and storage formats on\n"
-        "                             the simulated V100\n"
-        "  gen                        chunked parallel graph generation:\n"
-        "                             stream synthetic graphs through\n"
-        "                             neighbour-sampled minibatch\n"
-        "                             training without materializing\n"
-        "                             them\n"
-        "\n"
-        "options:\n"
-        "  --scale S      dataset scale factor (default 1.0)\n"
-        "  --iters N      measured iterations (default 6; faults: 48)\n"
-        "  --interval K   iterations between checkpoints (default 12,\n"
-        "                 0 disables; faults only)\n"
-        "  --target F     time-to-train loss fraction (default 0.85)\n"
-        "  --inference    forward passes only\n"
-        "  --memstats     append a host-allocator report (run,\n"
-        "                 characterize): peak bytes, steady-state\n"
-        "                 alloc calls/iter, arena hit rate. With\n"
-        "                 --json the memstats document follows the\n"
-        "                 figures document on its own line. Pick the\n"
-        "                 allocator with GNNMARK_ALLOC=caching|system\n"
-        "  --opstats      append the operator-dispatch report (run,\n"
-        "                 characterize): per-variant selection counts\n"
-        "                 and the calibration summary, and record\n"
-        "                 ops.* counters into --telemetry snapshots.\n"
-        "                 Off by default so gated reports never see\n"
-        "                 variant-dependent keys. Pin variants with\n"
-        "                 GNNMARK_OP_VARIANT=gemm=naive|tiled,\n"
-        "                 spmm=scalar|vector\n"
-        "  --weak         weak instead of strong scaling\n"
-        "  --overlap M    on (default): overlap the bucketed gradient\n"
-        "                 all-reduce with backward compute on a comm\n"
-        "                 stream; off: legacy fully-serialized comm\n"
-        "                 (scaling, sweep --param world)\n"
-        "  --csv          machine-readable output where supported\n"
-        "  --chrome-trace PATH  write a chrome://tracing timeline JSON\n"
-        "                 with device, worker and host-span lanes\n"
-        "                 (run, faults, trace replay; serve adds\n"
-        "                 per-request lanes with --trace-requests)\n"
-        "  --telemetry PATH  append JSONL telemetry: one record per\n"
-        "                 iteration plus a run manifest (run,\n"
-        "                 characterize), a fault report (faults), or\n"
-        "                 one record per workload curve (scaling)\n"
-        "  --json         print the report as a JSON document instead\n"
-        "                 of tables (run, characterize, scaling,\n"
-        "                 faults); progress chatter moves to stderr\n"
-        "  --out PATH     trace record output (default <workload>.gnntrace)\n"
-        "  --trace FILE   drive the sweep from a recorded trace\n"
-        "  --param P      sweep parameter: l2 (MiB), l1 (KiB), sms,\n"
-        "                 world (DDP GPU count; trace-driven sweeps\n"
-        "                 price comm against the recorded backward\n"
-        "                 windows with weak-scaling semantics)\n"
-        "  --points V,V   sweep points (default l2: 2,4,6,12 MiB;\n"
-        "                 l1: 64,128,192,256 KiB; sms: 40,60,80,108;\n"
-        "                 world: 1,2,4)\n"
-        "  --l2 MIB / --l1 KIB / --sms N   replay config overrides\n"
-        "\n"
-        "serving options (serve):\n"
-        "  --arrival P    poisson (default) | bursty | diurnal\n"
-        "  --rps R        offered load, requests per simulated second\n"
-        "                 (default: 70%% of healthy-pool capacity)\n"
-        "  --duration S   arrival horizon in simulated seconds (2.0)\n"
-        "  --slo-ms MS    per-request SLO (default: 5x the priced\n"
-        "                 max-batch cost)\n"
-        "  --replicas N   replica pool size (default 3)\n"
-        "  --batch-max K  dynamic batching cap (default 8)\n"
-        "  --faults F     none (default) | straggler | crash | mixed\n"
-        "                 scenario scaled to the duration\n"
-        "  --plan FILE    load an explicit fault plan (serve, faults);\n"
-        "                 overrides --faults\n"
-        "  --save-plan FILE  write the fault plan used (serve, faults)\n"
-        "  --hedge M / --shed M / --fallback M   robustness switches,\n"
-        "                 on (default) | off\n"
-        "  --seed N       traffic/model/generator seed (default 42)\n"
-        "  --window MS    tumbling observability windows of MS\n"
-        "                 simulated milliseconds: per-window\n"
-        "                 p50/p95/p99 latency, goodput and queue-depth\n"
-        "                 series plus SLO burn-rate alerts in the\n"
-        "                 report and telemetry (0 = off)\n"
-        "  --slo-target F  attainment target the burn-rate monitor\n"
-        "                 budgets against (default 0.99)\n"
-        "  --trace-requests [N]  request-scoped tracing: keep the\n"
-        "                 span chain (admission -> queue -> batch ->\n"
-        "                 inference -> retries/hedges) for every N-th\n"
-        "                 request (default 32) plus all shed,\n"
-        "                 timed-out and hedge-won exemplars; lanes\n"
-        "                 merge into --chrome-trace\n"
-        "\n"
-        "generation options (gen):\n"
-        "  --family F     rmat | rgg2d | hyperbolic | grid2d (required)\n"
-        "  --n N          vertex count (default 65536; rmat rounds up\n"
-        "                 to a power of two)\n"
-        "  --m M          target edge count (default: --degree * n / 2)\n"
-        "  --degree D     target average degree when --m is unset (8)\n"
-        "  --chunks C     streaming chunks; more chunks = smaller\n"
-        "                 resident window, identical edges (default 8)\n"
-        "  --lookahead L  chunks generated ahead in parallel (4)\n"
-        "  --gamma G      scale-free degree exponent (hyperbolic, 2.8)\n"
-        "  --grid-rows R / --grid-cols C   explicit grid2d shape\n"
-        "  --wrap         grid2d torus wrap-around edges\n"
-        "  --stream       feed the stream through neighbour-sampled\n"
-        "                 minibatch training (never materialized)\n"
-        "  --stats        streaming degree-distribution shape check\n"
-        "  --train-window N  with --stream: tumbling N-chunk windows\n"
-        "                 of edge throughput and training loss in the\n"
-        "                 report (0 = off)\n";
-    std::exit(2);
-}
-
-Args
-parse(int argc, char **argv)
-{
-    Args args;
-    if (argc < 2)
-        usage();
-    args.command = argv[1];
-    int i = 2;
-    if (args.command == "run" || args.command == "faults") {
-        if (argc < 3)
-            usage();
-        args.workload = argv[2];
-        i = 3;
-    }
-    if (args.command == "trace") {
-        if (argc < 3)
-            usage();
-        args.sub = argv[2];
-        if (args.sub != "record" && args.sub != "replay" &&
-            args.sub != "info" && args.sub != "diff") {
-            std::cerr << "unknown trace subcommand: " << args.sub
-                      << "\n";
-            usage();
-        }
-        i = 3;
-    }
-    for (; i < argc; ++i) {
-        std::string a = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                usage();
-            return argv[++i];
-        };
-        if (a.rfind("--", 0) != 0) {
-            // Positional: trace files / the sweep or record workload.
-            args.files.push_back(a);
-            continue;
-        }
-        if (a == "--scale") {
-            args.scale = std::atof(next());
-        } else if (a == "--iters") {
-            args.iterations = std::atoi(next());
-            args.iterationsSet = true;
-        } else if (a == "--interval") {
-            args.interval = std::atoi(next());
-        } else if (a == "--target") {
-            args.target = std::atof(next());
-        } else if (a == "--inference") {
-            args.inference = true;
-        } else if (a == "--memstats") {
-            args.memstats = true;
-        } else if (a == "--opstats") {
-            args.opstats = true;
-        } else if (a == "--weak") {
-            args.weak = true;
-        } else if (a == "--csv") {
-            args.csv = true;
-        } else if (a == "--out") {
-            args.out = next();
-        } else if (a == "--trace") {
-            args.tracePath = next();
-        } else if (a == "--chrome-trace") {
-            args.chromePath = next();
-        } else if (a == "--telemetry") {
-            args.telemetryPath = next();
-        } else if (a == "--json") {
-            args.json = true;
-        } else if (a == "--overlap") {
-            args.overlap = next();
-            if (args.overlap != "on" && args.overlap != "off") {
-                std::cerr << "--overlap expects on or off, got: "
-                          << args.overlap << "\n";
-                usage();
-            }
-        } else if (a == "--param") {
-            args.param = next();
-        } else if (a == "--points") {
-            args.points = next();
-        } else if (a == "--l2") {
-            args.l2Mib = std::atof(next());
-        } else if (a == "--l1") {
-            args.l1Kib = std::atof(next());
-        } else if (a == "--sms") {
-            args.sms = std::atoi(next());
-        } else if (a == "--arrival") {
-            args.arrival = next();
-        } else if (a == "--rps") {
-            args.rps = std::atof(next());
-        } else if (a == "--duration") {
-            args.durationSec = std::atof(next());
-        } else if (a == "--slo-ms") {
-            args.sloMs = std::atof(next());
-        } else if (a == "--replicas") {
-            args.replicas = std::atoi(next());
-        } else if (a == "--batch-max") {
-            args.batchMax = std::atoi(next());
-        } else if (a == "--faults") {
-            args.faultsScenario = next();
-        } else if (a == "--plan") {
-            args.planPath = next();
-        } else if (a == "--save-plan") {
-            args.savePlanPath = next();
-        } else if (a == "--hedge" || a == "--shed" ||
-                   a == "--fallback") {
-            std::string &target = a == "--hedge"  ? args.hedge
-                                  : a == "--shed" ? args.shed
-                                                  : args.fallback;
-            target = next();
-            if (target != "on" && target != "off") {
-                std::cerr << a << " expects on or off, got: " << target
-                          << "\n";
-                usage();
-            }
-        } else if (a == "--seed") {
-            args.seed = static_cast<uint64_t>(
-                std::strtoull(next(), nullptr, 10));
-        } else if (a == "--window") {
-            args.windowMs = std::atof(next());
-        } else if (a == "--slo-target") {
-            args.sloTarget = std::atof(next());
-            if (args.sloTarget <= 0 || args.sloTarget >= 1) {
-                std::cerr << "--slo-target expects a fraction in "
-                             "(0, 1), got: " << args.sloTarget << "\n";
-                usage();
-            }
-        } else if (a == "--trace-requests") {
-            // Optional numeric argument: sample every N-th request
-            // (exemplars are always kept). Bare flag means every 32nd.
-            args.traceSampleEvery = 32;
-            if (i + 1 < argc) {
-                const std::string peek = argv[i + 1];
-                if (!peek.empty() &&
-                    peek.find_first_not_of("0123456789") ==
-                        std::string::npos)
-                    args.traceSampleEvery = std::atoll(argv[++i]);
-            }
-            if (args.traceSampleEvery < 1)
-                args.traceSampleEvery = 1;
-        } else if (a == "--train-window") {
-            args.trainWindow = std::atoll(next());
-        } else if (a == "--family") {
-            args.family = next();
-        } else if (a == "--n") {
-            args.genN = std::atoll(next());
-        } else if (a == "--m") {
-            args.genM = std::atoll(next());
-        } else if (a == "--degree") {
-            args.degree = std::atof(next());
-        } else if (a == "--chunks") {
-            args.chunks = std::atoi(next());
-        } else if (a == "--lookahead") {
-            args.lookahead = std::atoi(next());
-        } else if (a == "--gamma") {
-            args.gamma = std::atof(next());
-        } else if (a == "--grid-rows") {
-            args.gridRows = std::atoll(next());
-        } else if (a == "--grid-cols") {
-            args.gridCols = std::atoll(next());
-        } else if (a == "--wrap") {
-            args.gridWrap = true;
-        } else if (a == "--stream") {
-            args.stream = true;
-        } else if (a == "--stats") {
-            args.stats = true;
-        } else {
-            std::cerr << "unknown option: " << a << "\n";
-            usage();
-        }
-    }
-    return args;
-}
-
-/** Exit through usage() when `name` is not a suite workload. */
-void
-requireWorkload(const std::string &name)
-{
-    const std::vector<std::string> names =
-        BenchmarkSuite::workloadNames();
-    if (std::find(names.begin(), names.end(), name) != names.end())
-        return;
-    std::cerr << "unknown workload: " << name << "\nknown workloads:";
-    for (const std::string &n : names)
-        std::cerr << " " << n;
-    std::cerr << "\n";
-    usage();
-}
-
-RunOptions
-runOptions(const Args &args)
-{
-    RunOptions opt;
-    opt.scale = args.scale;
-    opt.iterations = args.iterations;
-    opt.inferenceOnly = args.inference;
-    return opt;
-}
+/** @{ Flags several verbs share; kFlag(field) binds one to a field. */
+const Flag kScale{"--scale", "S", "dataset scale factor", cli::above(0)};
+const Flag kIters{"--iters", "N", "measured iterations", cli::atLeast(1)};
+const Flag kInference{"--inference", "", "forward passes only"};
+const Flag kMemstats{"--memstats", "", "append allocator stats"};
+const Flag kOpstats{"--opstats", "", "append operator-dispatch stats"};
+const Flag kOverlap{"--overlap", "on|off", "overlap all-reduce with backward"};
+const Flag kSeed{"--seed", "N", "random seed"};
+const Flag kPlan{"--plan", "FILE", "load an explicit fault plan"};
+const Flag kSavePlan{"--save-plan", "FILE", "write the plan it ran"};
+/** @} */
 
 /**
- * Progress chatter goes to stderr in --json mode so stdout stays a
- * single parseable document.
+ * Exporting telemetry or a chrome trace arms host-span recording for
+ * the whole process; without either GNN_SPAN stays a single relaxed
+ * load and the run is bit-identical to an uninstrumented build.
  */
-std::ostream &
-progressStream(const Args &args)
+Flag
+armsSpans(Flag flag)
 {
-    return args.json ? std::cerr : std::cout;
+    flag.set = [set = std::move(flag.set)](const std::string &v) {
+        obs::SpanTracer::instance().setEnabled(true);
+        return set(v);
+    };
+    return flag;
 }
 
-/** Open the --telemetry sink, or null when the flag wasn't given. */
-std::unique_ptr<obs::TelemetrySink>
-openTelemetry(const Args &args)
+/** Report outputs several verbs share; its flags point into it. */
+struct Output
 {
-    if (args.telemetryPath.empty())
-        return nullptr;
-    return std::make_unique<obs::TelemetrySink>(args.telemetryPath);
+    bool json = false;
+    std::string telemetry; ///< JSONL sink path; empty = none
+    std::string chrome;    ///< chrome://tracing path; empty = none
+    const Flag jsonFlag =
+        Flag{"--json", "", "print JSON, progress to stderr"}(json);
+    const Flag telemetryFlag = armsSpans(
+        Flag{"--telemetry", "PATH", "append JSONL telemetry"}(telemetry));
+    const Flag chromeFlag = armsSpans(
+        Flag{"--chrome-trace", "PATH", "write a chrome://tracing file"}(
+            chrome));
+
+    Output() = default;
+    Output(const Output &) = delete;
+
+    /** In JSON mode stdout stays a single parseable document. */
+    std::ostream &
+    progress() const
+    {
+        return json ? std::cerr : std::cout;
+    }
+
+    /** The telemetry sink, or null when none was asked for. */
+    std::unique_ptr<obs::TelemetrySink>
+    openTelemetry() const
+    {
+        return telemetry.empty()
+                   ? nullptr
+                   : std::make_unique<obs::TelemetrySink>(telemetry);
+    }
+};
+
+/** True when `name` is a suite workload. */
+bool
+isWorkload(const std::string &name)
+{
+    const std::vector<std::string> names = BenchmarkSuite::workloadNames();
+    return std::find(names.begin(), names.end(), name) != names.end();
+}
+
+/** Exit through cmd.fail() when `name` is not a suite workload. */
+void
+requireWorkload(const cli::Command &cmd, const std::string &name)
+{
+    if (!isWorkload(name)) {
+        cmd.fail("unknown workload: " + name + "\nknown workloads: " +
+                 join(BenchmarkSuite::workloadNames(), " "));
+    }
 }
 
 /** Merge the recorded host spans into `chrome` and write it out. */
@@ -510,79 +150,57 @@ finishChromeTrace(ChromeTraceWriter &chrome, const std::string &path,
        << " — load it in chrome://tracing or Perfetto\n";
 }
 
-void
-printWorkloadSummary(const WorkloadProfile &p)
+int
+cmdList(cli::Command &cmd)
 {
-    auto mix = p.profiler.instructionMix();
-    TablePrinter table(p.name + " summary");
-    table.setHeader({"Metric", "Value"});
-    table.addRow({"loss (first -> last)",
-                  strfmt("%.4f -> %.4f", p.losses.front(),
-                         p.losses.back())});
-    table.addRow({"kernel launches",
-                  strfmt("%lld", static_cast<long long>(
-                                     p.profiler.totalLaunches()))});
-    table.addRow({"kernel time",
-                  strfmt("%.3f ms",
-                         p.profiler.totalKernelTimeSec() * 1e3)});
-    table.addRow({"epoch time (est.)",
-                  strfmt("%.3f ms", p.epochTimeSec * 1e3)});
-    table.addRow({"GFLOPS / GIOPS",
-                  strfmt("%.1f / %.1f", p.profiler.gflops(),
-                         p.profiler.giops())});
-    table.addRow({"IPC", strfmt("%.2f", p.profiler.avgIpc())});
-    table.addRow({"instruction mix",
-                  strfmt("int32 %.1f%% fp32 %.1f%%",
-                         mix.int32Frac * 100, mix.fp32Frac * 100)});
-    table.addRow({"L1 / L2 hit rate",
-                  strfmt("%.1f%% / %.1f%%",
-                         p.profiler.l1HitRate() * 100,
-                         p.profiler.l2HitRate() * 100)});
-    table.addRow({"divergent loads",
-                  strfmt("%.1f%%",
-                         p.profiler.divergentLoadFraction() * 100)});
-    table.addRow({"H2D sparsity",
-                  strfmt("%.1f%%",
-                         p.profiler.avgTransferSparsity() * 100)});
-    table.print(std::cout);
-    std::cout << "\n";
-    reports::printKernelTable(p, std::cout);
+    cmd.parse({});
+    reports::printTableOne(std::cout);
+    return 0;
 }
 
 int
-cmdRun(const Args &args)
+cmdRun(cli::Command &cmd)
 {
-    requireWorkload(args.workload);
-    RunOptions opt = runOptions(args);
+    RunOptions opt;
+    opt.iterations = 6;
+    bool memstats = false, opstats = false;
+    Output out;
+    const std::string workload =
+        cmd.parse({kScale(opt.scale), kIters(opt.iterations),
+                   kInference(opt.inferenceOnly), kMemstats(memstats),
+                   kOpstats(opstats), out.jsonFlag, out.telemetryFlag,
+                   out.chromeFlag})
+            .front();
+    requireWorkload(cmd, workload);
     ChromeTraceWriter chrome;
-    if (!args.chromePath.empty())
+    if (!out.chrome.empty())
         opt.extraObserver = &chrome;
-    std::unique_ptr<obs::TelemetrySink> telemetry = openTelemetry(args);
+    std::unique_ptr<obs::TelemetrySink> telemetry = out.openTelemetry();
     opt.telemetry = telemetry.get();
-    if (args.opstats)
+    if (opstats)
         ops::Dispatch::instance().setMetricsEnabled(true);
     CharacterizationRunner runner(opt);
-    std::ostream &progress = progressStream(args);
-    progress << (args.inference ? "Profiling (inference mode) "
-                                : "Training ")
-             << args.workload << " on the simulated V100...\n\n";
+    std::ostream &progress = out.progress();
+    progress << (opt.inferenceOnly ? "Profiling (inference mode) "
+                                   : "Training ")
+             << workload << " on the simulated V100...\n\n";
 
     const double host_begin = obs::SpanTracer::instance().nowUs();
-    const WorkloadProfile profile = runner.run(args.workload);
+    const WorkloadProfile profile = runner.run(workload);
     const double host_wall_us =
         obs::SpanTracer::instance().nowUs() - host_begin;
 
-    if (args.json) {
+    if (out.json) {
         std::cout << reports::figuresJson({profile}) << "\n";
-        if (args.memstats)
+        if (memstats)
             std::cout << reports::memstatsJson({profile}) << "\n";
-        if (args.opstats)
+        if (opstats)
             std::cout << reports::opstatsJson() << "\n";
     } else {
-        printWorkloadSummary(profile);
-        if (args.memstats)
+        reports::printWorkloadSummary(profile, std::cout);
+        if (memstats)
             reports::printMemstats({profile}, std::cout);
-        if (args.opstats)
+        if (opstats)
             reports::printOpstats(std::cout);
     }
     if (telemetry != nullptr) {
@@ -592,95 +210,95 @@ cmdRun(const Args &args)
         progress << "\ntelemetry (" << telemetry->recordCount()
                  << " records) written to " << telemetry->path() << "\n";
     }
-    if (!args.chromePath.empty())
-        finishChromeTrace(chrome, args.chromePath, progress);
+    if (!out.chrome.empty())
+        finishChromeTrace(chrome, out.chrome, progress);
     return 0;
 }
 
-/** Parse "2,4,6,12"-style sweep points. */
+/** Default points of each sweep parameter (l2 MiB, l1 KiB). */
+const std::map<std::string, std::string> kSweepDefaults = {
+    {"l1", "64,128,192,256"},
+    {"l2", "2,4,6,12"},
+    {"sms", "40,60,80,108"},
+    {"world", "1,2,4"},
+};
+
+/** GPU overrides: positive, and small enough to convert without overflow. */
+const cli::Range kGpuValueRange{0, 1e9, true};
+
+/** Parse "2,4,6,12"-style sweep points; exits 2 on a bad one. */
 std::vector<double>
-parsePoints(const std::string &points)
+parsePoints(const cli::Command &cmd, const std::string &list)
 {
-    std::vector<double> out;
-    std::stringstream ss(points);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        if (!item.empty())
-            out.push_back(std::atof(item.c_str()));
-    if (out.empty())
-        usage();
-    return out;
-}
-
-/** Apply one sweep point to a config; returns a printable label. */
-std::string
-applySweepPoint(GpuConfig &cfg, const std::string &param, double value)
-{
-    if (param == "l2") {
-        cfg.l2SizeBytes = static_cast<uint64_t>(value * MiB);
-        return strfmt("L2 %g MiB", value);
+    std::vector<double> points;
+    for (const std::string &item : split(list, ',')) {
+        points.push_back(0);
+        const std::string problem =
+            cli::parseNumber(item, points.back(), kGpuValueRange);
+        if (!problem.empty())
+            cmd.fail("sweep point " + problem);
     }
-    if (param == "l1") {
-        cfg.l1SizeBytes = static_cast<uint64_t>(value * KiB);
-        return strfmt("L1 %g KiB", value);
-    }
-    if (param == "sms") {
-        cfg.numSms = static_cast<int>(value);
-        return strfmt("%d SMs", cfg.numSms);
-    }
-    std::cerr << "unknown sweep parameter: " << param << "\n";
-    usage();
-}
-
-void
-printSweepRow(TablePrinter &table, const std::string &label,
-              const WorkloadProfile &p)
-{
-    table.addRow({label, strfmt("%.3f", p.epochTimeSec * 1e3),
-                  strfmt("%.1f%%", p.profiler.l1HitRate() * 100),
-                  strfmt("%.1f%%", p.profiler.l2HitRate() * 100),
-                  strfmt("%.2f", p.profiler.avgIpc())});
+    return points;
 }
 
 /**
- * `sweep --param world`: price a DDP scaling curve over GPU counts.
- * Live runs use the full DdpTrainer measurement; with --trace the
+ * Set one sweepable GpuConfig field; returns a printable label. Exits
+ * through cmd.fail() when the result is not a GPU the simulator can
+ * build.
+ */
+std::string
+applyGpuParam(const cli::Command &cmd, GpuConfig &cfg,
+              const std::string &param, double value)
+{
+    std::string label;
+    if (param == "l2") {
+        cfg.l2SizeBytes = static_cast<uint64_t>(value * MiB);
+        label = strfmt("L2 %g MiB", value);
+    } else if (param == "l1") {
+        cfg.l1SizeBytes = static_cast<uint64_t>(value * KiB);
+        label = strfmt("L1 %g KiB", value);
+    } else {
+        cfg.numSms = static_cast<int>(value);
+        label = strfmt("%d SMs", cfg.numSms);
+    }
+    const std::string problem = validateConfig(cfg);
+    if (!problem.empty())
+        cmd.fail(label + ": " + problem);
+    return label;
+}
+
+/**
+ * The world sweep: price a DDP scaling curve over GPU counts.
+ * Live runs use the full DdpTrainer measurement; from a trace the
  * recorded kernel stream is replayed once and its per-iteration
  * backward windows feed the overlap model offline (weak-scaling
  * semantics — the recorded stream is the fixed per-GPU work).
  */
 int
-cmdSweepWorld(const Args &args)
+sweepWorld(const cli::Command &cmd, const std::vector<double> &points,
+           const std::string &trace_path, const std::string &workload,
+           const RunOptions &opt, const DdpOptions &ddp_options)
 {
-    const std::vector<double> points =
-        parsePoints(args.points.empty() ? "1,2,4" : args.points);
     std::vector<int> worlds;
     for (double v : points) {
         const int w = static_cast<int>(v);
-        if (w < 1) {
-            std::cerr << "world sweep points must be >= 1\n";
-            usage();
-        }
+        if (w < 1)
+            cmd.fail("world sweep points must be >= 1");
         worlds.push_back(w);
     }
-    DdpOptions ddp_options;
-    ddp_options.overlapComm = args.overlap == "on";
+    const char *overlap = ddp_options.overlapComm ? "on" : "off";
 
     std::vector<ScalingResult> curve;
-    if (!args.tracePath.empty()) {
-        const trace::RecordedTrace trace =
-            trace::readTraceFile(args.tracePath);
+    if (!trace_path.empty()) {
+        const trace::RecordedTrace trace = trace::readTraceFile(trace_path);
         std::cout << "Sweeping world over the recorded "
                   << trace.header.workload << " stream (overlap "
-                  << args.overlap << ")...\n\n";
+                  << overlap << ")...\n\n";
         const trace::ReplayResult replay = trace::replayTrace(trace);
         // The sampler-compatibility flag is a property of the model,
         // not of the recorded stream; recover it from the suite.
         bool compatible = true;
-        const std::vector<std::string> names =
-            BenchmarkSuite::workloadNames();
-        if (std::find(names.begin(), names.end(),
-                      trace.header.workload) != names.end()) {
+        if (isWorkload(trace.header.workload)) {
             compatible = BenchmarkSuite::create(trace.header.workload)
                              ->samplerDdpCompatible();
         } else {
@@ -694,23 +312,17 @@ cmdSweepWorld(const Args &args)
             static_cast<double>(replay.iterationsPerEpoch),
             replay.parameterBytes, compatible, worlds, ddp_options);
     } else {
-        if (args.files.empty())
-            usage();
-        const std::string workload = args.files.front();
-        requireWorkload(workload);
         std::cout << "Sweeping world with live " << workload
-                  << " runs (overlap " << args.overlap << ")...\n\n";
+                  << " runs (overlap " << overlap << ")...\n\n";
         auto wl = BenchmarkSuite::create(workload);
         WorkloadConfig base;
-        base.scale = args.scale;
+        base.scale = opt.scale;
         DdpTrainer trainer(GpuConfig::v100(), InterconnectConfig{},
                            ddp_options);
-        curve = trainer.scalingCurve(
-            *wl, base, worlds, args.iterationsSet ? args.iterations : 4);
+        curve = trainer.scalingCurve(*wl, base, worlds, opt.iterations);
     }
 
-    TablePrinter table(
-        strfmt("world sensitivity (overlap %s)", args.overlap.c_str()));
+    TablePrinter table(strfmt("world sensitivity (overlap %s)", overlap));
     table.setHeader({"GPUs", "epoch (ms)", "compute (ms)", "comm (ms)",
                      "exposed (ms)", "overlap %", "speedup"});
     for (const ScalingResult &r : curve) {
@@ -727,128 +339,176 @@ cmdSweepWorld(const Args &args)
 }
 
 int
-cmdSweep(const Args &args)
+cmdSweep(cli::Command &cmd)
 {
-    if (args.param == "world")
-        return cmdSweepWorld(args);
-    const std::string defaults = args.param == "l1" ? "64,128,192,256"
-                                 : args.param == "sms" ? "40,60,80,108"
-                                                       : "2,4,6,12";
-    const std::vector<double> points =
-        parsePoints(args.points.empty() ? defaults : args.points);
+    std::string param = "l2";
+    std::string points_list;
+    std::string trace_path;
+    RunOptions opt;
+    opt.iterations = 0; // below: 4 for a world sweep, else 6
+    DdpOptions ddp_options;
 
-    TablePrinter table(strfmt("%s sensitivity", args.param.c_str()));
+    std::string params, defaults;
+    for (const auto &[name, list] : kSweepDefaults) {
+        params += (params.empty() ? "" : "|") + name;
+        defaults += " " + name + " " + list + ";";
+    }
+    defaults.back() = ')';
+    Flag iters = kIters(opt.iterations);
+    iters.help += " (default 6, or 4 for the world sweep)";
+    const std::vector<std::string> positionals = cmd.parse(
+        {Flag{"--param", params, "L2 MiB, L1 KiB, SMs or DDP GPUs"}(param),
+         Flag{"--points", "V,V,...", "sweep points (defaults:" + defaults}(
+             points_list),
+         Flag{"--trace", "FILE", "replay a recorded trace"}(trace_path),
+         kOverlap(ddp_options.overlapComm), kScale(opt.scale), iters,
+         kInference(opt.inferenceOnly)});
+    if (trace_path.empty() == positionals.empty())
+        cmd.fail("needs exactly one of a <workload> or a trace file");
+    const std::string workload = positionals.empty() ? "" : positionals[0];
+    if (!workload.empty())
+        requireWorkload(cmd, workload);
+    const std::vector<double> points = parsePoints(
+        cmd, points_list.empty() ? kSweepDefaults.at(param) : points_list);
+    if (opt.iterations == 0)
+        opt.iterations = param == "world" ? 4 : 6;
+    if (param == "world")
+        return sweepWorld(cmd, points, trace_path, workload, opt,
+                          ddp_options);
+
+    // Check every point before running any. A trace replays its
+    // recorded stream per point; a live sweep re-trains per point.
+    const trace::RecordedTrace trace = trace_path.empty()
+                                           ? trace::RecordedTrace{}
+                                           : trace::readTraceFile(trace_path);
+    std::vector<std::pair<std::string, RunOptions>> configs;
+    for (double value : points) {
+        RunOptions point = opt;
+        if (!trace_path.empty())
+            point.deviceConfig = trace.header.config;
+        const std::string label =
+            applyGpuParam(cmd, point.deviceConfig, param, value);
+        configs.emplace_back(label, point);
+    }
+    TablePrinter table(strfmt("%s sensitivity", param.c_str()));
     table.setHeader({"config", "epoch (ms)", "L1 hit", "L2 hit", "IPC"});
-
-    if (!args.tracePath.empty()) {
-        // Trace-driven: one recorded run, N cache-model replays.
-        const trace::RecordedTrace trace =
-            trace::readTraceFile(args.tracePath);
-        std::cout << "Sweeping " << args.param << " over the recorded "
-                  << trace.header.workload << " trace...\n\n";
-        for (double value : points) {
-            GpuConfig cfg = trace.header.config;
-            const std::string label =
-                applySweepPoint(cfg, args.param, value);
-            printSweepRow(table, label,
-                          toWorkloadProfile(trace::replayTrace(trace, cfg)));
-        }
-    } else {
-        // Live: re-train the workload once per point.
-        if (args.files.empty())
-            usage();
-        const std::string workload = args.files.front();
-        requireWorkload(workload);
-        std::cout << "Sweeping " << args.param << " with live "
-                  << workload << " runs...\n\n";
-        for (double value : points) {
-            RunOptions opt = runOptions(args);
-            const std::string label =
-                applySweepPoint(opt.deviceConfig, args.param, value);
-            CharacterizationRunner runner(opt);
-            printSweepRow(table, label, runner.run(workload));
-        }
+    std::cout << "Sweeping " << param
+              << (trace_path.empty()
+                      ? " with live " + workload + " runs...\n\n"
+                      : " over the recorded " + trace.header.workload +
+                            " trace...\n\n");
+    for (const auto &[label, point] : configs) {
+        const WorkloadProfile p =
+            trace_path.empty() ? CharacterizationRunner(point).run(workload)
+                               : toWorkloadProfile(trace::replayTrace(
+                                     trace, point.deviceConfig));
+        table.addRow({label, strfmt("%.3f", p.epochTimeSec * 1e3),
+                      strfmt("%.1f%%", p.profiler.l1HitRate() * 100),
+                      strfmt("%.1f%%", p.profiler.l2HitRate() * 100),
+                      strfmt("%.2f", p.profiler.avgIpc())});
     }
     table.print(std::cout);
     return 0;
 }
 
 int
-cmdTrace(const Args &args)
+cmdTraceRecord(cli::Command &cmd)
 {
-    if (args.sub == "record") {
-        if (args.files.empty())
-            usage();
-        const std::string workload = args.files.front();
-        requireWorkload(workload);
-        const std::string out =
-            args.out.empty() ? workload + ".gnntrace" : args.out;
-        std::cout << "Recording " << workload << "...\n";
-        const trace::RecordedTrace trace =
-            recordWorkloadTrace(workload, runOptions(args));
-        trace::writeTraceFile(out, trace);
-        const uint64_t encoded = trace::serializeTrace(trace).size();
-        const uint64_t naive = trace::naiveSizeBytes(trace);
-        std::cout << strfmt(
-            "%zu events -> %s (%s, %.1fx smaller than raw structs)\n",
-            trace.events.size(), out.c_str(),
-            formatBytes(static_cast<double>(encoded)).c_str(),
-            static_cast<double>(naive) / static_cast<double>(encoded));
-        return 0;
-    }
-    if (args.sub == "info") {
-        if (args.files.empty())
-            usage();
-        const std::vector<uint8_t> bytes =
-            readFileBytes(args.files.front());
-        const trace::RecordedTrace trace = trace::parseTrace(
-            bytes, "trace file '" + args.files.front() + "'");
-        trace::printTraceInfo(trace, bytes.size(), std::cout);
-        return 0;
-    }
-    if (args.sub == "replay") {
-        if (args.files.empty())
-            usage();
-        const trace::RecordedTrace trace =
-            trace::readTraceFile(args.files.front());
-        GpuConfig cfg = trace.header.config;
-        if (args.l2Mib > 0)
-            cfg.l2SizeBytes = static_cast<uint64_t>(args.l2Mib * MiB);
-        if (args.l1Kib > 0)
-            cfg.l1SizeBytes = static_cast<uint64_t>(args.l1Kib * KiB);
-        if (args.sms > 0)
-            cfg.numSms = args.sms;
-        ChromeTraceWriter chrome;
-        std::vector<KernelObserver *> observers;
-        if (!args.chromePath.empty())
-            observers.push_back(&chrome);
-        std::cout << "Replaying the recorded " << trace.header.workload
-                  << " stream...\n\n";
-        printWorkloadSummary(
-            toWorkloadProfile(trace::replayTrace(trace, cfg, observers)));
-        if (!args.chromePath.empty())
-            finishChromeTrace(chrome, args.chromePath, std::cout);
-        return 0;
-    }
-    // diff
-    if (args.files.size() < 2)
-        usage();
-    const trace::RecordedTrace a = trace::readTraceFile(args.files[0]);
-    const trace::RecordedTrace b = trace::readTraceFile(args.files[1]);
+    RunOptions opt;
+    opt.iterations = 6;
+    std::string out;
+    const std::string workload =
+        cmd.parse({Flag{"--out", "PATH",
+                        "output (default <workload>.gnntrace)"}(out),
+                   kScale(opt.scale), kIters(opt.iterations),
+                   kInference(opt.inferenceOnly)})
+            .front();
+    requireWorkload(cmd, workload);
+    if (out.empty())
+        out = workload + ".gnntrace";
+    std::cout << "Recording " << workload << "...\n";
+    const trace::RecordedTrace trace = recordWorkloadTrace(workload, opt);
+    trace::writeTraceFile(out, trace);
+    const uint64_t encoded = trace::serializeTrace(trace).size();
+    const uint64_t naive = trace::naiveSizeBytes(trace);
+    std::cout << strfmt(
+        "%zu events -> %s (%s, %.1fx smaller than raw structs)\n",
+        trace.events.size(), out.c_str(),
+        formatBytes(static_cast<double>(encoded)).c_str(),
+        static_cast<double>(naive) / static_cast<double>(encoded));
+    return 0;
+}
+
+int
+cmdTraceInfo(cli::Command &cmd)
+{
+    const std::string path = cmd.parse({}).front();
+    const std::vector<uint8_t> bytes = readFileBytes(path);
+    const trace::RecordedTrace trace =
+        trace::parseTrace(bytes, "trace file '" + path + "'");
+    trace::printTraceInfo(trace, bytes.size(), std::cout);
+    return 0;
+}
+
+int
+cmdTraceReplay(cli::Command &cmd)
+{
+    std::map<std::string, double> overrides; // 0 keeps the recorded value
+    Output out;
+    const std::string path =
+        cmd.parse({Flag{"--l2", "MIB", "L2 size", kGpuValueRange}(
+                       overrides["l2"]),
+                   Flag{"--l1", "KIB", "L1 size", kGpuValueRange}(
+                       overrides["l1"]),
+                   Flag{"--sms", "N", "SM count", kGpuValueRange}(
+                       overrides["sms"]),
+                   out.chromeFlag})
+            .front();
+    const trace::RecordedTrace trace = trace::readTraceFile(path);
+    GpuConfig cfg = trace.header.config;
+    for (const auto &[param, value] : overrides)
+        if (value > 0)
+            applyGpuParam(cmd, cfg, param, value);
+    ChromeTraceWriter chrome;
+    std::vector<KernelObserver *> observers;
+    if (!out.chrome.empty())
+        observers.push_back(&chrome);
+    std::cout << "Replaying the recorded " << trace.header.workload
+              << " stream...\n\n";
+    reports::printWorkloadSummary(
+        toWorkloadProfile(trace::replayTrace(trace, cfg, observers)),
+        std::cout);
+    if (!out.chrome.empty())
+        finishChromeTrace(chrome, out.chrome, std::cout);
+    return 0;
+}
+
+int
+cmdTraceDiff(cli::Command &cmd)
+{
+    const std::vector<std::string> paths = cmd.parse({});
+    const trace::RecordedTrace a = trace::readTraceFile(paths[0]);
+    const trace::RecordedTrace b = trace::readTraceFile(paths[1]);
     trace::printTraceDiff(a, b, std::cout);
     return 0;
 }
 
 int
-cmdCharacterize(const Args &args)
+cmdCharacterize(cli::Command &cmd)
 {
-    if (args.opstats)
+    RunOptions opt;
+    opt.iterations = 6;
+    bool memstats = false, opstats = false;
+    Output out;
+    cmd.parse({kScale(opt.scale), kIters(opt.iterations),
+               kInference(opt.inferenceOnly), kMemstats(memstats),
+               kOpstats(opstats), out.jsonFlag, out.telemetryFlag});
+    if (opstats)
         ops::Dispatch::instance().setMetricsEnabled(true);
-    RunOptions opt = runOptions(args);
-    std::unique_ptr<obs::TelemetrySink> telemetry = openTelemetry(args);
+    std::unique_ptr<obs::TelemetrySink> telemetry = out.openTelemetry();
     opt.telemetry = telemetry.get();
     CharacterizationRunner runner(opt);
-    std::ostream &progress = progressStream(args);
+    std::ostream &progress = out.progress();
     std::vector<WorkloadProfile> profiles;
     for (const std::string &name : BenchmarkSuite::workloadNames()) {
         progress << "  " << name << "..." << std::flush;
@@ -868,11 +528,11 @@ cmdCharacterize(const Args &args)
                  << " records) written to " << telemetry->path()
                  << "\n\n";
     }
-    if (args.json) {
+    if (out.json) {
         std::cout << reports::figuresJson(profiles) << "\n";
-        if (args.memstats)
+        if (memstats)
             std::cout << reports::memstatsJson(profiles) << "\n";
-        if (args.opstats)
+        if (opstats)
             std::cout << reports::opstatsJson() << "\n";
         return 0;
     }
@@ -882,25 +542,29 @@ cmdCharacterize(const Args &args)
     reports::printFig5Stalls(profiles, std::cout);
     reports::printFig6Cache(profiles, std::cout);
     reports::printFig7Sparsity(profiles, std::cout);
-    if (args.memstats)
+    if (memstats)
         reports::printMemstats(profiles, std::cout);
-    if (args.opstats)
+    if (opstats)
         reports::printOpstats(std::cout);
     return 0;
 }
 
 int
-cmdScaling(const Args &args)
+cmdScaling(cli::Command &cmd)
 {
     WorkloadConfig base;
-    base.scale = args.scale;
+    int iters = 4;
+    bool weak = false;
     DdpOptions ddp_options;
-    ddp_options.overlapComm = args.overlap == "on";
+    Output out;
+    cmd.parse({kScale(base.scale), kIters(iters),
+               Flag{"--weak", "", "weak instead of strong scaling"}(weak),
+               kOverlap(ddp_options.overlapComm), out.jsonFlag,
+               out.telemetryFlag});
     DdpTrainer trainer(GpuConfig::v100(), InterconnectConfig{},
                        ddp_options);
-    const int iters = args.iterationsSet ? args.iterations : 4;
-    std::unique_ptr<obs::TelemetrySink> telemetry = openTelemetry(args);
-    std::ostream &progress = progressStream(args);
+    std::unique_ptr<obs::TelemetrySink> telemetry = out.openTelemetry();
+    std::ostream &progress = out.progress();
     std::vector<std::pair<std::string, std::vector<ScalingResult>>>
         curves;
     for (const std::string &name : BenchmarkSuite::workloadNames()) {
@@ -910,12 +574,11 @@ cmdScaling(const Args &args)
         progress << "  " << name << "..." << std::flush;
         curves.emplace_back(
             name,
-            args.weak
-                ? trainer.weakScalingCurve(*wl, base, {1, 2, 4}, iters)
-                : trainer.scalingCurve(*wl, base, {1, 2, 4}, iters));
+            weak ? trainer.weakScalingCurve(*wl, base, {1, 2, 4}, iters)
+                 : trainer.scalingCurve(*wl, base, {1, 2, 4}, iters));
         if (telemetry != nullptr) {
             telemetry->writeRecord(reports::scalingRecordJson(
-                name, args.weak, ddp_options.overlapComm,
+                name, weak, ddp_options.overlapComm,
                 curves.back().second));
         }
         progress << " done\n";
@@ -926,7 +589,7 @@ cmdScaling(const Args &args)
                  << " records) written to " << telemetry->path()
                  << "\n\n";
     }
-    if (args.json)
+    if (out.json)
         std::cout << reports::scalingJson(curves) << "\n";
     else
         reports::printFig9Scaling(curves, std::cout);
@@ -934,11 +597,12 @@ cmdScaling(const Args &args)
 }
 
 int
-cmdTimeToTrain(const Args &args)
+cmdTimeToTrain(cli::Command &cmd)
 {
     TimeToTrainOptions opt;
-    opt.scale = args.scale;
-    opt.lossFraction = args.target;
+    cmd.parse({kScale(opt.scale),
+               Flag{"--target", "F", "loss fraction to train down to",
+                    {0, 1, true}}(opt.lossFraction)});
     TablePrinter table("Time-to-train");
     table.setHeader({"Workload", "Converged", "Steps", "Sim time (ms)"});
     for (const std::string &name : BenchmarkSuite::workloadNames()) {
@@ -957,127 +621,125 @@ cmdTimeToTrain(const Args &args)
  * "straggler" slows one replica 6x for most of the run, "crash" kills
  * the last replica at 30%, "mixed" layers both plus a second, shorter
  * straggler window — the overload story the robustness ablations are
- * judged against.
+ * judged against. "none" is a healthy run.
  */
 FaultPlan
 serveScenarioPlan(const std::string &scenario, int replicas,
                   double duration)
 {
     std::vector<FaultEvent> events;
-    auto straggler = [&](int replica, double at, double len,
-                         double mag) {
-        FaultEvent e;
-        e.kind = FaultKind::Straggler;
-        e.timeSec = at;
-        e.durationSec = len;
-        e.replica = replica;
-        e.magnitude = mag;
-        events.push_back(e);
-    };
-    if (scenario == "none")
-        return FaultPlan{};
     if (scenario == "straggler" || scenario == "mixed")
-        straggler(replicas > 1 ? 1 : 0, 0.15 * duration,
-                  0.70 * duration, 6.0);
-    if (scenario == "crash" || scenario == "mixed") {
-        FaultEvent c;
-        c.kind = FaultKind::ReplicaCrash;
-        c.timeSec = 0.30 * duration;
-        c.replica = replicas - 1;
-        events.push_back(c);
-    }
+        events.push_back({.kind = FaultKind::Straggler,
+                          .timeSec = 0.15 * duration,
+                          .replica = replicas > 1 ? 1 : 0,
+                          .durationSec = 0.70 * duration,
+                          .magnitude = 6.0});
+    if (scenario == "crash" || scenario == "mixed")
+        events.push_back({.kind = FaultKind::ReplicaCrash,
+                          .timeSec = 0.30 * duration,
+                          .replica = replicas - 1});
     if (scenario == "mixed" && replicas > 2)
-        straggler(0, 0.55 * duration, 0.20 * duration, 3.0);
-    if (events.empty()) {
-        std::cerr << "unknown fault scenario: " << scenario
-                  << " (expected none|straggler|crash|mixed)\n";
-        usage();
-    }
+        events.push_back({.kind = FaultKind::Straggler,
+                          .timeSec = 0.55 * duration,
+                          .durationSec = 0.20 * duration,
+                          .magnitude = 3.0});
     return FaultPlan(std::move(events));
 }
 
 int
-cmdServe(const Args &args)
+cmdServe(cli::Command &cmd)
 {
     serve::ServeOptions opt;
-    if (!serve::parseArrivalProcess(args.arrival, opt.traffic.process)) {
-        std::cerr << "unknown arrival process: " << args.arrival
-                  << "\n";
-        usage();
-    }
-    if (args.replicas < 1 || args.batchMax < 1 ||
-        args.durationSec <= 0) {
-        std::cerr << "serve needs --replicas >= 1, --batch-max >= 1 "
-                     "and --duration > 0\n";
-        usage();
-    }
-    std::ostream &progress = progressStream(args);
+    opt.replicas = 3;
+    opt.maxBatch = 8;
+    opt.traffic.durationSec = 2.0;
+    opt.traffic.ratePerSec = 0; // 0: sized from capacity below
+    std::string arrival = serve::arrivalProcessName(opt.traffic.process);
+    double scale = 1.0;
+    double slo_ms = 0, window_ms = 0;
+    std::string plan_path, save_plan_path;
+    Output out;
+    cmd.parse({
+        Flag{"--arrival", "P", "poisson, bursty or diurnal"}(arrival),
+        Flag{"--rps", "R", "offered load per second; 0 is 70% of capacity",
+             cli::atLeast(0)}(opt.traffic.ratePerSec),
+        Flag{"--duration", "S", "arrival horizon, simulated seconds",
+             cli::above(0)}(opt.traffic.durationSec),
+        Flag{"--slo-ms", "MS", "per-request SLO; 0 is 5x the max-batch cost",
+             cli::atLeast(0)}(slo_ms),
+        Flag{"--replicas", "N", "replica pool size", cli::atLeast(1)}(
+            opt.replicas),
+        Flag{"--batch-max", "K", "dynamic batching cap", cli::atLeast(1)}(
+            opt.maxBatch),
+        Flag{"--faults", "none|straggler|crash|mixed", "fault scenario"}(
+            opt.faultScenario),
+        kPlan(plan_path), kSavePlan(save_plan_path),
+        Flag{"--hedge", "on|off", "hedging"}(opt.hedgeEnabled),
+        Flag{"--shed", "on|off", "load shedding"}(opt.shedEnabled),
+        Flag{"--fallback", "on|off", "cache fallback"}(opt.fallbackEnabled),
+        kSeed(opt.traffic.seed), kScale(scale),
+        Flag{"--window", "MS", "SLO monitoring window; 0 is off",
+             cli::atLeast(0)}(window_ms),
+        Flag{"--slo-target", "F", "burn-rate attainment target",
+             {0, 1, true}}(opt.sloTarget),
+        Flag{"--trace-requests", "N", "trace every N-th request",
+             cli::atLeast(1), {}, "32"}(opt.traceSampleEvery),
+        out.jsonFlag, out.telemetryFlag, out.chromeFlag});
+    if (!serve::parseArrivalProcess(arrival, opt.traffic.process))
+        cmd.fail("unknown arrival process: " + arrival);
+    std::ostream &progress = out.progress();
 
     // Price the batch cost table through the real inference path on
     // the simulated device; everything downstream (SLO defaults,
     // offered-load sizing, the serving event loop) runs off it.
     progress << "Pricing ego-net inference batches on the simulated "
                 "V100...\n";
-    EgoNetBatchModel model(args.scale, args.seed);
-    GpuDevice device(GpuConfig::v100(), args.seed);
+    const uint64_t seed = opt.traffic.seed;
+    EgoNetBatchModel model(scale, seed);
+    GpuDevice device(GpuConfig::v100(), seed);
     const serve::BatchCostTable table =
-        serve::priceBatchCosts(model, device, args.batchMax, args.seed);
-    const double batch_cost = table.costSec(args.batchMax);
+        serve::priceBatchCosts(model, device, opt.maxBatch, seed);
+    const double batch_cost = table.costSec(opt.maxBatch);
 
-    opt.replicas = args.replicas;
-    opt.maxBatch = args.batchMax;
-    opt.traffic.seed = args.seed;
-    opt.traffic.durationSec = args.durationSec;
     opt.traffic.catalogItems = model.numItems();
     // Default load: 70% of the healthy pool's max-batch throughput;
     // default SLO: 5x the max-batch cost — tight enough that a 6x
     // straggler blows it, loose enough for healthy batching.
-    opt.traffic.ratePerSec =
-        args.rps > 0 ? args.rps
-                     : 0.7 * args.replicas * args.batchMax / batch_cost;
-    opt.traffic.sloSec =
-        args.sloMs > 0 ? args.sloMs * 1e-3 : 5.0 * batch_cost;
-    opt.hedgeEnabled = args.hedge == "on";
-    opt.shedEnabled = args.shed == "on";
-    opt.fallbackEnabled = args.fallback == "on";
-    if (args.windowMs < 0) {
-        std::cerr << "--window expects a non-negative duration\n";
-        usage();
-    }
-    opt.windowSec = args.windowMs * 1e-3;
-    opt.sloTarget = args.sloTarget;
-    opt.traceSampleEvery = args.traceSampleEvery;
+    if (opt.traffic.ratePerSec == 0)
+        opt.traffic.ratePerSec =
+            0.7 * opt.replicas * opt.maxBatch / batch_cost;
+    opt.traffic.sloSec = slo_ms > 0 ? slo_ms * 1e-3 : 5.0 * batch_cost;
+    opt.windowSec = window_ms * 1e-3;
 
-    if (!args.planPath.empty()) {
-        opt.faults = loadFaultPlan(args.planPath);
+    if (!plan_path.empty()) {
+        opt.faults = loadFaultPlan(plan_path);
         opt.faultScenario = "plan";
     } else {
-        opt.faults = serveScenarioPlan(args.faultsScenario,
-                                       args.replicas, args.durationSec);
-        opt.faultScenario = args.faultsScenario;
+        opt.faults = serveScenarioPlan(opt.faultScenario, opt.replicas,
+                                       opt.traffic.durationSec);
     }
-    if (!args.savePlanPath.empty()) {
-        saveFaultPlan(args.savePlanPath, opt.faults);
-        progress << "fault plan written to " << args.savePlanPath
-                 << "\n";
+    if (!save_plan_path.empty()) {
+        saveFaultPlan(save_plan_path, opt.faults);
+        progress << "fault plan written to " << save_plan_path << "\n";
     }
 
     progress << strfmt(
         "Serving %s arrivals @ %.0f req/s for %.1f s (SLO %.2f ms, "
         "%d replicas, batch <= %d, faults=%s)...\n\n",
-        args.arrival.c_str(), opt.traffic.ratePerSec, args.durationSec,
-        opt.traffic.sloSec * 1e3, args.replicas, args.batchMax,
+        serve::arrivalProcessName(opt.traffic.process),
+        opt.traffic.ratePerSec, opt.traffic.durationSec,
+        opt.traffic.sloSec * 1e3, opt.replicas, opt.maxBatch,
         opt.faultScenario.c_str());
 
     serve::ServingSimulator sim(table, opt);
     const serve::ServingReport report = sim.run();
 
-    if (args.json)
+    if (out.json)
         std::cout << reports::servingJson(report) << "\n";
     else
         reports::printServing(report, std::cout);
     if (std::unique_ptr<obs::TelemetrySink> telemetry =
-            openTelemetry(args)) {
+            out.openTelemetry()) {
         telemetry->writeRecord(
             reports::servingRecordJson("serve", report));
         // One record per coalesced burn-rate alert, so downstream
@@ -1089,26 +751,35 @@ cmdServe(const Args &args)
         progress << "telemetry written to " << telemetry->path()
                  << "\n";
     }
-    if (!args.chromePath.empty()) {
+    if (!out.chrome.empty()) {
         ChromeTraceWriter chrome;
         chrome.addRequestLanes(sim.drainRequestTraces());
-        finishChromeTrace(chrome, args.chromePath, progress);
+        finishChromeTrace(chrome, out.chrome, progress);
     }
     return 0;
 }
 
 int
-cmdFaults(const Args &args)
+cmdFaults(cli::Command &cmd)
 {
-    requireWorkload(args.workload);
-    auto wl = BenchmarkSuite::create(args.workload);
-
     WorkloadConfig base;
-    base.scale = args.scale;
+    FaultRecoveryOptions opt;
+    std::string plan_path, save_plan_path;
+    Output out;
+    const std::string workload =
+        cmd.parse({kScale(base.scale), kIters(opt.iterations),
+                   Flag{"--interval", "K", "checkpoint period; 0 is off",
+                        cli::atLeast(0)}(opt.checkpointInterval),
+                   kPlan(plan_path), kSavePlan(save_plan_path),
+                   out.jsonFlag, out.telemetryFlag, out.chromeFlag})
+            .front();
+    requireWorkload(cmd, workload);
+    auto wl = BenchmarkSuite::create(workload);
+
     DdpTrainer trainer;
     const int world = wl->supportsMultiGpu() ? 4 : 1;
 
-    std::ostream &progress = progressStream(args);
+    std::ostream &progress = out.progress();
 
     // Probe the healthy per-iteration time so the injected faults land
     // at fixed fractions of the run regardless of workload or scale.
@@ -1119,80 +790,62 @@ cmdFaults(const Args &args)
         probe.epochTimeSec /
         static_cast<double>(wl->iterationsPerEpoch());
 
-    FaultRecoveryOptions opt;
-    opt.iterations = args.iterationsSet ? args.iterations : 48;
-    opt.checkpointInterval = args.interval;
     const double horizon = iter_sec * opt.iterations;
 
-    std::vector<FaultEvent> events;
-    {
-        FaultEvent e;
-        e.kind = FaultKind::Straggler;
-        e.timeSec = 0.20 * horizon;
-        e.durationSec = 0.12 * horizon;
-        e.replica = world > 1 ? 1 : 0;
-        e.magnitude = 2.5;
-        events.push_back(e);
-    }
-    {
-        FaultEvent e;
-        e.kind = FaultKind::TransientKernel;
-        e.timeSec = 0.50 * horizon;
-        events.push_back(e);
-    }
+    std::vector<FaultEvent> events = {
+        {.kind = FaultKind::Straggler,
+         .timeSec = 0.20 * horizon,
+         .replica = world > 1 ? 1 : 0,
+         .durationSec = 0.12 * horizon,
+         .magnitude = 2.5},
+        {.kind = FaultKind::TransientKernel, .timeSec = 0.50 * horizon},
+    };
     if (world > 1) {
-        FaultEvent e;
-        e.kind = FaultKind::DegradedLink;
-        e.timeSec = 0.40 * horizon;
-        e.durationSec = 0.12 * horizon;
-        e.magnitude = 0.25;
-        events.push_back(e);
-        FaultEvent c;
-        c.kind = FaultKind::ReplicaCrash;
-        c.timeSec = 0.65 * horizon;
-        c.replica = world - 1;
-        events.push_back(c);
+        events.push_back({.kind = FaultKind::DegradedLink,
+                          .timeSec = 0.40 * horizon,
+                          .durationSec = 0.12 * horizon,
+                          .magnitude = 0.25});
+        events.push_back({.kind = FaultKind::ReplicaCrash,
+                          .timeSec = 0.65 * horizon,
+                          .replica = world - 1});
     }
 
-    // An explicit --plan overrides the built-in schedule; --save-plan
-    // writes whichever plan the run used, so save + load round-trips
+    // An explicit plan overrides the built-in schedule; saving writes
+    // whichever plan the run used, so save + load round-trips
     // reproduce the exact same fault sequence.
-    FaultPlan plan = !args.planPath.empty()
-                         ? loadFaultPlan(args.planPath)
-                         : FaultPlan(std::move(events));
-    if (!args.savePlanPath.empty()) {
-        saveFaultPlan(args.savePlanPath, plan);
-        progress << "fault plan written to " << args.savePlanPath
-                 << "\n";
+    FaultPlan plan = !plan_path.empty() ? loadFaultPlan(plan_path)
+                                        : FaultPlan(std::move(events));
+    if (!save_plan_path.empty()) {
+        saveFaultPlan(save_plan_path, plan);
+        progress << "fault plan written to " << save_plan_path << "\n";
     }
 
     ChromeTraceWriter chrome;
-    if (!args.chromePath.empty())
+    if (!out.chrome.empty())
         trainer.setExtraObserver(&chrome);
 
-    progress << "Fault-injected training of " << args.workload
-             << " on " << world << " simulated GPU(s)...\n\n";
+    progress << "Fault-injected training of " << workload << " on "
+             << world << " simulated GPU(s)...\n\n";
     FaultToleranceResult result =
         trainer.runWithFaults(*wl, base, world, plan, opt);
-    if (args.json)
+    if (out.json)
         std::cout << reports::faultJson(result) << "\n";
     else
         reports::printFaultTolerance(result, std::cout);
     if (std::unique_ptr<obs::TelemetrySink> telemetry =
-            openTelemetry(args)) {
+            out.openTelemetry()) {
         telemetry->writeRecord(reports::faultJson(result));
         progress << "\ntelemetry written to " << telemetry->path()
                  << "\n";
     }
-    if (!args.chromePath.empty()) {
+    if (!out.chrome.empty()) {
         // The DDP model replays rank 0's stream on every replica, so
         // the mirrored lanes are the honest per-rank visualisation.
         chrome.mirrorDeviceLanes(world);
-        finishChromeTrace(chrome, args.chromePath, progress);
+        finishChromeTrace(chrome, out.chrome, progress);
     }
     return 0;
 }
-
 
 /** One row of the `gnnmark ops` roofline sweep. */
 struct OpsRow
@@ -1206,6 +859,9 @@ struct OpsRow
     int64_t minBytes = 0; ///< compulsory traffic (operands + result)
     double simSec = 0;
     double hostMs = 0;    ///< human table only, never serialized
+    double intensity = 0; ///< FLOP per compulsory byte
+    double gflops = 0;    ///< achieved on the simulated device
+    double roofGflops = 0; ///< attainable at this intensity
 };
 
 /** Peak fp32 rate of `cfg` in FLOP/s (FMA counts as two). */
@@ -1277,15 +933,8 @@ opsCsr(Rng &rng, int64_t rows, int64_t cols, double density)
 
 /** Serialize the deterministic fields of one sweep row. */
 std::string
-opsRowJson(const OpsRow &row, const GpuConfig &cfg)
+opsRowJson(const OpsRow &row)
 {
-    const double intensity =
-        static_cast<double>(row.flops) /
-        static_cast<double>(std::max<int64_t>(row.minBytes, 1));
-    const double achieved =
-        row.simSec > 0 ? row.flops / row.simSec / 1e9 : 0.0;
-    const double roof =
-        std::min(peakFlops(cfg), cfg.dramBandwidth * intensity) / 1e9;
     obs::JsonWriter w;
     w.beginObject();
     w.key("type").value("ops");
@@ -1296,11 +945,12 @@ opsRowJson(const OpsRow &row, const GpuConfig &cfg)
     w.key("variant").value(row.variant);
     w.key("flops").value(row.flops);
     w.key("min_bytes").value(row.minBytes);
-    w.key("intensity").value(intensity);
+    w.key("intensity").value(row.intensity);
     w.key("sim_us").value(row.simSec * 1e6);
-    w.key("gflops").value(achieved);
-    w.key("roofline_gflops").value(roof);
-    w.key("roof_frac").value(roof > 0 ? achieved / roof : 0.0);
+    w.key("gflops").value(row.gflops);
+    w.key("roofline_gflops").value(row.roofGflops);
+    w.key("roof_frac").value(
+        row.roofGflops > 0 ? row.gflops / row.roofGflops : 0.0);
     w.endObject();
     return w.str();
 }
@@ -1308,21 +958,42 @@ opsRowJson(const OpsRow &row, const GpuConfig &cfg)
 /**
  * `gnnmark ops`: sweep the operator variants over shapes, sparsities
  * and storage formats, reporting a roofline placement per config. The
- * numbers in --json / --telemetry derive only from operand shapes and
- * the deterministic simulator, so two invocations emit byte-identical
- * documents; host wall time appears in the human table alone.
+ * numbers in the JSON document and telemetry derive only from operand
+ * shapes and the deterministic simulator, so two invocations emit
+ * byte-identical documents; host wall time appears in the human table
+ * alone.
  */
 int
-cmdOps(const Args &args)
+cmdOps(cli::Command &cmd)
 {
+    uint64_t seed = 42;
+    Output out;
+    cmd.parse({kSeed(seed), out.jsonFlag, out.telemetryFlag});
     const GpuConfig cfg = GpuConfig::v100();
     ops::Dispatch &dispatch = ops::Dispatch::instance();
     dispatch.setMetricsEnabled(true);
-    std::ostream &progress = progressStream(args);
+    std::ostream &progress = out.progress();
     progress << "Sweeping operator variants on the simulated V100 "
-                "(seed " << args.seed << ")...\n\n";
+                "(seed " << seed << ")...\n\n";
 
+    // Run one op on a fresh simulated device; place it on the roofline.
     std::vector<OpsRow> rows;
+    auto measure = [&](OpsRow row, auto &&op) {
+        GpuDevice device(cfg);
+        Profiler profiler;
+        device.addObserver(&profiler);
+        ContextGuard guard(&device);
+        std::tie(row.variant, row.hostMs) = runDispatched(op);
+        row.simSec = profiler.totalKernelTimeSec();
+        row.intensity = static_cast<double>(row.flops) /
+                        static_cast<double>(
+                            std::max<int64_t>(row.minBytes, 1));
+        row.gflops = row.simSec > 0 ? row.flops / row.simSec / 1e9 : 0.0;
+        row.roofGflops =
+            std::min(peakFlops(cfg), cfg.dramBandwidth * row.intensity) /
+            1e9;
+        rows.push_back(row);
+    };
 
     // Dense GEMM: square ladders plus a half-zero A that flips the
     // dispatcher back to the skip-friendly naive kernel.
@@ -1333,33 +1004,21 @@ cmdOps(const Args &args)
         {192, 96, 64, 0.6},
     };
     for (const GemmCase &gc : gemm_cases) {
-        Rng rng(args.seed ^ static_cast<uint64_t>(
-                                gc.m * 1315423911 + gc.n * 2654435761 +
-                                gc.k));
+        Rng rng(seed ^ static_cast<uint64_t>(gc.m * 1315423911 +
+                                             gc.n * 2654435761 + gc.k));
         const Tensor a = opsDense(rng, gc.m, gc.k, gc.zeroFrac);
         const Tensor b = opsDense(rng, gc.k, gc.n, 0.0);
-        GpuDevice device(cfg);
-        Profiler profiler;
-        device.addObserver(&profiler);
         OpsRow row;
         row.op = "gemm";
         row.shape = strfmt("%lldx%lldx%lld", (long long)gc.m,
                            (long long)gc.n, (long long)gc.k);
         row.density = 1.0 - gc.zeroFrac;
         row.format = "dense";
-        {
-            ContextGuard guard(&device);
-            auto [variant, host_ms] =
-                runDispatched([&] { ops::gemm(a, b); });
-            row.variant = variant;
-            row.hostMs = host_ms;
-        }
         row.flops = 2 * gc.m * gc.n * gc.k;
         row.minBytes =
             (gc.m * gc.k + gc.k * gc.n + gc.m * gc.n) *
             static_cast<int64_t>(sizeof(float));
-        row.simSec = profiler.totalKernelTimeSec();
-        rows.push_back(row);
+        measure(row, [&] { ops::gemm(a, b); });
     }
 
     // SpMM: every storage format over a density ladder.
@@ -1373,80 +1032,62 @@ cmdOps(const Args &args)
                                     SparseFormat::Coo,
                                     SparseFormat::BlockedEll};
     for (const SpmmCase &sc : spmm_cases) {
-        Rng rng(args.seed ^ static_cast<uint64_t>(
-                                sc.rows * 40503 + sc.f));
+        Rng rng(seed ^ static_cast<uint64_t>(sc.rows * 40503 + sc.f));
         const CsrMatrix csr =
             opsCsr(rng, sc.rows, sc.cols, sc.density);
         const Tensor b = opsDense(rng, sc.cols, sc.f, 0.0);
         for (SparseFormat format : formats) {
             const SparseMatrix a =
                 SparseMatrix::fromCsr(csr, format);
-            GpuDevice device(cfg);
-            Profiler profiler;
-            device.addObserver(&profiler);
             OpsRow row;
             row.op = "spmm";
             row.shape = strfmt("%lldx%lldx%lld", (long long)sc.rows,
                                (long long)sc.cols, (long long)sc.f);
             row.density = sc.density;
             row.format = sparseFormatName(format);
-            {
-                ContextGuard guard(&device);
-                auto [variant, host_ms] =
-                    runDispatched([&] { ops::spmm(a, b); });
-                row.variant = variant;
-                row.hostMs = host_ms;
-            }
             row.flops = 2 * a.nnz() * sc.f;
             row.minBytes =
                 a.footprintBytes() +
                 (sc.cols * sc.f + sc.rows * sc.f) *
                     static_cast<int64_t>(sizeof(float));
-            row.simSec = profiler.totalKernelTimeSec();
-            rows.push_back(row);
+            measure(row, [&] { ops::spmm(a, b); });
         }
     }
 
-    if (args.json) {
+    if (out.json) {
         obs::JsonWriter w;
         w.beginObject();
         w.key("type").value("ops_report");
-        w.key("seed").value(static_cast<int64_t>(args.seed));
+        w.key("seed").value(static_cast<int64_t>(seed));
         w.key("peak_gflops").value(peakFlops(cfg) / 1e9);
         w.key("dram_gbps").value(cfg.dramBandwidth / 1e9);
         w.endObject();
         std::cout << w.str() << "\n";
         for (const OpsRow &row : rows)
-            std::cout << opsRowJson(row, cfg) << "\n";
+            std::cout << opsRowJson(row) << "\n";
     } else {
         TablePrinter table("Operator roofline (simulated V100)");
         table.setHeader({"Op", "Shape", "Density", "Format", "Variant",
                          "AI (F/B)", "Sim us", "GFLOP/s", "Roof",
                          "%roof", "Host ms"});
         for (const OpsRow &row : rows) {
-            const double intensity =
-                static_cast<double>(row.flops) /
-                static_cast<double>(
-                    std::max<int64_t>(row.minBytes, 1));
-            const double achieved =
-                row.simSec > 0 ? row.flops / row.simSec / 1e9 : 0.0;
-            const double roof =
-                std::min(peakFlops(cfg),
-                         cfg.dramBandwidth * intensity) / 1e9;
             table.addRow(
                 {row.op, row.shape, strfmt("%.3g", row.density),
-                 row.format, row.variant, strfmt("%.2f", intensity),
+                 row.format, row.variant, strfmt("%.2f", row.intensity),
                  strfmt("%.2f", row.simSec * 1e6),
-                 strfmt("%.1f", achieved), strfmt("%.1f", roof),
-                 strfmt("%.1f%%", roof > 0 ? achieved / roof * 100 : 0),
+                 strfmt("%.1f", row.gflops),
+                 strfmt("%.1f", row.roofGflops),
+                 strfmt("%.1f%%", row.roofGflops > 0
+                                      ? row.gflops / row.roofGflops * 100
+                                      : 0),
                  strfmt("%.3f", row.hostMs)});
         }
         table.print(std::cout);
     }
     if (std::unique_ptr<obs::TelemetrySink> telemetry =
-            openTelemetry(args)) {
+            out.openTelemetry()) {
         for (const OpsRow &row : rows)
-            telemetry->writeRecord(opsRowJson(row, cfg));
+            telemetry->writeRecord(opsRowJson(row));
         progress << "telemetry written to " << telemetry->path()
                  << "\n";
     }
@@ -1454,53 +1095,53 @@ cmdOps(const Args &args)
 }
 
 int
-cmdGen(const Args &args)
+cmdGen(cli::Command &cmd)
 {
-    if (args.family.empty()) {
-        std::cerr << "gen requires --family\n";
-        usage();
-    }
     gen::GeneratorConfig cfg;
-    if (!gen::parseFamily(args.family, cfg.family)) {
-        std::cerr << "unknown family: " << args.family
-                  << " (expected rmat|rgg2d|hyperbolic|grid2d)\n";
-        usage();
-    }
-    cfg.n = args.genN;
-    cfg.m = args.genM;
-    cfg.avgDegree = args.degree;
-    cfg.seed = args.seed;
-    cfg.chunks = args.chunks;
-    cfg.lookahead = args.lookahead;
-    cfg.gamma = args.gamma;
-    cfg.gridRows = args.gridRows;
-    cfg.gridCols = args.gridCols;
-    cfg.gridWrap = args.gridWrap;
+    std::string family;
+    bool stream_train = false, stats = false;
+    gen::StreamTrainOptions topt;
+    Output out;
+    cmd.parse(
+        {Flag{"--family", "F", "rmat, rgg2d, hyperbolic or grid2d"}(family),
+         Flag{"--n", "N", "vertex count"}(cfg.n),
+         Flag{"--m", "M", "target edges; 0 derives it from the degree"}(cfg.m),
+         Flag{"--degree", "D", "target average degree"}(cfg.avgDegree),
+         Flag{"--chunks", "C", "streaming chunks"}(cfg.chunks),
+         Flag{"--lookahead", "L", "chunks generated ahead"}(cfg.lookahead),
+         Flag{"--gamma", "G", "hyperbolic degree exponent"}(cfg.gamma),
+         Flag{"--grid-rows", "R", "grid2d rows"}(cfg.gridRows),
+         Flag{"--grid-cols", "C", "grid2d columns"}(cfg.gridCols),
+         Flag{"--wrap", "", "grid2d torus edges"}(cfg.gridWrap),
+         kSeed(cfg.seed),
+         Flag{"--stream", "", "train over the stream"}(stream_train),
+         Flag{"--stats", "", "degree-distribution shape"}(stats),
+         Flag{"--train-window", "N", "training windows of N chunks",
+              cli::atLeast(0)}(topt.windowChunks),
+         out.jsonFlag, out.telemetryFlag});
+    if (!gen::parseFamily(family, cfg.family))
+        cmd.fail("needs a graph family, got '" + family + "'");
     const std::string err = gen::validateConfig(cfg);
-    if (!err.empty()) {
-        std::cerr << "invalid generator config: " << err << "\n";
-        usage();
-    }
+    if (!err.empty())
+        cmd.fail("invalid generator config: " + err);
 
-    std::ostream &progress = progressStream(args);
-    progress << "Generating a " << args.family << " graph ("
+    std::ostream &progress = out.progress();
+    progress << "Generating a " << gen::familyName(cfg.family) << " graph ("
              << gen::resolvedVertices(cfg) << " vertices, ~"
              << gen::resolvedTargetEdges(cfg) << " edges, "
              << cfg.chunks << " chunks"
-             << (args.stream ? ", streamed training" : "") << ")...\n\n";
+             << (stream_train ? ", streamed training" : "") << ")...\n\n";
 
     gen::ChunkedEdgeStream stream(cfg);
     std::unique_ptr<gen::DegreeAccumulator> degrees;
-    if (args.stats) {
+    if (stats) {
         degrees = std::make_unique<gen::DegreeAccumulator>(
             gen::resolvedVertices(cfg));
     }
 
     gen::StreamTrainResult trained;
-    if (args.stream) {
-        gen::StreamTrainOptions topt;
+    if (stream_train) {
         topt.seed = cfg.seed;
-        topt.windowChunks = args.trainWindow > 0 ? args.trainWindow : 0;
         trained = gen::streamTrain(stream, topt, degrees.get());
     } else {
         gen::EdgeBlock block;
@@ -1539,15 +1180,15 @@ cmdGen(const Args &args)
         rep.modalDegree = stats.modalDegree;
         rep.distinctDegrees = stats.distinctDegrees;
     }
-    if (args.stream) {
+    if (stream_train) {
         rep.trained = true;
         rep.trainBatches = trained.batches;
         rep.trainEdgesConsumed = trained.edgesConsumed;
         rep.trainFirstLoss = trained.firstLoss;
         rep.trainLastLoss = trained.lastLoss;
         rep.trainPeakResidentBytes = trained.peakResidentBytes;
-        if (args.trainWindow > 0) {
-            rep.trainWindowChunks = args.trainWindow;
+        if (topt.windowChunks > 0) {
+            rep.trainWindowChunks = topt.windowChunks;
             // Edge and loss series share the same tumbling windows
             // (chunk ordinal is the clock), so zip them row by row.
             const size_t rows = std::min(trained.edgeWindows.size(),
@@ -1571,12 +1212,12 @@ cmdGen(const Args &args)
         }
     }
 
-    if (args.json)
+    if (out.json)
         std::cout << reports::genJson(rep) << "\n";
     else
         reports::printGen(rep, std::cout);
     if (std::unique_ptr<obs::TelemetrySink> telemetry =
-            openTelemetry(args)) {
+            out.openTelemetry()) {
         telemetry->writeRecord(reports::genRecordJson("gen", rep));
         progress << "telemetry written to " << telemetry->path()
                  << "\n";
@@ -1584,53 +1225,66 @@ cmdGen(const Args &args)
     return 0;
 }
 
+/** One verb: its words, positional placeholders, summary and body. */
+struct Verb
+{
+    const char *name;
+    std::vector<std::string> positionals;
+    const char *summary;
+    int (*run)(cli::Command &);
+};
+
+const Verb kVerbs[] = {
+    {"list", {}, "print the suite inventory", cmdList},
+    {"run", {"<workload>"}, "train and profile one workload", cmdRun},
+    {"characterize", {}, "profile the whole suite", cmdCharacterize},
+    {"scaling", {}, "DDP scaling over 1, 2 and 4 GPUs", cmdScaling},
+    {"ttt", {}, "MLPerf-style time-to-train", cmdTimeToTrain},
+    {"faults", {"<workload>"}, "fault-injected elastic DDP", cmdFaults},
+    {"serve", {}, "SLO-aware inference serving", cmdServe},
+    {"trace record", {"<workload>"}, "record a run's trace", cmdTraceRecord},
+    {"trace replay", {"<file>"}, "profile from a trace", cmdTraceReplay},
+    {"trace info", {"<file>"}, "per-op-class trace stats", cmdTraceInfo},
+    {"trace diff", {"<a>", "<b>"}, "compare two traces", cmdTraceDiff},
+    {"sweep", {"[<workload>]"}, "L1/L2/SM/world sensitivity", cmdSweep},
+    {"ops", {}, "GEMM/SpMM operator roofline sweep", cmdOps},
+    {"gen", {}, "streamed parallel graph generation", cmdGen},
+};
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    Args args = parse(argc, argv);
-    // Any tracing/telemetry export arms host-span recording for the
-    // whole process; without either flag GNN_SPAN stays a single
-    // relaxed load and the run is bit-identical to an uninstrumented
-    // build.
-    if (!args.chromePath.empty() || !args.telemetryPath.empty())
-        obs::SpanTracer::instance().setEnabled(true);
-    // Emit the rate-limiter's "suppressed N duplicates" summary on
-    // every exit path that ran a command.
-    const auto finish = [](int rc) {
+    const std::vector<std::string> args(argv + 1, argv + argc);
+    for (const Verb &verb : kVerbs) {
+        // A verb matches when its words ("trace replay") lead argv.
+        const std::vector<std::string> words = split(verb.name, ' ');
+        if (args.size() < words.size() ||
+            !std::equal(words.begin(), words.end(), args.begin()))
+            continue;
+        cli::Command cmd{std::string("gnnmark ") + verb.name,
+                         verb.positionals, verb.summary,
+                         {args.begin() + words.size(), args.end()}};
+        int rc = 1;
+        try {
+            rc = verb.run(cmd);
+        } catch (const IoError &e) {
+            std::cerr << "gnnmark: fatal: " << e.what() << "\n";
+        }
+        // Emit the rate-limiter's "suppressed N duplicates" summary on
+        // every exit path that ran a command.
         flushSuppressedWarnings();
         return rc;
-    };
-    try {
-        if (args.command == "list") {
-            reports::printTableOne(std::cout);
-            return finish(0);
-        }
-        if (args.command == "run")
-            return finish(cmdRun(args));
-        if (args.command == "characterize")
-            return finish(cmdCharacterize(args));
-        if (args.command == "scaling")
-            return finish(cmdScaling(args));
-        if (args.command == "ttt")
-            return finish(cmdTimeToTrain(args));
-        if (args.command == "faults")
-            return finish(cmdFaults(args));
-        if (args.command == "serve")
-            return finish(cmdServe(args));
-        if (args.command == "trace")
-            return finish(cmdTrace(args));
-        if (args.command == "sweep")
-            return finish(cmdSweep(args));
-        if (args.command == "ops")
-            return finish(cmdOps(args));
-        if (args.command == "gen")
-            return finish(cmdGen(args));
-    } catch (const IoError &e) {
-        std::cerr << "gnnmark: fatal: " << e.what() << "\n";
-        return finish(1);
     }
-    std::cerr << "unknown command: " << args.command << "\n";
-    usage();
+    if (!args.empty())
+        std::cerr << "gnnmark: unknown command: " << args.front() << "\n\n";
+    std::cerr << "usage: gnnmark <command> [options]\n\ncommands:\n";
+    for (const Verb &verb : kVerbs) {
+        std::string synopsis = verb.name;
+        for (const std::string &p : verb.positionals)
+            synopsis += " " + p;
+        std::cerr << strfmt("  %-24s %s\n", synopsis.c_str(), verb.summary);
+    }
+    return 2;
 }
