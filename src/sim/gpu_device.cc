@@ -5,6 +5,7 @@
 
 #include "base/logging.hh"
 #include "obs/metrics.hh"
+#include "obs/span.hh"
 #include "sim/warp_pipeline.hh"
 
 namespace gnnmark {
@@ -53,6 +54,13 @@ GpuDevice::simulateDetailed(
     GNN_ASSERT(desc.trace != nullptr || desc.replay != nullptr,
                "kernel '%s' has no trace generator", desc.name.c_str());
 
+    {
+        // The pipeline is the L2's only reader, so the footprints
+        // deferred since the last detailed launch land here.
+        GNN_SPAN("sim.l2_install");
+        l2_.materialize();
+    }
+
     KernelRecord rec;
     double sim_warps = 0;
     double cycles_per_wave = 0;
@@ -71,26 +79,29 @@ GpuDevice::simulateDetailed(
         // resident wave of SM `s`.
         std::vector<const WarpTrace *> traces;
         generated.clear();
-        for (int rb = 0; rb < geo.residentBlocks; ++rb) {
-            int64_t block = s + static_cast<int64_t>(rb) * cfg_.numSms;
-            if (block >= desc.blocks)
-                break;
-            for (int w = 0; w < desc.warpsPerBlock; ++w) {
-                int64_t warp_id = block * desc.warpsPerBlock + w;
-                const WarpTrace *trace;
-                if (desc.replay) {
-                    trace = &desc.replay(warp_id);
-                } else {
-                    generated.emplace_back();
-                    WarpTraceSink sink(generated.back(),
-                                       cfg_.maxTraceInstrs,
-                                       cfg_.cacheLineBytes);
-                    desc.trace(warp_id, sink);
-                    trace = &generated.back();
+        {
+            GNN_SPAN("sim.trace_gen");
+            for (int rb = 0; rb < geo.residentBlocks; ++rb) {
+                int64_t block = s + static_cast<int64_t>(rb) * cfg_.numSms;
+                if (block >= desc.blocks)
+                    break;
+                for (int w = 0; w < desc.warpsPerBlock; ++w) {
+                    int64_t warp_id = block * desc.warpsPerBlock + w;
+                    const WarpTrace *trace;
+                    if (desc.replay) {
+                        trace = &desc.replay(warp_id);
+                    } else {
+                        generated.emplace_back();
+                        WarpTraceSink sink(generated.back(),
+                                           cfg_.maxTraceInstrs,
+                                           cfg_.cacheLineBytes);
+                        desc.trace(warp_id, sink);
+                        trace = &generated.back();
+                    }
+                    if (captured != nullptr)
+                        captured->emplace_back(warp_id, *trace);
+                    traces.push_back(trace);
                 }
-                if (captured != nullptr)
-                    captured->emplace_back(warp_id, *trace);
-                traces.push_back(trace);
             }
         }
         if (traces.empty())
@@ -99,8 +110,12 @@ GpuDevice::simulateDetailed(
         // Volta invalidates the (non-coherent) L1 at kernel
         // boundaries; only the L2 persists across launches.
         l1s_[s].flush();
-        WarpPipeline pipeline(cfg_, l1s_[s], l2_, rng_);
-        WaveResult wave = pipeline.run(traces, desc);
+        WaveResult wave;
+        {
+            GNN_SPAN("sim.pipeline");
+            WarpPipeline pipeline(cfg_, l1s_[s], l2_, rng_);
+            wave = pipeline.run(traces, desc);
+        }
 
         sim_warps += static_cast<double>(traces.size());
         cycles_per_wave += wave.cycles;
@@ -220,6 +235,7 @@ GpuDevice::finishRecord(KernelRecord &record, const Geometry &geo)
 KernelRecord
 GpuDevice::launch(const KernelDesc &desc)
 {
+    GNN_SPAN("sim.launch");
     Geometry geo = computeGeometry(desc);
     SampleState &state = samples_[desc.name];
 
@@ -239,13 +255,17 @@ GpuDevice::launch(const KernelDesc &desc)
     // Install the kernel's full data footprint into the L2 (the
     // sampled warps covered only a slice of it): the write-allocate
     // output spans first, then the grid-wide read spans with whatever
-    // is left of the line budget.
-    int64_t line_budget = 32768;
-    for (const auto *ranges : {&desc.outputRanges, &desc.inputRanges}) {
-        for (const auto &[addr, bytes] : *ranges) {
-            if (line_budget <= 0)
-                break;
-            line_budget -= l2_.accessLines(addr, bytes, line_budget);
+    // is left of the line budget. The install is deferred until the
+    // next detailed launch reads the L2.
+    {
+        GNN_SPAN("sim.l2_install");
+        int64_t line_budget = 32768;
+        for (const auto *ranges : {&desc.outputRanges, &desc.inputRanges}) {
+            for (const auto &[addr, bytes] : *ranges) {
+                if (line_budget <= 0)
+                    break;
+                line_budget -= l2_.deferLines(addr, bytes, line_budget);
+            }
         }
     }
 
@@ -364,7 +384,8 @@ void
 GpuDevice::installInL2(uint64_t addr, size_t bytes)
 {
     // Host-to-device DMA writes allocate in the L2 on Volta.
-    l2_.accessLines(addr, bytes, 32768);
+    GNN_SPAN("sim.l2_install");
+    l2_.deferLines(addr, bytes, 32768);
 }
 
 void

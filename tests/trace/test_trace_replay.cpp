@@ -7,12 +7,15 @@
 
 #include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
 
+#include "base/units.hh"
 #include "core/reports.hh"
 #include "obs/span.hh"
 #include "core/suite.hh"
 #include "core/trace_capture.hh"
+#include "sim/cache_model.hh"
 #include "trace/reader.hh"
 #include "trace/replayer.hh"
 #include "trace/writer.hh"
@@ -210,6 +213,70 @@ TEST(TraceReplay, ReplayCountsMatchTraceStream)
             ++launches_in_stream;
     const trace::ReplayResult result = trace::replayTrace(trace);
     EXPECT_EQ(result.profiler.totalLaunches(), launches_in_stream);
+}
+
+/**
+ * The deferred L2 install against the eager walk on real traffic: a
+ * recorded DeepGCN run's footprint ranges (under GpuDevice's 32,768
+ * line budget), its H2D copies and a cache flush spliced in mid-run,
+ * fed to an eager and a deferred L2 as GpuDevice feeds them. At every
+ * launch with recorded warps both must hold the same lines with the
+ * same clocks, and those warps' lines must hit and miss alike.
+ */
+TEST(TraceReplay, DeferredL2InstallMatchesTheEagerWalkOnRealTraffic)
+{
+    RunOptions opt = smallRun();
+    opt.iterations = 1;
+    trace::RecordedTrace trace = recordWorkloadTrace("DGCN", opt);
+    trace.events.insert(trace.events.begin() + trace.events.size() / 2,
+                        TraceMarker::CachesFlushed);
+    const GpuConfig &cfg = trace.header.config;
+    constexpr int64_t kBudget = 32768;
+
+    // The recording's 3,072 sets, and 2,560: not a power of two.
+    for (const uint64_t l2_bytes : {cfg.l2SizeBytes, 5 * MiB}) {
+        CacheModel eager(l2_bytes, cfg.l2Assoc, cfg.cacheLineBytes);
+        CacheModel lazy(l2_bytes, cfg.l2Assoc, cfg.cacheLineBytes);
+        int64_t detailed = 0;
+        for (const trace::TraceEvent &event : trace.events) {
+            if (const auto *launch =
+                    std::get_if<trace::LaunchEvent>(&event)) {
+                if (!launch->warps.empty()) {
+                    lazy.materialize();
+                    for (uint64_t set = 0; set < eager.numSets(); ++set)
+                        ASSERT_EQ(lazy.setState(set), eager.setState(set))
+                            << launch->name << ", set " << set;
+                    for (const trace::TracedWarp &warp : launch->warps) {
+                        for (const uint64_t addr : warp.trace.lines)
+                            ASSERT_EQ(lazy.access(addr), eager.access(addr))
+                                << launch->name;
+                    }
+                    ++detailed;
+                }
+                int64_t budget = kBudget;
+                for (const auto *ranges :
+                     {&launch->outputRanges, &launch->inputRanges}) {
+                    for (const auto &[addr, bytes] : *ranges) {
+                        if (budget <= 0)
+                            break;
+                        const int64_t n =
+                            eager.accessLines(addr, bytes, budget);
+                        ASSERT_EQ(lazy.deferLines(addr, bytes, budget), n);
+                        budget -= n;
+                    }
+                }
+            } else if (const auto *copy =
+                           std::get_if<trace::TransferEvent>(&event)) {
+                eager.accessLines(copy->addr, copy->bytes, kBudget);
+                lazy.deferLines(copy->addr, copy->bytes, kBudget);
+            } else if (std::get<TraceMarker>(event) ==
+                       TraceMarker::CachesFlushed) {
+                eager.flush();
+                lazy.flush();
+            }
+        }
+        EXPECT_GT(detailed, 0);
+    }
 }
 
 TEST(TraceReplay, EnablingObservabilityDoesNotPerturbTheReport)
