@@ -1,10 +1,13 @@
 # CLI contract smoke test, run under ctest: bad invocations must exit
 # with the usage status (2) and good ones with 0. Invoke as
-#   cmake -DGNNMARK_BIN=<path-to-gnnmark> -P cli_smoke.cmake
+#   cmake -DGNNMARK_BIN=<path-to-gnnmark> -DBENCH_BIN=<a figure bench>
+#         -P cli_smoke.cmake
 
-if(NOT DEFINED GNNMARK_BIN)
-    message(FATAL_ERROR "pass -DGNNMARK_BIN=<gnnmark binary>")
-endif()
+foreach(var GNNMARK_BIN BENCH_BIN)
+    if(NOT DEFINED ${var})
+        message(FATAL_ERROR "pass -D${var}=...")
+    endif()
+endforeach()
 
 function(expect_exit code)
     execute_process(
@@ -59,6 +62,19 @@ expect_exit(2 run STGCN --rps 5)
 expect_exit(2 list --rps 5)
 expect_exit(2 run STGCN extra)
 expect_exit(0 list)                   # healthy baseline
+
+# The figure benches take GNNMARK_SCALE and GNNMARK_ITERS by the same
+# number rules: garbage is a usage error, not a run at scale 0.
+foreach(env GNNMARK_SCALE=abc GNNMARK_ITERS=4x)
+    execute_process(
+        COMMAND ${CMAKE_COMMAND} -E env ${env} ${BENCH_BIN}
+        RESULT_VARIABLE rv
+        OUTPUT_QUIET ERROR_QUIET)
+    if(NOT rv EQUAL 2)
+        message(FATAL_ERROR
+            "${env} ${BENCH_BIN}: expected exit 2, got '${rv}'")
+    endif()
+endforeach()
 
 # A short serving run with every robustness mechanism engaged, plus
 # the save-plan/load-plan round trip on the faults scenario.
