@@ -8,6 +8,7 @@
 #include "obs/span.hh"
 #include "ops/exec_context.hh"
 #include "ops/kernel_common.hh"
+#include "ops/lanes.hh"
 
 namespace gnnmark {
 namespace ops {
@@ -91,6 +92,51 @@ checkNormArgs(const Tensor &x, const Tensor &gamma, const Tensor &beta,
                static_cast<long long>(stat_dim));
 }
 
+/** Columns per chunk of the column-sum passes (each sums all rows). */
+constexpr int64_t kColGrain = 16;
+
+/** sum[j] += x[j] and sq[j] += x[j]^2, in double, for one row slice. */
+void
+accumulateStats(const float *__restrict x, double *__restrict sum,
+                double *__restrict sq, int64_t w)
+{
+    int64_t j = 0;
+    for (; j + kLanes <= w; j += kLanes) {
+        for (int64_t l = 0; l < kLanes; ++l) {
+            const int64_t c = j + l;
+            const double v = x[c];
+            sum[c] += v;
+            sq[c] += v * v;
+        }
+    }
+    for (; j < w; ++j) {
+        const double v = x[j];
+        sum[j] += v;
+        sq[j] += v * v;
+    }
+}
+
+/** sum_g[j] += g[j] and sum_gx[j] += g[j] * xhat[j] (a float product
+ *  added in double) for one row slice. */
+void
+accumulateGradSums(const float *__restrict g, const float *__restrict xhat,
+                   double *__restrict sum_g, double *__restrict sum_gx,
+                   int64_t w)
+{
+    int64_t j = 0;
+    for (; j + kLanes <= w; j += kLanes) {
+        for (int64_t l = 0; l < kLanes; ++l) {
+            const int64_t c = j + l;
+            sum_g[c] += g[c];
+            sum_gx[c] += g[c] * xhat[c];
+        }
+    }
+    for (; j < w; ++j) {
+        sum_g[j] += g[j];
+        sum_gx[j] += g[j] * xhat[j];
+    }
+}
+
 } // namespace
 
 Tensor
@@ -109,30 +155,39 @@ batchNorm(const Tensor &x, const Tensor &gamma, const Tensor &beta,
     Tensor y = Tensor::empty({n, f});
 
     const float *px = x.data();
-    // Per-column stats: every column is owned by one chunk.
-    parallel_for(0, f, 16, [&](int64_t j0, int64_t j1) {
+    float *pmean = state.mean.data();
+    float *pinv = state.invStd.data();
+    // Per-column stats: every column is owned by one chunk, which walks
+    // the rows in ascending order, so each column sums as a plain
+    // column loop would.
+    parallel_for(0, f, kColGrain, [&](int64_t j0, int64_t j1) {
+        double sum[kColGrain] = {};
+        double sq[kColGrain] = {};
+        for (int64_t i = 0; i < n; ++i)
+            accumulateStats(px + i * f + j0, sum, sq, j1 - j0);
         for (int64_t j = j0; j < j1; ++j) {
-            double sum = 0.0, sq = 0.0;
-            for (int64_t i = 0; i < n; ++i) {
-                const double v = px[i * f + j];
-                sum += v;
-                sq += v * v;
-            }
-            const double mean = sum / n;
-            const double var = std::max(0.0, sq / n - mean * mean);
-            state.mean(j) = static_cast<float>(mean);
-            state.invStd(j) =
-                static_cast<float>(1.0 / std::sqrt(var + eps));
+            const double mean = sum[j - j0] / n;
+            const double var =
+                std::max(0.0, sq[j - j0] / n - mean * mean);
+            pmean[j] = static_cast<float>(mean);
+            pinv[j] = static_cast<float>(1.0 / std::sqrt(var + eps));
         }
     });
+    const float *pgamma = gamma.data();
+    const float *pbeta = beta.data();
+    float *pxhat = state.xhat.data();
+    float *py = y.data();
     parallel_for(0, n, 64, [&](int64_t i0, int64_t i1) {
         for (int64_t i = i0; i < i1; ++i) {
-            for (int64_t j = 0; j < f; ++j) {
-                const float xh =
-                    (x(i, j) - state.mean(j)) * state.invStd(j);
-                state.xhat(i, j) = xh;
-                y(i, j) = gamma(j) * xh + beta(j);
-            }
+            float *xhat_row = pxhat + i * f;
+            mapLanes(xhat_row, f,
+                     [](float v, float mean, float inv_std) {
+                         return (v - mean) * inv_std;
+                     },
+                     px + i * f, pmean, pinv);
+            mapLanes(py + i * f, f,
+                     [](float xh, float g, float b) { return g * xh + b; },
+                     xhat_row, pgamma, pbeta);
         }
     });
     emitNormKernels("batchnorm", n, f, x.deviceAddr(), y.deviceAddr());
@@ -145,32 +200,59 @@ batchNormBackward(const Tensor &grad_out, const Tensor &gamma,
                   Tensor &grad_gamma, Tensor &grad_beta)
 {
     GNN_SPAN("op.batchnorm.backward");
+    // The loops below read raw pointers, so every operand's shape is
+    // checked once here instead of per element.
+    GNN_ASSERT(state.xhat.dim() == 2,
+               "batchNormBackward: xhat must be 2-d, got %s",
+               state.xhat.shapeString().c_str());
     const int64_t n = state.xhat.size(0);
     const int64_t f = state.xhat.size(1);
     GNN_ASSERT(grad_out.dim() == 2 && grad_out.size(0) == n &&
                grad_out.size(1) == f, "batchNormBackward: bad grad shape");
+    GNN_ASSERT(gamma.dim() == 1 && gamma.size(0) == f,
+               "batchNormBackward: gamma must be [%lld], got %s",
+               static_cast<long long>(f), gamma.shapeString().c_str());
+    GNN_ASSERT(state.invStd.dim() == 1 && state.invStd.size(0) == f,
+               "batchNormBackward: invStd must be [%lld], got %s",
+               static_cast<long long>(f),
+               state.invStd.shapeString().c_str());
 
     grad_x = Tensor::empty({n, f});
     grad_gamma = Tensor::empty({f});
     grad_beta = Tensor::empty({f});
 
-    parallel_for(0, f, 8, [&](int64_t j0, int64_t j1) {
+    const float *pg = grad_out.data();
+    const float *pxhat = state.xhat.data();
+    float *pgamma_grad = grad_gamma.data();
+    float *pbeta_grad = grad_beta.data();
+    // Column sums, rows ascending within each column (see batchNorm).
+    parallel_for(0, f, kColGrain, [&](int64_t j0, int64_t j1) {
+        double sum_g[kColGrain] = {};
+        double sum_gx[kColGrain] = {};
+        for (int64_t i = 0; i < n; ++i) {
+            accumulateGradSums(pg + i * f + j0, pxhat + i * f + j0, sum_g,
+                               sum_gx, j1 - j0);
+        }
         for (int64_t j = j0; j < j1; ++j) {
-            double sum_g = 0.0, sum_gx = 0.0;
-            for (int64_t i = 0; i < n; ++i) {
-                sum_g += grad_out(i, j);
-                sum_gx += grad_out(i, j) * state.xhat(i, j);
-            }
-            grad_beta(j) = static_cast<float>(sum_g);
-            grad_gamma(j) = static_cast<float>(sum_gx);
-            const float inv_n = 1.0f / static_cast<float>(n);
-            for (int64_t i = 0; i < n; ++i) {
-                grad_x(i, j) = gamma(j) * state.invStd(j) *
-                               (grad_out(i, j) -
-                                static_cast<float>(sum_g) * inv_n -
-                                state.xhat(i, j) *
-                                    static_cast<float>(sum_gx) * inv_n);
-            }
+            pbeta_grad[j] = static_cast<float>(sum_g[j - j0]);
+            pgamma_grad[j] = static_cast<float>(sum_gx[j - j0]);
+        }
+    });
+    const float inv_n = 1.0f / static_cast<float>(n);
+    const float *pgamma = gamma.data();
+    const float *pinv = state.invStd.data();
+    float *pgx = grad_x.data();
+    // grad_beta and grad_gamma hold the float-rounded column sums.
+    parallel_for(0, n, 64, [&](int64_t i0, int64_t i1) {
+        for (int64_t i = i0; i < i1; ++i) {
+            mapLanes(pgx + i * f, f,
+                     [inv_n](float g, float xh, float gm, float inv_std,
+                             float sum_g, float sum_gx) {
+                         return gm * inv_std *
+                                (g - sum_g * inv_n - xh * sum_gx * inv_n);
+                     },
+                     pg + i * f, pxhat + i * f, pgamma, pinv, pbeta_grad,
+                     pgamma_grad);
         }
     });
     emitNormKernels("batchnorm_bwd", n, f, grad_out.deviceAddr(),

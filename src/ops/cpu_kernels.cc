@@ -4,6 +4,7 @@
 
 #include "base/thread_pool.hh"
 #include "obs/span.hh"
+#include "ops/lanes.hh"
 
 // AVX2 paths are compiled via per-function target attributes rather
 // than a TU-wide -mavx2: a TU-wide flag would let the compiler emit
@@ -38,7 +39,8 @@ simdActive()
 namespace {
 
 /** One output row of the naive GEMM: kk-outer, zero-skip on A,
- *  memory-accumulating j loop (the historical op body). */
+ *  memory-accumulating j loop (the historical op body; the j axis is
+ *  independent, so it runs in lanes). */
 inline void
 gemmNaiveRow(const float *arow, int64_t k, const float *b, int64_t n,
              float *crow)
@@ -47,9 +49,7 @@ gemmNaiveRow(const float *arow, int64_t k, const float *b, int64_t n,
         const float aik = arow[kk];
         if (aik == 0.0f)
             continue;
-        const float *brow = b + kk * n;
-        for (int64_t j = 0; j < n; ++j)
-            crow[j] += aik * brow[j];
+        axpyLanes(crow, aik, b + kk * n, n);
     }
 }
 
@@ -64,9 +64,7 @@ gemmRows4Tail(const float *a, int64_t k, const float *b, int64_t n,
             const float av = a[r * k + kk];
             if (av == 0.0f)
                 continue;
-            float *crow = c + r * n;
-            for (int64_t j = j0; j < n; ++j)
-                crow[j] += av * brow[j];
+            axpyLanes(c + r * n + j0, av, brow + j0, n - j0);
         }
     }
 }
@@ -134,6 +132,26 @@ gemmRows4Avx2(const float *a, int64_t k, const float *b, int64_t n,
             _mm256_storeu_ps(c + r * n + j, acc[r][0]);
             _mm256_storeu_ps(c + r * n + j + 8, acc[r][1]);
         }
+    }
+    // One 4x8 tile for an 8-column remainder (DGCN's width 72 is
+    // 4 x 16 + 8), same kk order and zero-skip as the 16-wide tile.
+    if (j + 8 <= n) {
+        __m256 acc[4];
+        for (int r = 0; r < 4; ++r)
+            acc[r] = _mm256_setzero_ps();
+        for (int64_t kk = 0; kk < k; ++kk) {
+            const __m256 b0 = _mm256_loadu_ps(b + kk * n + j);
+            for (int r = 0; r < 4; ++r) {
+                const float av = a[r * k + kk];
+                if (av == 0.0f)
+                    continue;
+                acc[r] = _mm256_add_ps(
+                    acc[r], _mm256_mul_ps(_mm256_set1_ps(av), b0));
+            }
+        }
+        for (int r = 0; r < 4; ++r)
+            _mm256_storeu_ps(c + r * n + j, acc[r]);
+        j += 8;
     }
     if (j < n)
         gemmRows4Tail(a, k, b, n, c, j);

@@ -37,8 +37,9 @@ bool simdActive();
  * @{ C = A * B for row-major A [m,k], B [k,n] into zero-initialised C
  * [m,n]. `naive` is the historical loop (memory-accumulating, with a
  * zero-skip on A elements); `tiled` holds a 4x16 register tile of C
- * across the full K loop and streams B in 16-column panels, keeping
- * the same kk-ascending per-element order and the same zero-skip.
+ * across the full K loop and streams B in 16-column panels (the AVX2
+ * flavour adds one 4x8 tile for an 8-column remainder), keeping the
+ * same kk-ascending per-element order and the same zero-skip.
  */
 void gemmNaive(const float *a, const float *b, float *c, int64_t m,
                int64_t n, int64_t k);

@@ -4,7 +4,9 @@
 
 #include "base/logging.hh"
 #include "base/thread_pool.hh"
+#include "obs/span.hh"
 #include "ops/kernel_common.hh"
+#include "ops/lanes.hh"
 
 namespace gnnmark {
 namespace ops {
@@ -44,14 +46,14 @@ template <typename F>
 Tensor
 binaryMap(const Tensor &a, const Tensor &b, const char *name, F f, int fp)
 {
+    GNN_SPAN("op.elementwise");
     checkSameShape(a, b, name);
     Tensor c = Tensor::empty(a.shape());
     const float *pa = a.data();
     const float *pb = b.data();
     float *pc = c.data();
     parallel_for(0, a.numel(), kMapGrain, [&](int64_t i0, int64_t i1) {
-        for (int64_t i = i0; i < i1; ++i)
-            pc[i] = f(pa[i], pb[i]);
+        mapLanes(pc + i0, i1 - i0, f, pa + i0, pb + i0);
     });
     emitMap(name, {&a, &b}, {&c}, fp, 0, 16);
     return c;
@@ -61,12 +63,12 @@ template <typename F>
 Tensor
 unaryMap(const Tensor &a, const char *name, F f, int fp, int sfu)
 {
+    GNN_SPAN("op.elementwise");
     Tensor c = Tensor::empty(a.shape());
     const float *pa = a.data();
     float *pc = c.data();
     parallel_for(0, a.numel(), kMapGrain, [&](int64_t i0, int64_t i1) {
-        for (int64_t i = i0; i < i1; ++i)
-            pc[i] = f(pa[i]);
+        mapLanes(pc + i0, i1 - i0, f, pa + i0);
     });
     emitMap(name, {&a}, {&c}, fp, sfu, 16);
     return c;
@@ -127,13 +129,22 @@ addScalar(const Tensor &a, float alpha)
 void
 addInto(Tensor &dst, const Tensor &src)
 {
+    GNN_SPAN("op.elementwise");
     checkSameShape(dst, src, "ew_acc");
     float *pd = dst.data();
     const float *ps = src.data();
-    parallel_for(0, dst.numel(), kMapGrain, [&](int64_t i0, int64_t i1) {
-        for (int64_t i = i0; i < i1; ++i)
+    const int64_t n = dst.numel();
+    if (disjoint(pd, n, ps, n)) {
+        parallel_for(0, n, kMapGrain, [&](int64_t i0, int64_t i1) {
+            addLanes(pd + i0, ps + i0, i1 - i0);
+        });
+    } else {
+        // Overlapping views of one storage (addInto(t, t) included):
+        // one ascending pass, so each element reads src after every
+        // earlier element has been written.
+        for (int64_t i = 0; i < n; ++i)
             pd[i] += ps[i];
-    });
+    }
     emitMap("ew_acc", {&dst, &src}, {&dst}, 1, 0, 8);
 }
 

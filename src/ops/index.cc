@@ -8,6 +8,7 @@
 #include "obs/span.hh"
 #include "ops/exec_context.hh"
 #include "ops/kernel_common.hh"
+#include "ops/lanes.hh"
 
 namespace gnnmark {
 namespace ops {
@@ -149,14 +150,22 @@ scatterAddRows(Tensor &out, const std::vector<int32_t> &idx,
     const int64_t f = out.size(1);
     float *po = out.data();
     const float *ps = src.data();
+    // Rows are added in index order either way; the lane path needs
+    // `out` and `src` to be distinct memory.
+    const bool lanes = disjoint(po, out.numel(), ps, src.numel());
     for (size_t i = 0; i < idx.size(); ++i) {
         const int32_t r = idx[i];
         GNN_ASSERT(r >= 0 && r < n,
                    "scatterAddRows: index %d out of range [0, %lld)", r,
                    static_cast<long long>(n));
-        for (int64_t j = 0; j < f; ++j)
-            po[static_cast<int64_t>(r) * f + j] +=
-                ps[static_cast<int64_t>(i) * f + j];
+        float *orow = po + static_cast<int64_t>(r) * f;
+        const float *srow = ps + static_cast<int64_t>(i) * f;
+        if (lanes) {
+            addLanes(orow, srow, f);
+        } else {
+            for (int64_t j = 0; j < f; ++j)
+                orow[j] += srow[j];
+        }
     }
     // In the kernel trace the roles flip: coalesced reads of src,
     // atomic adds into the table.

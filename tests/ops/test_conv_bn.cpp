@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "base/rng.hh"
+#include "base/thread_pool.hh"
 #include "ops/batchnorm.hh"
 #include "ops/conv2d.hh"
 
@@ -33,6 +38,105 @@ numericConvGrad(Tensor &pert, const Tensor &input, const Tensor &weight,
     double minus = total();
     *slot = saved;
     return static_cast<float>((plus - minus) / (2 * eps));
+}
+
+/** Scoped thread-count override that restores the previous value. */
+class ThreadCountGuard
+{
+  public:
+    explicit ThreadCountGuard(int n)
+        : prev_(ThreadPool::instance().threadCount())
+    {
+        ThreadPool::instance().setThreadCount(n);
+    }
+    ~ThreadCountGuard() { ThreadPool::instance().setThreadCount(prev_); }
+
+  private:
+    int prev_;
+};
+
+/** Every output of one batch-norm forward and backward pass. */
+struct BatchNormOutputs
+{
+    std::vector<float> y, xhat, mean, invStd, gradX, gradGamma, gradBeta;
+};
+
+/**
+ * The column-loop batch norm that the row-walking kernels replaced,
+ * kept as their bitwise reference: each column is summed over the rows
+ * in ascending order, in double, one column at a time.
+ */
+BatchNormOutputs
+referenceBatchNorm(const std::vector<float> &x,
+                   const std::vector<float> &gamma,
+                   const std::vector<float> &beta,
+                   const std::vector<float> &grad_out, int64_t n,
+                   int64_t f, float eps)
+{
+    BatchNormOutputs r;
+    r.y.resize(n * f);
+    r.xhat.resize(n * f);
+    r.mean.resize(f);
+    r.invStd.resize(f);
+    r.gradX.resize(n * f);
+    r.gradGamma.resize(f);
+    r.gradBeta.resize(f);
+    for (int64_t j = 0; j < f; ++j) {
+        double sum = 0.0, sq = 0.0;
+        for (int64_t i = 0; i < n; ++i) {
+            const double v = x[i * f + j];
+            sum += v;
+            sq += v * v;
+        }
+        const double mean = sum / n;
+        const double var = std::max(0.0, sq / n - mean * mean);
+        r.mean[j] = static_cast<float>(mean);
+        r.invStd[j] = static_cast<float>(1.0 / std::sqrt(var + eps));
+    }
+    for (int64_t i = 0; i < n; ++i) {
+        for (int64_t j = 0; j < f; ++j) {
+            const float xh = (x[i * f + j] - r.mean[j]) * r.invStd[j];
+            r.xhat[i * f + j] = xh;
+            r.y[i * f + j] = gamma[j] * xh + beta[j];
+        }
+    }
+    for (int64_t j = 0; j < f; ++j) {
+        double sum_g = 0.0, sum_gx = 0.0;
+        for (int64_t i = 0; i < n; ++i) {
+            sum_g += grad_out[i * f + j];
+            sum_gx += grad_out[i * f + j] * r.xhat[i * f + j];
+        }
+        r.gradBeta[j] = static_cast<float>(sum_g);
+        r.gradGamma[j] = static_cast<float>(sum_gx);
+        const float inv_n = 1.0f / static_cast<float>(n);
+        for (int64_t i = 0; i < n; ++i) {
+            r.gradX[i * f + j] =
+                gamma[j] * r.invStd[j] *
+                (grad_out[i * f + j] - static_cast<float>(sum_g) * inv_n -
+                 r.xhat[i * f + j] * static_cast<float>(sum_gx) * inv_n);
+        }
+    }
+    return r;
+}
+
+/** Uniform values with exact zeros and negative zeros mixed in. */
+float
+signedZeroOr(Rng &rng, float lo, float hi)
+{
+    const double u = rng.uniform();
+    if (u < 0.1)
+        return 0.0f;
+    if (u < 0.2)
+        return -0.0f;
+    return rng.uniform(lo, hi);
+}
+
+bool
+bitwiseEqual(const Tensor &t, const std::vector<float> &want)
+{
+    return t.numel() == static_cast<int64_t>(want.size()) &&
+           std::memcmp(t.data(), want.data(),
+                       want.size() * sizeof(float)) == 0;
 }
 
 } // namespace
@@ -169,6 +273,87 @@ TEST(BatchNorm, BackwardGradientsSumProperty)
         EXPECT_NEAR(col, 0.0, 1e-3);
         EXPECT_NEAR(gbeta(j), gb, 1e-3);
     }
+}
+
+TEST(BatchNorm, BitwiseMatchesColumnLoopReference)
+{
+    const struct { int64_t n, f; } shapes[] = {
+        {1, 1}, {3, 7}, {5, 8}, {17, 9}, {1632, 72},
+    };
+    const float eps = 1e-5f;
+    for (const int threads : {1, 4}) {
+        ThreadCountGuard guard(threads);
+        Rng rng(28);
+        for (const auto &s : shapes) {
+            const int64_t n = s.n, f = s.f;
+            std::vector<float> x(n * f), grad_out(n * f), gamma(f), beta(f);
+            // Every third column sits on a large offset, so the variance
+            // cancels catastrophically and any change in the order of a
+            // column's sum shows in the float outputs.
+            for (int64_t i = 0; i < n; ++i) {
+                for (int64_t j = 0; j < f; ++j) {
+                    const float v = signedZeroOr(rng, -1.0f, 1.0f);
+                    x[i * f + j] = j % 3 == 0 ? 1e4f + v : v;
+                }
+            }
+            // Huge gradients that cancel in each column do the same for
+            // grad_beta and grad_gamma.
+            for (int64_t i = 0; i < n; ++i) {
+                for (int64_t j = 0; j < f; ++j) {
+                    float g = signedZeroOr(rng, -1.0f, 1.0f);
+                    if (i % 64 == 1 && i + 1 < n)
+                        g = 1e12f;
+                    else if (i % 64 == 2)
+                        g = -1e12f;
+                    grad_out[i * f + j] = g;
+                }
+            }
+            for (int64_t j = 0; j < f; ++j) {
+                gamma[j] = signedZeroOr(rng, 0.5f, 2.0f);
+                beta[j] = signedZeroOr(rng, -1.0f, 1.0f);
+            }
+            const BatchNormOutputs want =
+                referenceBatchNorm(x, gamma, beta, grad_out, n, f, eps);
+
+            const Tensor tgamma = Tensor::fromVector({f}, gamma);
+            ops::BatchNormState state;
+            const Tensor y = ops::batchNorm(Tensor::fromVector({n, f}, x),
+                                            tgamma,
+                                            Tensor::fromVector({f}, beta),
+                                            eps, state);
+            Tensor gx, ggamma, gbeta;
+            ops::batchNormBackward(Tensor::fromVector({n, f}, grad_out),
+                                   tgamma, state, gx, ggamma, gbeta);
+            const std::string where = "n=" + std::to_string(n) +
+                                      " f=" + std::to_string(f) +
+                                      " threads=" + std::to_string(threads);
+            EXPECT_TRUE(bitwiseEqual(y, want.y)) << "y " << where;
+            EXPECT_TRUE(bitwiseEqual(state.xhat, want.xhat))
+                << "xhat " << where;
+            EXPECT_TRUE(bitwiseEqual(state.mean, want.mean))
+                << "mean " << where;
+            EXPECT_TRUE(bitwiseEqual(state.invStd, want.invStd))
+                << "invStd " << where;
+            EXPECT_TRUE(bitwiseEqual(gx, want.gradX)) << "grad_x " << where;
+            EXPECT_TRUE(bitwiseEqual(ggamma, want.gradGamma))
+                << "grad_gamma " << where;
+            EXPECT_TRUE(bitwiseEqual(gbeta, want.gradBeta))
+                << "grad_beta " << where;
+        }
+    }
+}
+
+TEST(BatchNormDeath, BackwardRejectsMismatchedGamma)
+{
+    Rng rng(29);
+    Tensor x = Tensor::randn({6, 4}, rng);
+    ops::BatchNormState state;
+    ops::batchNorm(x, Tensor::ones({4}), Tensor::zeros({4}), 1e-5f, state);
+    Tensor gout = Tensor::randn({6, 4}, rng);
+    Tensor gx, ggamma, gbeta;
+    EXPECT_DEATH(ops::batchNormBackward(gout, Tensor::ones({5}), state, gx,
+                                        ggamma, gbeta),
+                 "gamma must be \\[4\\]");
 }
 
 TEST(LayerNorm, RowStatistics)

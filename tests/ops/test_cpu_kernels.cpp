@@ -56,16 +56,37 @@ bitwiseEqual(const std::vector<float> &a, const std::vector<float> &b)
                        a.size() * sizeof(float)) == 0;
 }
 
+/** The naive GEMM's order as a plain scalar loop: each C element
+ *  accumulates over ascending kk, skipping zero A elements. */
+std::vector<float>
+gemmReference(const std::vector<float> &a, const std::vector<float> &b,
+              int64_t m, int64_t n, int64_t k)
+{
+    std::vector<float> c(m * n, 0.0f);
+    for (int64_t i = 0; i < m; ++i) {
+        for (int64_t kk = 0; kk < k; ++kk) {
+            const float aik = a[i * k + kk];
+            if (aik == 0.0f)
+                continue;
+            for (int64_t j = 0; j < n; ++j)
+                c[i * n + j] += aik * b[kk * n + j];
+        }
+    }
+    return c;
+}
+
 } // namespace
 
 TEST(CpuKernels, GemmTiledBitwiseMatchesNaive)
 {
     Rng rng(31);
-    // Shapes chosen to hit every tail: m % 4, n % 16, small k.
+    // Shapes chosen to hit every tail: m % 4, n % 16 (including the
+    // 8-column tile: n = 8, 24, 72), small k.
     const struct { int64_t m, n, k; double zf; } cases[] = {
-        {1, 1, 1, 0.0},   {4, 16, 8, 0.0},  {5, 17, 9, 0.0},
-        {33, 40, 48, 0.5}, {7, 15, 3, 0.0},  {64, 64, 64, 0.25},
-        {8, 31, 12, 1.0},
+        {1, 1, 1, 0.0},    {4, 16, 8, 0.0},   {5, 17, 9, 0.0},
+        {33, 40, 48, 0.5}, {7, 15, 3, 0.0},   {64, 64, 64, 0.25},
+        {8, 31, 12, 1.0},  {4, 8, 5, 0.0},    {9, 24, 20, 0.3},
+        {12, 72, 40, 0.25}, {18, 72, 72, 0.0},
     };
     for (const auto &tc : cases) {
         const std::vector<float> a = operand(rng, tc.m * tc.k, tc.zf);
@@ -79,6 +100,10 @@ TEST(CpuKernels, GemmTiledBitwiseMatchesNaive)
         EXPECT_TRUE(bitwiseEqual(c_naive, c_tiled))
             << "m=" << tc.m << " n=" << tc.n << " k=" << tc.k
             << " zero_frac=" << tc.zf;
+        EXPECT_TRUE(bitwiseEqual(
+            gemmReference(a, b, tc.m, tc.n, tc.k), c_naive))
+            << "naive vs scalar loop: m=" << tc.m << " n=" << tc.n
+            << " k=" << tc.k;
     }
 }
 

@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <iterator>
+#include <limits>
+#include <vector>
 
+#include "base/rng.hh"
 #include "ops/elementwise.hh"
 #include "ops/exec_context.hh"
 #include "profiler/profiler.hh"
@@ -19,6 +24,33 @@ iota(std::vector<int64_t> shape, float start = -3.0f, float step = 0.5f)
     for (int64_t i = 0; i < t.numel(); ++i)
         t.data()[i] = start + step * static_cast<float>(i);
     return t;
+}
+
+/** Finite values mixed with +-0, NaN, +-inf and denormals, so every
+ *  special value lands in both block lanes and tail positions. */
+std::vector<float>
+edgeValues(Rng &rng, int64_t n)
+{
+    using Lim = std::numeric_limits<float>;
+    static const float kSpecial[] = {
+        0.0f, -0.0f, Lim::quiet_NaN(), Lim::infinity(), -Lim::infinity(),
+        Lim::denorm_min(), -Lim::denorm_min(), 3e-39f, -1e-40f, Lim::min(),
+    };
+    std::vector<float> v(n);
+    for (float &x : v) {
+        x = rng.bernoulli(0.3)
+                ? kSpecial[rng.randint(uint64_t{std::size(kSpecial)})]
+                : rng.uniform(-4.0f, 4.0f);
+    }
+    return v;
+}
+
+bool
+bitwiseEqual(const Tensor &t, const std::vector<float> &want)
+{
+    return t.numel() == static_cast<int64_t>(want.size()) &&
+           std::memcmp(t.data(), want.data(),
+                       want.size() * sizeof(float)) == 0;
 }
 
 } // namespace
@@ -59,6 +91,37 @@ TEST(Elementwise, AddIntoAccumulates)
     ops::addInto(dst, src);
     ops::addInto(dst, src);
     EXPECT_FLOAT_EQ(dst(0), 5.0f);
+}
+
+TEST(Elementwise, AddIntoOverlappingOperands)
+{
+    Rng rng(42);
+    // Fully aliased: every element doubles.
+    Tensor t = Tensor::randn({3, 5}, rng);
+    std::vector<float> doubled(t.data(), t.data() + t.numel());
+    for (float &v : doubled)
+        v += v;
+    ops::addInto(t, t);
+    EXPECT_TRUE(bitwiseEqual(t, doubled));
+
+    // Partly overlapping row views: rows 1..2 += rows 0..1, which must
+    // read row 1 after it was updated, as one ascending pass does.
+    Tensor u = Tensor::randn({3, 5}, rng);
+    std::vector<float> sequential(u.data(), u.data() + u.numel());
+    for (int64_t i = 0; i < 10; ++i)
+        sequential[5 + i] += sequential[i];
+    Tensor rows12 = u.viewRows(1, 3);
+    ops::addInto(rows12, u.viewRows(0, 2));
+    EXPECT_TRUE(bitwiseEqual(u, sequential));
+
+    // Overlap at distance 1 across a whole lane block: a running sum.
+    Tensor col = Tensor::randn({10, 1}, rng);
+    std::vector<float> running(col.data(), col.data() + col.numel());
+    for (int64_t i = 1; i < 10; ++i)
+        running[i] += running[i - 1];
+    Tensor rows1to9 = col.viewRows(1, 10);
+    ops::addInto(rows1to9, col.viewRows(0, 9));
+    EXPECT_TRUE(bitwiseEqual(col, running));
 }
 
 TEST(Elementwise, ReluAndGrad)
@@ -225,3 +288,95 @@ TEST_P(ElementwiseSizes, ReluIdempotent)
 
 INSTANTIATE_TEST_SUITE_P(Sizes, ElementwiseSizes,
                          ::testing::Values(1, 7, 32, 100, 1000, 4097));
+
+/**
+ * The lane-blocked maps against a plain scalar loop of the same
+ * expression, bit for bit, at lengths around the 8-lane block and the
+ * 4096-element chunk.
+ */
+class ElementwiseLanes : public ::testing::TestWithParam<int64_t>
+{
+};
+
+TEST_P(ElementwiseLanes, MapsMatchScalarLoopBitwise)
+{
+    const int64_t n = GetParam();
+    Rng rng(static_cast<uint64_t>(n) + 100);
+    const std::vector<float> a = edgeValues(rng, n);
+    const std::vector<float> b = edgeValues(rng, n);
+    const Tensor ta = Tensor::fromVector({n}, a);
+    const Tensor tb = Tensor::fromVector({n}, b);
+
+    const struct
+    {
+        const char *name;
+        Tensor (*op)(const Tensor &);
+        float (*ref)(float);
+    } unary[] = {
+        {"scale", [](const Tensor &t) { return ops::scale(t, -1.5f); },
+         [](float x) { return -1.5f * x; }},
+        {"addScalar",
+         [](const Tensor &t) { return ops::addScalar(t, 0.25f); },
+         [](float x) { return x + 0.25f; }},
+        {"relu", &ops::relu, [](float x) { return x > 0 ? x : 0.0f; }},
+        {"prelu", [](const Tensor &t) { return ops::prelu(t, 0.2f); },
+         [](float x) { return x >= 0 ? x : 0.2f * x; }},
+        {"sigmoid", &ops::sigmoid,
+         [](float x) { return 1.0f / (1.0f + std::exp(-x)); }},
+        {"tanh", &ops::tanh, [](float x) { return std::tanh(x); }},
+        {"exp", &ops::exp, [](float x) { return std::exp(x); }},
+        {"log", &ops::log, [](float x) { return std::log(x); }},
+    };
+    for (const auto &u : unary) {
+        std::vector<float> want(n);
+        for (int64_t i = 0; i < n; ++i)
+            want[i] = u.ref(a[i]);
+        EXPECT_TRUE(bitwiseEqual(u.op(ta), want)) << u.name << " n=" << n;
+    }
+
+    const struct
+    {
+        const char *name;
+        Tensor (*op)(const Tensor &, const Tensor &);
+        float (*ref)(float, float);
+    } binary[] = {
+        {"add", &ops::add, [](float x, float y) { return x + y; }},
+        {"sub", &ops::sub, [](float x, float y) { return x - y; }},
+        {"mul", &ops::mul, [](float x, float y) { return x * y; }},
+        {"div", &ops::div, [](float x, float y) { return x / y; }},
+        {"addScaled",
+         [](const Tensor &x, const Tensor &y) {
+             return ops::addScaled(x, y, 0.37f);
+         },
+         [](float x, float y) { return x + 0.37f * y; }},
+        {"reluGrad", &ops::reluGrad,
+         [](float g, float x) { return x > 0 ? g : 0.0f; }},
+        {"preluGradInput",
+         [](const Tensor &g, const Tensor &x) {
+             return ops::preluGradInput(g, x, 0.2f);
+         },
+         [](float g, float x) { return x >= 0 ? g : 0.2f * g; }},
+        {"sigmoidGrad", &ops::sigmoidGrad,
+         [](float g, float v) { return g * v * (1.0f - v); }},
+        {"tanhGrad", &ops::tanhGrad,
+         [](float g, float v) { return g * (1.0f - v * v); }},
+    };
+    for (const auto &op : binary) {
+        std::vector<float> want(n);
+        for (int64_t i = 0; i < n; ++i)
+            want[i] = op.ref(a[i], b[i]);
+        EXPECT_TRUE(bitwiseEqual(op.op(ta, tb), want))
+            << op.name << " n=" << n;
+    }
+
+    Tensor acc = Tensor::fromVector({n}, a);
+    ops::addInto(acc, tb);
+    std::vector<float> want(n);
+    for (int64_t i = 0; i < n; ++i)
+        want[i] = a[i] + b[i];
+    EXPECT_TRUE(bitwiseEqual(acc, want)) << "addInto n=" << n;
+}
+
+INSTANTIATE_TEST_SUITE_P(Lengths, ElementwiseLanes,
+                         ::testing::Values(1, 7, 8, 9, 4095, 4096, 4097,
+                                           70001));

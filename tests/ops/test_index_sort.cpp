@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <vector>
 
 #include "base/rng.hh"
 #include "ops/exec_context.hh"
@@ -70,6 +72,60 @@ TEST(ScatterAdd, InverseOfGatherForPermutation)
     Tensor back = Tensor::zeros({10, 4});
     ops::scatterAddRows(back, perm, g);
     EXPECT_TRUE(allClose(back, a));
+}
+
+TEST(ScatterAdd, LaneRowsMatchScalarLoopBitwise)
+{
+    Rng rng(15);
+    for (const int64_t f : {1, 7, 8, 9, 72}) {
+        const int64_t n = 6;
+        const int64_t m = 40; // indices repeat: m > n
+        std::vector<int32_t> idx(m);
+        for (int32_t &r : idx)
+            r = static_cast<int32_t>(rng.randint(uint64_t{n}));
+        // Mixed magnitudes make the float sums order-sensitive.
+        auto value = [&rng]() {
+            const float v = rng.uniform(-1.0f, 1.0f);
+            return rng.bernoulli(0.2) ? v * 1e7f : v;
+        };
+        std::vector<float> out(n * f), src(m * f);
+        for (float &v : out)
+            v = value();
+        for (float &v : src)
+            v = value();
+        std::vector<float> want = out;
+        for (int64_t i = 0; i < m; ++i) {
+            for (int64_t j = 0; j < f; ++j)
+                want[idx[i] * f + j] += src[i * f + j];
+        }
+        Tensor t = Tensor::fromVector({n, f}, out);
+        ops::scatterAddRows(t, idx, Tensor::fromVector({m, f}, src));
+        EXPECT_EQ(std::memcmp(t.data(), want.data(),
+                              want.size() * sizeof(float)),
+                  0)
+            << "f=" << f;
+    }
+}
+
+TEST(ScatterAdd, OverlappingSourceMatchesSequentialLoop)
+{
+    // out is src's storage shifted by one float, so adding src row i
+    // into out row i reads, at distance 1, what it has just written.
+    Rng rng(16);
+    const int64_t f = 9;
+    Tensor base = Tensor::randn({4 * f + 1, 1}, rng);
+    std::vector<float> want(base.data(), base.data() + base.numel());
+    Tensor out = base.viewRows(1, 4 * f + 1).reshape({4, f});
+    const Tensor src = base.viewRows(0, 4 * f).reshape({4, f});
+    const std::vector<int32_t> idx = {1, 1, 3, 0};
+    for (size_t i = 0; i < idx.size(); ++i) {
+        for (int64_t j = 0; j < f; ++j)
+            want[1 + idx[i] * f + j] += want[i * f + j];
+    }
+    ops::scatterAddRows(out, idx, src);
+    EXPECT_EQ(std::memcmp(base.data(), want.data(),
+                          want.size() * sizeof(float)),
+              0);
 }
 
 TEST(ScatterAdd, EmitsScatterClassWithAtomics)
