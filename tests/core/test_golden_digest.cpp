@@ -1,0 +1,154 @@
+/** @file Bitwise digest gate. Each case trains one suite workload at
+ *  the golden gates' settings (scale 0.2, two measured iterations) and
+ *  folds the bit pattern of every kernel record, transfer record and
+ *  loss into one FNV-1a 64 hash. The golden gates print 12 significant
+ *  digits; this gate sees the last bit of every figure.
+ *
+ *  The simulated address stream depends on what the process mapped
+ *  before, so a digest is only defined for a fresh process: ctest runs
+ *  each case in its own process, and a case that finds the device
+ *  address space already used skips. Regenerate the constants together
+ *  with bench/baselines/golden_*.jsonl (see that directory's README). */
+
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cinttypes>
+#include <string>
+
+#include "base/allocator.hh"
+#include "base/string_utils.hh"
+#include "core/characterization.hh"
+
+using namespace gnnmark;
+
+namespace {
+
+/** FNV-1a 64 over the bit patterns of everything a run emits. */
+class Digest : public KernelObserver
+{
+  public:
+    void
+    onKernel(const KernelRecord &r) override
+    {
+        text(r.name);
+        word(static_cast<uint64_t>(r.opClass));
+        word(static_cast<uint64_t>(r.invocation));
+        word(r.detailed ? 1 : 0);
+        word(static_cast<uint64_t>(r.activeSms));
+        for (double v :
+             {r.timeSec, r.cycles, r.ipc, r.fp32Instrs, r.int32Instrs,
+              r.memInstrs, r.miscInstrs, r.flops, r.intOps, r.loads,
+              r.divergentLoads, r.l1Accesses, r.l1Hits, r.l2Accesses,
+              r.l2Hits, r.dramBytes})
+            word(std::bit_cast<uint64_t>(v));
+        for (double v : r.stallCycles)
+            word(std::bit_cast<uint64_t>(v));
+    }
+
+    void
+    onTransfer(const TransferRecord &r) override
+    {
+        text(r.tag);
+        for (double v : {r.bytes, r.zeroFraction, r.timeSec})
+            word(std::bit_cast<uint64_t>(v));
+    }
+
+    void loss(float v) { word(std::bit_cast<uint32_t>(v)); }
+
+    uint64_t value() const { return hash_; }
+
+  private:
+    void
+    byte(uint8_t b)
+    {
+        hash_ ^= b;
+        hash_ *= 0x100000001b3ull;
+    }
+
+    void
+    word(uint64_t w)
+    {
+        for (int i = 0; i < 8; ++i)
+            byte(static_cast<uint8_t>(w >> (8 * i)));
+    }
+
+    void
+    text(const std::string &s)
+    {
+        word(s.size());
+        for (char c : s)
+            byte(static_cast<uint8_t>(c));
+    }
+
+    uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+void
+expectDigest(const std::string &workload, uint64_t expected)
+{
+    if (DeviceAddrSpace::instance().stats().requests > 0) {
+        GTEST_SKIP() << "this process already mapped device addresses, "
+                        "so the address stream differs from a fresh "
+                        "run's; run one case per process (ctest does)";
+    }
+    Digest digest;
+    RunOptions opt;
+    opt.scale = 0.2;
+    opt.iterations = 2;
+    opt.extraObserver = &digest;
+    const WorkloadProfile profile =
+        CharacterizationRunner(opt).run(workload);
+    for (float v : profile.losses)
+        digest.loss(v);
+    EXPECT_EQ(digest.value(), expected)
+        << workload << " computed digest "
+        << strfmt("0x%016" PRIx64, digest.value());
+}
+
+} // namespace
+
+TEST(GoldenDigest, PSAGE_MVL)
+{
+    expectDigest("PSAGE-MVL", 0x98f99e55b7cccbfdull);
+}
+
+TEST(GoldenDigest, PSAGE_NWP)
+{
+    expectDigest("PSAGE-NWP", 0xe206adc8e9ccbfc3ull);
+}
+
+TEST(GoldenDigest, STGCN)
+{
+    expectDigest("STGCN", 0x3665fd2b5a8cf9cdull);
+}
+
+TEST(GoldenDigest, DGCN)
+{
+    expectDigest("DGCN", 0x93670c701eacaf07ull);
+}
+
+TEST(GoldenDigest, GW)
+{
+    expectDigest("GW", 0x2b3e24c0c022b988ull);
+}
+
+TEST(GoldenDigest, KGNNL)
+{
+    expectDigest("KGNNL", 0xba6d0ec8bc32937cull);
+}
+
+TEST(GoldenDigest, KGNNH)
+{
+    expectDigest("KGNNH", 0xecf71b4dd558acc8ull);
+}
+
+TEST(GoldenDigest, ARGA)
+{
+    expectDigest("ARGA", 0x2baca019eeec81f3ull);
+}
+
+TEST(GoldenDigest, TLSTM)
+{
+    expectDigest("TLSTM", 0x6658f203510f4210ull);
+}
