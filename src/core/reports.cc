@@ -157,6 +157,8 @@ printFig5Stalls(const std::vector<WorkloadProfile> &profiles,
         dh.push_back(stallReasonName(static_cast<StallReason>(r)));
     detail.setHeader(dh);
     for (OpClass c : allOpClasses()) {
+        // The total is summed slot by slot as it goes: summing `sum`
+        // afterwards would round differently.
         StallVector sum{};
         double total = 0;
         for (const WorkloadProfile &p : profiles) {
@@ -205,22 +207,14 @@ printFig6Cache(const std::vector<WorkloadProfile> &profiles,
     TablePrinter detail("Per-operation L1 hit rate (suite-wide)");
     detail.setHeader({"Operation", "L1 hit", "L2 hit", "Divergent"});
     for (OpClass c : allOpClasses()) {
-        double l1a = 0, l1h = 0, l2a = 0, l2h = 0, ld = 0, dv = 0;
-        for (const WorkloadProfile &p : profiles) {
-            const OpClassStats &s = p.profiler.classStats(c);
-            l1a += s.l1Accesses;
-            l1h += s.l1Hits;
-            l2a += s.l2Accesses;
-            l2h += s.l2Hits;
-            ld += s.loads;
-            dv += s.divergentLoads;
-        }
-        if (l2a <= 0)
+        SimCounters sum;
+        for (const WorkloadProfile &p : profiles)
+            sum += p.profiler.classStats(c);
+        if (sum.l2Accesses <= 0)
             continue;
-        detail.addRow({opClassName(c),
-                       fixed(l1a > 0 ? l1h / l1a * 100.0 : 0.0, 1),
-                       fixed(l2h / l2a * 100.0, 1),
-                       fixed(ld > 0 ? dv / ld * 100.0 : 0.0, 1)});
+        detail.addRow({opClassName(c), fixed(sum.l1HitRate() * 100.0, 1),
+                       fixed(sum.l2HitRate() * 100.0, 1),
+                       fixed(sum.divergentLoadFraction() * 100.0, 1)});
     }
     detail.print(os);
     os << "\n";

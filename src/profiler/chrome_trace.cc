@@ -56,14 +56,8 @@ ChromeTraceWriter::onKernel(const KernelRecord &record)
         {"detailed", record.detailed ? "true" : "false"},
         {"ipc", strfmt("%.3f", record.ipc)},
         {"instrs", strfmt("%.0f", record.totalInstrs())},
-        {"l1_hit_rate",
-         strfmt("%.4f", record.l1Accesses > 0
-                            ? record.l1Hits / record.l1Accesses
-                            : 0.0)},
-        {"l2_hit_rate",
-         strfmt("%.4f", record.l2Accesses > 0
-                            ? record.l2Hits / record.l2Accesses
-                            : 0.0)},
+        {"l1_hit_rate", strfmt("%.4f", record.l1HitRate())},
+        {"l2_hit_rate", strfmt("%.4f", record.l2HitRate())},
         {"dram_bytes", strfmt("%.0f", record.dramBytes)},
     };
     events_.push_back(std::move(event));

@@ -9,20 +9,10 @@ namespace {
 void
 accumulate(OpClassStats &s, const KernelRecord &r)
 {
+    s += r;
     s.timeSec += r.timeSec;
     s.launches += 1;
-    s.flops += r.flops;
-    s.intOps += r.intOps;
     s.cycles += r.cycles;
-    s.instrs += r.totalInstrs();
-    s.loads += r.loads;
-    s.divergentLoads += r.divergentLoads;
-    s.l1Accesses += r.l1Accesses;
-    s.l1Hits += r.l1Hits;
-    s.l2Accesses += r.l2Accesses;
-    s.l2Hits += r.l2Hits;
-    for (size_t i = 0; i < kNumStallReasons; ++i)
-        s.stallCycles[i] += r.stallCycles[i];
 }
 
 double
@@ -33,47 +23,14 @@ ratio(double num, double den)
 
 } // namespace
 
-double
-OpClassStats::l1HitRate() const
-{
-    return ratio(l1Hits, l1Accesses);
-}
-
-double
-OpClassStats::l2HitRate() const
-{
-    return ratio(l2Hits, l2Accesses);
-}
-
-double
-OpClassStats::divergentLoadFraction() const
-{
-    return ratio(divergentLoads, loads);
-}
-
 void
 Profiler::onKernel(const KernelRecord &r)
 {
     accumulate(classes_[static_cast<size_t>(r.opClass)], r);
     accumulate(kernels_[r.name], r);
-
-    totalTime_ += r.timeSec;
-    ++totalLaunches_;
-    fp32Instrs_ += r.fp32Instrs;
-    int32Instrs_ += r.int32Instrs;
+    accumulate(total_, r);
     otherInstrs_ += r.memInstrs + r.miscInstrs;
-    flops_ += r.flops;
-    intOps_ += r.intOps;
     cycleWeightedIpc_ += r.ipc * r.cycles;
-    totalCycles_ += r.cycles;
-    for (size_t i = 0; i < kNumStallReasons; ++i)
-        stalls_[i] += r.stallCycles[i];
-    loads_ += r.loads;
-    divergentLoads_ += r.divergentLoads;
-    l1Acc_ += r.l1Accesses;
-    l1Hit_ += r.l1Hits;
-    l2Acc_ += r.l2Accesses;
-    l2Hit_ += r.l2Hits;
 }
 
 void
@@ -110,7 +67,7 @@ Profiler::opTimeBreakdown() const
 {
     std::array<double, kNumOpClasses> out{};
     for (size_t i = 0; i < kNumOpClasses; ++i)
-        out[i] = ratio(classes_[i].timeSec, totalTime_);
+        out[i] = ratio(classes_[i].timeSec, total_.timeSec);
     return out;
 }
 
@@ -123,10 +80,10 @@ Profiler::classStats(OpClass c) const
 Profiler::InstructionMix
 Profiler::instructionMix() const
 {
-    double total = fp32Instrs_ + int32Instrs_ + otherInstrs_;
+    double total = total_.fp32Instrs + total_.int32Instrs + otherInstrs_;
     InstructionMix mix;
-    mix.fp32Frac = ratio(fp32Instrs_, total);
-    mix.int32Frac = ratio(int32Instrs_, total);
+    mix.fp32Frac = ratio(total_.fp32Instrs, total);
+    mix.int32Frac = ratio(total_.int32Instrs, total);
     mix.otherFrac = ratio(otherInstrs_, total);
     return mix;
 }
@@ -134,49 +91,49 @@ Profiler::instructionMix() const
 double
 Profiler::gflops() const
 {
-    return ratio(flops_, totalTime_) / 1e9;
+    return ratio(total_.flops, total_.timeSec) / 1e9;
 }
 
 double
 Profiler::giops() const
 {
-    return ratio(intOps_, totalTime_) / 1e9;
+    return ratio(total_.intOps, total_.timeSec) / 1e9;
 }
 
 double
 Profiler::avgIpc() const
 {
-    return ratio(cycleWeightedIpc_, totalCycles_);
+    return ratio(cycleWeightedIpc_, total_.cycles);
 }
 
 StallVector
 Profiler::stallBreakdown() const
 {
     double total = 0;
-    for (double s : stalls_)
+    for (double s : total_.stallCycles)
         total += s;
     StallVector out{};
     for (size_t i = 0; i < kNumStallReasons; ++i)
-        out[i] = ratio(stalls_[i], total);
+        out[i] = ratio(total_.stallCycles[i], total);
     return out;
 }
 
 double
 Profiler::l1HitRate() const
 {
-    return ratio(l1Hit_, l1Acc_);
+    return total_.l1HitRate();
 }
 
 double
 Profiler::l2HitRate() const
 {
-    return ratio(l2Hit_, l2Acc_);
+    return total_.l2HitRate();
 }
 
 double
 Profiler::divergentLoadFraction() const
 {
-    return ratio(divergentLoads_, loads_);
+    return total_.divergentLoadFraction();
 }
 
 double

@@ -25,26 +25,12 @@
 
 namespace gnnmark {
 
-/** Totals for one operation class (or one kernel name). */
-struct OpClassStats
+/** Totals for one operation class, one kernel name, or the run. */
+struct OpClassStats : SimCounters
 {
     double timeSec = 0;
     int64_t launches = 0;
-    double flops = 0;
-    double intOps = 0;
     double cycles = 0;
-    double instrs = 0;
-    double loads = 0;
-    double divergentLoads = 0;
-    double l1Accesses = 0;
-    double l1Hits = 0;
-    double l2Accesses = 0;
-    double l2Hits = 0;
-    StallVector stallCycles{};
-
-    double l1HitRate() const;
-    double l2HitRate() const;
-    double divergentLoadFraction() const;
 };
 
 /** One host-to-device transfer, time-stamped by iteration. */
@@ -74,8 +60,8 @@ class Profiler : public KernelObserver
     void reset();
 
     // --- Totals ---
-    double totalKernelTimeSec() const { return totalTime_; }
-    int64_t totalLaunches() const { return totalLaunches_; }
+    double totalKernelTimeSec() const { return total_.timeSec; }
+    int64_t totalLaunches() const { return total_.launches; }
 
     // --- Fig. 2: execution-time breakdown by op class ---
     /** Fraction of kernel time per class (sums to 1 if any time). */
@@ -119,15 +105,11 @@ class Profiler : public KernelObserver
   private:
     std::array<OpClassStats, kNumOpClasses> classes_{};
     std::map<std::string, OpClassStats> kernels_;
-
-    double totalTime_ = 0;
-    int64_t totalLaunches_ = 0;
-    double fp32Instrs_ = 0, int32Instrs_ = 0, otherInstrs_ = 0;
-    double flops_ = 0, intOps_ = 0;
-    double cycleWeightedIpc_ = 0, totalCycles_ = 0;
-    StallVector stalls_{};
-    double loads_ = 0, divergentLoads_ = 0;
-    double l1Acc_ = 0, l1Hit_ = 0, l2Acc_ = 0, l2Hit_ = 0;
+    OpClassStats total_;
+    // Summed per kernel: recomputing them from total_ rounds
+    // differently.
+    double otherInstrs_ = 0;      ///< mem + misc instructions
+    double cycleWeightedIpc_ = 0; ///< sum of ipc * cycles
 
     double transferBytes_ = 0;
     double transferZeroBytes_ = 0;

@@ -10,6 +10,25 @@
 
 namespace gnnmark {
 
+namespace {
+
+/** Fraction of zero-valued elements in a host buffer (0 when empty). */
+template <typename T>
+double
+zeroFraction(const T *data, size_t count)
+{
+    size_t zeros = 0;
+    for (size_t i = 0; i < count; ++i) {
+        if (data[i] == T{0})
+            ++zeros;
+    }
+    return count == 0 ? 0.0
+                      : static_cast<double>(zeros) /
+                            static_cast<double>(count);
+}
+
+} // namespace
+
 GpuDevice::GpuDevice(GpuConfig config, uint64_t seed)
     : cfg_(config), rng_(seed),
       l2_(config.l2SizeBytes, config.l2Assoc, config.cacheLineBytes)
@@ -119,96 +138,39 @@ GpuDevice::simulateDetailed(
 
         sim_warps += static_cast<double>(traces.size());
         cycles_per_wave += wave.cycles;
-        rec.fp32Instrs += wave.fp32Instrs;
-        rec.int32Instrs += wave.int32Instrs;
-        rec.memInstrs += wave.memInstrs;
-        rec.miscInstrs += wave.miscInstrs;
-        rec.flops += wave.flops;
-        rec.intOps += wave.intOps;
-        rec.loads += wave.loads;
-        rec.divergentLoads += wave.divergentLoads;
-        rec.l1Accesses += wave.l1Accesses;
-        rec.l1Hits += wave.l1Hits;
-        rec.l2Accesses += wave.l2Accesses;
-        rec.l2Hits += wave.l2Hits;
-        rec.dramBytes += wave.dramBytes;
-        for (size_t r = 0; r < kNumStallReasons; ++r)
-            rec.stallCycles[r] += wave.stalls[r];
+        rec += wave;
     }
     GNN_ASSERT(sim_warps > 0, "kernel '%s' produced no simulated warps",
                desc.name.c_str());
     cycles_per_wave /= cfg_.simSmCount;
 
     // Scale sampled counters to the full grid.
-    const double scale = static_cast<double>(geo.totalWarps) / sim_warps;
-    rec.fp32Instrs *= scale;
-    rec.int32Instrs *= scale;
-    rec.memInstrs *= scale;
-    rec.miscInstrs *= scale;
-    rec.flops *= scale;
-    rec.intOps *= scale;
-    rec.loads *= scale;
-    rec.divergentLoads *= scale;
-    rec.l1Accesses *= scale;
-    rec.l1Hits *= scale;
-    rec.l2Accesses *= scale;
-    rec.l2Hits *= scale;
-    rec.dramBytes *= scale;
-    for (auto &sc : rec.stallCycles)
-        sc *= scale;
-
+    rec *= static_cast<double>(geo.totalWarps) / sim_warps;
     rec.cycles = cycles_per_wave * static_cast<double>(geo.waves);
     rec.detailed = true;
 
     // Update the per-name running averages used for replay.
-    const double warps = static_cast<double>(geo.totalWarps);
-    state.fp32PerWarp += rec.fp32Instrs / warps;
-    state.int32PerWarp += rec.int32Instrs / warps;
-    state.memPerWarp += rec.memInstrs / warps;
-    state.miscPerWarp += rec.miscInstrs / warps;
-    state.flopsPerWarp += rec.flops / warps;
-    state.intOpsPerWarp += rec.intOps / warps;
-    state.loadsPerWarp += rec.loads / warps;
-    state.divergentPerWarp += rec.divergentLoads / warps;
-    state.l1AccPerWarp += rec.l1Accesses / warps;
-    state.l1HitPerWarp += rec.l1Hits / warps;
-    state.l2AccPerWarp += rec.l2Accesses / warps;
-    state.l2HitPerWarp += rec.l2Hits / warps;
-    state.dramBytesPerWarp += rec.dramBytes / warps;
+    SimCounters per_warp = rec;
+    per_warp /= static_cast<double>(geo.totalWarps);
+    state.perWarp += per_warp;
     state.cyclesPerWave += cycles_per_wave;
-    for (size_t r = 0; r < kNumStallReasons; ++r)
-        state.stallsPerWarp[r] += rec.stallCycles[r] / warps;
     ++state.detailedRuns;
 
     return rec;
 }
 
 KernelRecord
-GpuDevice::replayFromSample(const KernelDesc &desc, const Geometry &geo,
-                            const SampleState &state)
+GpuDevice::replayFromSample(const Geometry &geo, const SampleState &state)
 {
     const double n = static_cast<double>(state.detailedRuns);
-    const double warps = static_cast<double>(geo.totalWarps);
 
+    // Average over the detailed runs, then scale to this grid; the
+    // digest gate pins the rounding of that order.
     KernelRecord rec;
-    rec.detailed = false;
-    rec.fp32Instrs = state.fp32PerWarp / n * warps;
-    rec.int32Instrs = state.int32PerWarp / n * warps;
-    rec.memInstrs = state.memPerWarp / n * warps;
-    rec.miscInstrs = state.miscPerWarp / n * warps;
-    rec.flops = state.flopsPerWarp / n * warps;
-    rec.intOps = state.intOpsPerWarp / n * warps;
-    rec.loads = state.loadsPerWarp / n * warps;
-    rec.divergentLoads = state.divergentPerWarp / n * warps;
-    rec.l1Accesses = state.l1AccPerWarp / n * warps;
-    rec.l1Hits = state.l1HitPerWarp / n * warps;
-    rec.l2Accesses = state.l2AccPerWarp / n * warps;
-    rec.l2Hits = state.l2HitPerWarp / n * warps;
-    rec.dramBytes = state.dramBytesPerWarp / n * warps;
-    for (size_t r = 0; r < kNumStallReasons; ++r)
-        rec.stallCycles[r] = state.stallsPerWarp[r] / n * warps;
+    static_cast<SimCounters &>(rec) = state.perWarp;
+    rec /= n;
+    rec *= static_cast<double>(geo.totalWarps);
     rec.cycles = state.cyclesPerWave / n * static_cast<double>(geo.waves);
-    (void)desc;
     return rec;
 }
 
@@ -245,7 +207,7 @@ GpuDevice::launch(const KernelDesc &desc)
         rec = simulateDetailed(desc, geo, state,
                                hook_ != nullptr ? &captured : nullptr);
     } else {
-        rec = replayFromSample(desc, geo, state);
+        rec = replayFromSample(geo, state);
     }
     rec.name = desc.name;
     rec.opClass = desc.opClass;
@@ -336,38 +298,17 @@ TransferRecord
 GpuDevice::copyHostToDevice(const float *data, size_t count,
                             uint64_t device_addr, const std::string &tag)
 {
-    size_t zeros = 0;
-    for (size_t i = 0; i < count; ++i) {
-        if (data[i] == 0.0f)
-            ++zeros;
-    }
-    double zf = count == 0 ? 0.0
-                           : static_cast<double>(zeros) /
-                                 static_cast<double>(count);
-    const size_t bytes = count * static_cast<size_t>(cfg_.elemBytes);
-    installInL2(device_addr, bytes);
-    if (hook_ != nullptr)
-        hook_->onTransfer(device_addr, bytes, zf, tag);
-    return recordTransfer(static_cast<double>(bytes), zf, tag);
+    return replayHostToDevice(
+        device_addr, count * static_cast<size_t>(cfg_.elemBytes),
+        zeroFraction(data, count), tag);
 }
 
 TransferRecord
 GpuDevice::copyHostToDevice(const int32_t *data, size_t count,
                             uint64_t device_addr, const std::string &tag)
 {
-    size_t zeros = 0;
-    for (size_t i = 0; i < count; ++i) {
-        if (data[i] == 0)
-            ++zeros;
-    }
-    double zf = count == 0 ? 0.0
-                           : static_cast<double>(zeros) /
-                                 static_cast<double>(count);
-    const size_t bytes = count * sizeof(int32_t);
-    installInL2(device_addr, bytes);
-    if (hook_ != nullptr)
-        hook_->onTransfer(device_addr, bytes, zf, tag);
-    return recordTransfer(static_cast<double>(bytes), zf, tag);
+    return replayHostToDevice(device_addr, count * sizeof(int32_t),
+                              zeroFraction(data, count), tag);
 }
 
 TransferRecord

@@ -90,8 +90,9 @@ class GpuDevice
     /**
      * Re-issue a recorded host-to-device copy: the data itself is
      * gone, only its device address span and zero-value fraction
-     * remain. Performs the same L2 install and PCIe timing as the
-     * live copyHostToDevice paths.
+     * remain. The live copyHostToDevice paths count the zero fraction
+     * and issue their copy through here, so both take the same L2
+     * install and PCIe timing.
      */
     TransferRecord replayHostToDevice(uint64_t addr, uint64_t bytes,
                                       double zero_fraction,
@@ -133,13 +134,10 @@ class GpuDevice
     {
         int64_t invocations = 0;
         int detailedRuns = 0;
-        // Sums over detailed runs of per-warp quantities.
-        double fp32PerWarp = 0, int32PerWarp = 0, memPerWarp = 0,
-               miscPerWarp = 0, flopsPerWarp = 0, intOpsPerWarp = 0,
-               loadsPerWarp = 0, divergentPerWarp = 0, l1AccPerWarp = 0,
-               l1HitPerWarp = 0, l2AccPerWarp = 0, l2HitPerWarp = 0,
-               dramBytesPerWarp = 0, cyclesPerWave = 0;
-        StallVector stallsPerWarp{};
+        // Sums over detailed runs of per-warp counters and per-wave
+        // cycles.
+        SimCounters perWarp;
+        double cyclesPerWave = 0;
     };
 
     struct Geometry
@@ -154,8 +152,7 @@ class GpuDevice
     KernelRecord simulateDetailed(
         const KernelDesc &desc, const Geometry &geo, SampleState &state,
         std::vector<std::pair<int64_t, WarpTrace>> *captured);
-    KernelRecord replayFromSample(const KernelDesc &desc,
-                                  const Geometry &geo,
+    KernelRecord replayFromSample(const Geometry &geo,
                                   const SampleState &state);
     void finishRecord(KernelRecord &record, const Geometry &geo);
     TransferRecord recordTransfer(double bytes, double zero_fraction,

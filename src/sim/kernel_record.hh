@@ -16,28 +16,21 @@
 
 namespace gnnmark {
 
-/** Per-launch metrics, scaled to the full grid. */
-struct KernelRecord
+/**
+ * The simulated counters every figure is a ratio of. This struct is
+ * the one place the counter set is decided: its arithmetic walks one
+ * field list, so a sum, scale or average of counters anywhere covers
+ * every counter. Each operator applies its operation to each field on
+ * its own, so a result is bitwise the one the fields written out by
+ * hand would give.
+ */
+struct SimCounters
 {
-    std::string name;
-    OpClass opClass = OpClass::Other;
-    int64_t invocation = 0; ///< per-name launch counter (0-based)
-    bool detailed = false;  ///< freshly simulated vs. reused sample
-
-    double timeSec = 0;     ///< kernel duration (excludes launch gap)
-    double cycles = 0;      ///< SM cycles over the kernel duration
-    int activeSms = 0;      ///< SMs with at least one resident block
-    double ipc = 0;         ///< warp instrs / cycle / active SM
-
-    // Dynamic instruction counts (warp instructions, full grid).
+    // Dynamic instruction counts (warp instructions).
     double fp32Instrs = 0;
     double int32Instrs = 0;
     double memInstrs = 0;
     double miscInstrs = 0;
-    double totalInstrs() const
-    {
-        return fp32Instrs + int32Instrs + memInstrs + miscInstrs;
-    }
 
     // Lane-level arithmetic work (for GFLOPS / GIOPS).
     double flops = 0;
@@ -54,6 +47,93 @@ struct KernelRecord
 
     // Warp issue-stall cycles by reason (relative magnitudes matter).
     StallVector stallCycles{};
+
+    double
+    totalInstrs() const
+    {
+        return fp32Instrs + int32Instrs + memInstrs + miscInstrs;
+    }
+    double l1HitRate() const { return ratio(l1Hits, l1Accesses); }
+    double l2HitRate() const { return ratio(l2Hits, l2Accesses); }
+    double
+    divergentLoadFraction() const
+    {
+        return ratio(divergentLoads, loads);
+    }
+
+    SimCounters &
+    operator+=(const SimCounters &o)
+    {
+        zip(*this, o, [](double &x, double y) { x += y; });
+        return *this;
+    }
+
+    SimCounters &
+    operator*=(double s)
+    {
+        zip(*this, *this, [s](double &x, double) { x *= s; });
+        return *this;
+    }
+
+    SimCounters &
+    operator/=(double d)
+    {
+        zip(*this, *this, [d](double &x, double) { x /= d; });
+        return *this;
+    }
+
+    bool
+    operator==(const SimCounters &o) const
+    {
+        bool equal = true;
+        zip(*this, o, [&equal](double x, double y) {
+            equal = equal && x == y;
+        });
+        return equal;
+    }
+
+  private:
+    static double
+    ratio(double num, double den)
+    {
+        return den > 0 ? num / den : 0.0;
+    }
+
+    /** The field list: calls f(a.field, b.field) for every slot. */
+    template <typename A, typename F>
+    static void
+    zip(A &a, const SimCounters &b, F f)
+    {
+        f(a.fp32Instrs, b.fp32Instrs);
+        f(a.int32Instrs, b.int32Instrs);
+        f(a.memInstrs, b.memInstrs);
+        f(a.miscInstrs, b.miscInstrs);
+        f(a.flops, b.flops);
+        f(a.intOps, b.intOps);
+        f(a.loads, b.loads);
+        f(a.divergentLoads, b.divergentLoads);
+        f(a.l1Accesses, b.l1Accesses);
+        f(a.l1Hits, b.l1Hits);
+        f(a.l2Accesses, b.l2Accesses);
+        f(a.l2Hits, b.l2Hits);
+        f(a.dramBytes, b.dramBytes);
+        for (size_t r = 0; r < kNumStallReasons; ++r)
+            f(a.stallCycles[r], b.stallCycles[r]);
+    }
+};
+
+/** Per-launch metrics; the counters are scaled to the full grid. */
+struct KernelRecord : SimCounters
+{
+    std::string name;
+    OpClass opClass = OpClass::Other;
+    int64_t invocation = 0; ///< per-name launch counter (0-based)
+    bool detailed = false;  ///< freshly simulated vs. reused sample
+
+    double timeSec = 0;     ///< kernel duration (excludes launch gap)
+    double cycles = 0;      ///< SM cycles over the kernel duration
+    int activeSms = 0;      ///< SMs with at least one resident block
+    double ipc = 0;         ///< warp instrs / cycle / active SM
 };
 
 /** One host-to-device copy, with the sparsity the paper tracks. */

@@ -93,7 +93,7 @@ WarpPipeline::run(const std::vector<const WarpTrace *> &warps,
     uint64_t now = 0;
 
     auto attribute = [&](StallReason r, double cycles) {
-        res.stalls[static_cast<size_t>(r)] += cycles;
+        res.stallCycles[static_cast<size_t>(r)] += cycles;
     };
 
     // Service one memory instruction; returns dependent-use latency.
@@ -318,7 +318,7 @@ WarpPipeline::run(const std::vector<const WarpTrace *> &warps,
     }
 
     res.cycles = static_cast<double>(now) * extrapolate;
-    for (auto &s : res.stalls)
+    for (auto &s : res.stallCycles)
         s *= extrapolate;
     res.loads *= extrapolate;
     res.divergentLoads *= extrapolate;

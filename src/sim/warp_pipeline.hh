@@ -17,35 +17,20 @@
 #include "sim/cache_model.hh"
 #include "sim/gpu_config.hh"
 #include "sim/kernel_desc.hh"
-#include "sim/stall.hh"
+#include "sim/kernel_record.hh"
 #include "sim/warp_trace.hh"
 
 namespace gnnmark {
 
-/** Aggregate results of simulating one wave on one SM. */
-struct WaveResult
+/**
+ * Aggregate results of simulating one wave on one SM. The instruction
+ * mix and lane work are full counts from the traces; the memory
+ * counters and stall cycles are extrapolated from the recorded prefix.
+ */
+struct WaveResult : SimCounters
 {
     double cycles = 0;  ///< wave duration (extrapolated) in SM cycles
     double issued = 0;  ///< warp instructions issued (full counts)
-
-    // Instruction mix (full counts from the traces).
-    double fp32Instrs = 0;
-    double int32Instrs = 0;
-    double memInstrs = 0;
-    double miscInstrs = 0;
-    double flops = 0;
-    double intOps = 0;
-
-    // Memory behaviour (extrapolated from the recorded prefix).
-    double loads = 0;
-    double divergentLoads = 0;
-    double l1Accesses = 0;
-    double l1Hits = 0;
-    double l2Accesses = 0;
-    double l2Hits = 0;
-    double dramBytes = 0;
-
-    StallVector stalls{}; ///< warp-stall cycles by reason (extrapolated)
 };
 
 /**

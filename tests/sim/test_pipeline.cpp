@@ -111,9 +111,9 @@ TEST_F(PipelineFixture, MemoryStallsDominantForPointerChase)
     KernelDesc desc;
     desc.loadDepFraction = 1.0; // every load feeds the next instr
     WaveResult r = run({streamTrace(300, 0, 4096)}, desc);
-    double mem = r.stalls[static_cast<size_t>(
+    double mem = r.stallCycles[static_cast<size_t>(
         StallReason::MemoryDependency)];
-    double exec = r.stalls[static_cast<size_t>(
+    double exec = r.stallCycles[static_cast<size_t>(
         StallReason::ExecutionDependency)];
     EXPECT_GT(mem, 10 * std::max(1.0, exec));
 }
@@ -123,7 +123,7 @@ TEST_F(PipelineFixture, ExecDependencyStallsForSerialAlu)
     KernelDesc desc;
     desc.aluIlp = 1.0; // fully serial chain
     WaveResult r = run({aluTrace(500)}, desc);
-    double exec = r.stalls[static_cast<size_t>(
+    double exec = r.stallCycles[static_cast<size_t>(
         StallReason::ExecutionDependency)];
     EXPECT_GT(exec, 500.0); // ~ (latency-1) per instruction
 }
@@ -137,7 +137,7 @@ TEST_F(PipelineFixture, BarrierAttributesSynchronization)
         sink.barrier();
     }
     WaveResult r = run({t});
-    EXPECT_GT(r.stalls[static_cast<size_t>(
+    EXPECT_GT(r.stallCycles[static_cast<size_t>(
                   StallReason::Synchronization)], 0);
 }
 
@@ -157,7 +157,7 @@ TEST_F(PipelineFixture, BigCodeCausesFetchStalls)
     WaveResult small_r = run(make(), small_code);
     WaveResult big_r = run(make(), big_code);
     auto ifetch = [](const WaveResult &r) {
-        return r.stalls[static_cast<size_t>(
+        return r.stallCycles[static_cast<size_t>(
             StallReason::InstructionFetch)];
     };
     EXPECT_GT(ifetch(big_r), 5 * std::max(1.0, ifetch(small_r)));
