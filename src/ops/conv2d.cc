@@ -122,7 +122,6 @@ emitConvKernel(const char *base, const ConvDims &d, uint64_t in_addr,
     const int64_t tiles_k = std::max<int64_t>(1, (d.k + 63) / 64);
     const int64_t ksteps = std::max<int64_t>(1, (gemm_k + 31) / 32);
     const int64_t hw = d.h * d.w;
-    const int64_t ohow = d.oh * d.ow;
 
     KernelDesc desc;
     desc.name = kernelName(base, {gemm_m, d.k, gemm_k});

@@ -118,8 +118,9 @@ TEST(Graph, GcnNormSymmetricValues)
     EXPECT_TRUE(found);
     // Self loop on isolated node 2: 1/sqrt(1*1) = 1.
     for (int32_t e = m.rowPtr[2]; e < m.rowPtr[3]; ++e) {
-        if (m.colIdx[e] == 2)
+        if (m.colIdx[e] == 2) {
             EXPECT_NEAR(m.vals[e], 1.0f, 1e-6f);
+        }
     }
 }
 
@@ -131,8 +132,9 @@ TEST(Graph, MeanAdjacencyRowsSumToOne)
         double sum = 0;
         for (int32_t e = m.rowPtr[r]; e < m.rowPtr[r + 1]; ++e)
             sum += m.vals[e];
-        if (g.degree(r) > 0)
+        if (g.degree(r) > 0) {
             EXPECT_NEAR(sum, 1.0, 1e-6);
+        }
     }
 }
 

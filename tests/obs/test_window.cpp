@@ -27,10 +27,11 @@ TEST(QuantileSketch, BucketsAreMonotoneAndRoundTrip)
         prev = b;
         // The representative value of a bucket lands back in it
         // (except at the clamped extremes).
-        if (b > 1 && b < static_cast<int>(obs::kSketchBuckets) - 1)
+        if (b > 1 && b < static_cast<int>(obs::kSketchBuckets) - 1) {
             EXPECT_EQ(obs::QuantileSketch::bucketFor(
                           obs::QuantileSketch::bucketValue(b)),
                       b);
+        }
     }
     // Non-positive and NaN all collapse into bucket 0.
     EXPECT_EQ(obs::QuantileSketch::bucketFor(0), 0);

@@ -410,11 +410,13 @@ TEST(ServingSimulator, RequestTracesFollowSamplingAndExemplars)
 
     bool sawExemplar = false;
     for (size_t i = 0; i < traces.size(); ++i) {
-        if (i > 0)
+        if (i > 0) {
             EXPECT_LT(traces[i - 1].id, traces[i].id);
+        }
         const obs::RequestTrace &t = traces[i];
-        if (!t.exemplar)
+        if (!t.exemplar) {
             EXPECT_EQ(t.id % opt.traceSampleEvery, 0);
+        }
         sawExemplar = sawExemplar || t.exemplar;
         ASSERT_FALSE(t.spans.empty());
         EXPECT_EQ(t.spans.front().name, "arrival");
