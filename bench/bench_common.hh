@@ -1,8 +1,8 @@
 /**
  * @file
- * Shared driver for the figure/table benches: trains the whole suite
- * on the simulated V100 under a profiler and hands the per-workload
- * profiles to the report printer of the specific figure.
+ * Shared run options for the ablation and extension benches: the
+ * scale, iteration count and seed every bench starts from, with the
+ * GNNMARK_SCALE / GNNMARK_ITERS overrides.
  */
 
 #ifndef GNNMARK_BENCH_BENCH_COMMON_HH
@@ -42,7 +42,7 @@ envNumber(const char *name, T fallback, cli::Range range)
     return value;
 }
 
-/** Run options shared by the figure benches (env-overridable). */
+/** Run options shared by the benches (env-overridable). */
 inline RunOptions
 benchOptions()
 {
@@ -67,25 +67,6 @@ inferenceOptions()
     opt.iterations = 4;
     opt.inferenceOnly = true;
     return opt;
-}
-
-/** Characterize the full suite (Table I order). */
-inline std::vector<WorkloadProfile>
-characterizeSuite()
-{
-    RunOptions opt = benchOptions();
-    std::cout << "Training the GNNMark suite on a simulated V100 "
-              << "(scale " << opt.scale << ", " << opt.iterations
-              << " measured iterations per workload)...\n\n";
-    CharacterizationRunner runner(opt);
-    std::vector<WorkloadProfile> profiles;
-    for (const std::string &name : BenchmarkSuite::workloadNames()) {
-        std::cout << "  " << name << "..." << std::flush;
-        profiles.push_back(runner.run(name));
-        std::cout << " done\n";
-    }
-    std::cout << "\n";
-    return profiles;
 }
 
 } // namespace bench

@@ -133,13 +133,4 @@ CharacterizationRunner::run(const std::string &workload_name) const
     return run(*workload);
 }
 
-std::vector<WorkloadProfile>
-CharacterizationRunner::runSuite() const
-{
-    std::vector<WorkloadProfile> out;
-    for (const std::string &name : BenchmarkSuite::workloadNames())
-        out.push_back(run(name));
-    return out;
-}
-
 } // namespace gnnmark

@@ -99,9 +99,6 @@ class CharacterizationRunner
     /** Train and profile a workload by suite name. */
     WorkloadProfile run(const std::string &workload_name) const;
 
-    /** Profile the whole suite (Table I order). */
-    std::vector<WorkloadProfile> runSuite() const;
-
     const RunOptions &options() const { return options_; }
 
   private:

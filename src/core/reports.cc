@@ -19,11 +19,22 @@ printTableOne(std::ostream &os)
         "Table I: GNNMark workloads (synthetic-dataset reproduction)");
     table.setHeader({"Workload", "Model", "Framework", "Domain",
                      "Dataset", "Graph type"});
+    TablePrinter stats("Workload statistics at scale 1");
+    stats.setHeader({"Workload", "Parameters", "Steps/epoch",
+                     "DDP-capable", "Sampler DDP-safe"});
     for (const auto &wl : BenchmarkSuite::createAll()) {
         table.addRow({wl->name(), wl->modelName(), wl->framework(),
                       wl->domain(), wl->datasetName(), wl->graphType()});
+        wl->setup(WorkloadConfig{});
+        stats.addRow({wl->name(), formatBytes(wl->parameterBytes()),
+                      strfmt("%lld", static_cast<long long>(
+                                         wl->iterationsPerEpoch())),
+                      wl->supportsMultiGpu() ? "yes" : "no",
+                      wl->samplerDdpCompatible() ? "yes" : "no"});
     }
     table.print(os);
+    os << "\n";
+    stats.print(os);
 }
 
 void
@@ -278,13 +289,15 @@ void
 printFig9Scaling(
     const std::vector<std::pair<std::string, std::vector<ScalingResult>>>
         &curves,
-    std::ostream &os)
+    bool weak, std::ostream &os)
 {
     TablePrinter table(
-        "Fig. 9: strong scaling with PyTorch DDP (time per epoch)");
+        weak ? "Weak scaling with PyTorch DDP (fixed per-GPU batch, "
+               "time per epoch)"
+             : "Fig. 9: strong scaling with PyTorch DDP (time per epoch)");
     table.setHeader({"Workload", "GPUs", "Epoch (ms)", "Compute (ms)",
                      "Comm (ms)", "Exposed (ms)", "Overlap %",
-                     "Speedup vs 1 GPU"});
+                     weak ? "Efficiency t1/tw" : "Speedup vs 1 GPU"});
     for (const auto &[name, points] : curves) {
         for (const ScalingResult &r : points) {
             table.addRow({name, strfmt("%d", r.worldSize),
@@ -332,31 +345,6 @@ printFaultTolerance(const FaultToleranceResult &result, std::ostream &os)
                  result.recoveryTimeSec * 1e3);
     os << strfmt("Goodput vs ideal: %.1f%%\n\n",
                  result.goodput * 100.0);
-}
-
-void
-printCheckpointSweep(
-    const std::vector<std::pair<int, FaultToleranceResult>> &sweep,
-    std::ostream &os)
-{
-    if (sweep.empty())
-        return;
-    TablePrinter table(strfmt(
-        "Checkpoint-interval sweep: %s (%d GPUs, same fault plan)",
-        sweep.front().second.workload.c_str(),
-        sweep.front().second.worldStart));
-    table.setHeader({"Interval", "Total (ms)", "Ckpt (ms)",
-                     "Recovery (ms)", "Replayed", "Goodput"});
-    for (const auto &[interval, r] : sweep) {
-        table.addRow({interval > 0 ? strfmt("%d", interval) : "off",
-                      fixed(r.totalTimeSec * 1e3, 2),
-                      fixed(r.checkpointTimeSec * 1e3, 2),
-                      fixed(r.recoveryTimeSec * 1e3, 2),
-                      strfmt("%d", r.replayedIterations),
-                      fixed(r.goodput, 3)});
-    }
-    table.print(os);
-    os << "\n";
 }
 
 void

@@ -19,7 +19,10 @@
 namespace gnnmark {
 namespace reports {
 
-/** Table I: the suite inventory. */
+/**
+ * Table I, the suite inventory, then each workload's statistics set up
+ * at scale 1: parameter bytes, steps per epoch and DDP support.
+ */
 void printTableOne(std::ostream &os);
 
 /** Fig. 2: execution-time breakdown by operation class (percent). */
@@ -46,16 +49,23 @@ void printFig6Cache(const std::vector<WorkloadProfile> &profiles,
 void printFig7Sparsity(const std::vector<WorkloadProfile> &profiles,
                        std::ostream &os);
 
-/** Fig. 8: sparsity vs. training iteration for each workload. */
+/**
+ * Fig. 8: sparsity vs. training iteration for each workload, one
+ * column per measured iteration up to `max_points`.
+ */
 void printFig8SparsityTimeline(
     const std::vector<WorkloadProfile> &profiles, std::ostream &os,
-    int max_points = 24);
+    int max_points);
 
-/** Fig. 9: strong scaling (time per epoch and speedup vs 1 GPU). */
+/**
+ * Fig. 9: time per epoch over 1, 2 and 4 GPUs. Strong scaling shows
+ * the speedup vs 1 GPU; `weak` curves carry the efficiency t1/tw in
+ * ScalingResult::speedup and are labelled as such.
+ */
 void printFig9Scaling(
     const std::vector<std::pair<std::string, std::vector<ScalingResult>>>
         &curves,
-    std::ostream &os);
+    bool weak, std::ostream &os);
 
 /**
  * Fault-tolerance report for one fault-injected DDP run: the itemised
@@ -63,15 +73,6 @@ void printFig9Scaling(
  */
 void printFaultTolerance(const FaultToleranceResult &result,
                          std::ostream &os);
-
-/**
- * Checkpoint-interval sweep: for each (interval, result) point, the
- * time split between checkpointing and recovery and the resulting
- * goodput, exposing the classic write-often/replay-little trade-off.
- */
-void printCheckpointSweep(
-    const std::vector<std::pair<int, FaultToleranceResult>> &sweep,
-    std::ostream &os);
 
 /**
  * SLO-aware serving run: volume split (full/fallback/shed/lost),

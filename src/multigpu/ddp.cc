@@ -106,6 +106,77 @@ overlapCommCost(const Interconnect &interconnect, double bytes,
     return out;
 }
 
+ScalingResult
+pricePoint(const Interconnect &interconnect,
+           const std::vector<IterationTimeline> &timelines,
+           double iter_transfer_sec, double epoch_compute_sec,
+           double iterations_per_epoch, double parameter_bytes,
+           bool sampler_ddp_compatible, int world,
+           const DdpOptions &options)
+{
+    GNN_ASSERT(world >= 1, "world size must be >= 1");
+    double iter_comm = 0;
+    double iter_exposed = 0;
+    if (world > 1) {
+        // Replicated batches: every replica pulls the full input over
+        // the shared host link, serialising the copies.
+        double penalty = 0;
+        if (!sampler_ddp_compatible)
+            penalty = iter_transfer_sec * (world - 1);
+        if (options.overlapComm && !timelines.empty()) {
+            // Bucketed ring all-reduce drained by a comm stream that
+            // overlaps the backward window of each iteration.
+            double total = 0;
+            double exposed = 0;
+            for (const IterationTimeline &t : timelines) {
+                CommCost c = overlapCommCost(interconnect, parameter_bytes,
+                                             world, t, options);
+                total += c.totalSec;
+                exposed += c.exposedSec;
+            }
+            const double n = static_cast<double>(timelines.size());
+            iter_comm = total / n + penalty;
+            iter_exposed = exposed / n + penalty;
+        } else {
+            // Synchronous model: the all-reduce serializes after compute.
+            iter_comm =
+                syncCommCost(interconnect, parameter_bytes, world) +
+                penalty;
+            iter_exposed = iter_comm;
+        }
+    }
+    ScalingResult res;
+    res.worldSize = world;
+    res.computeTimeSec = epoch_compute_sec;
+    res.commTimeSec = iter_comm * iterations_per_epoch;
+    res.commExposedSec = iter_exposed * iterations_per_epoch;
+    res.epochTimeSec = res.computeTimeSec + res.commExposedSec;
+    res.overlapFrac =
+        res.commTimeSec > 0 ? 1.0 - res.commExposedSec / res.commTimeSec
+                            : 0;
+    return res;
+}
+
+void
+setSpeedups(std::vector<ScalingResult> &curve, bool weak)
+{
+    double base_time = 0;
+    for (const ScalingResult &r : curve) {
+        if (r.worldSize == 1)
+            base_time = r.epochTimeSec;
+    }
+    if (base_time == 0 && !curve.empty()) {
+        base_time = curve.front().epochTimeSec;
+        if (!weak)
+            base_time *= curve.front().worldSize;
+    }
+    for (ScalingResult &r : curve) {
+        r.speedup = base_time > 0 && r.epochTimeSec > 0
+                        ? base_time / r.epochTimeSec
+                        : 0;
+    }
+}
+
 std::vector<ScalingResult>
 scalingFromTimelines(const Interconnect &interconnect,
                      const std::vector<IterationTimeline> &timelines,
@@ -125,62 +196,12 @@ scalingFromTimelines(const Interconnect &interconnect,
 
     std::vector<ScalingResult> out;
     for (int world : world_sizes) {
-        GNN_ASSERT(world >= 1, "world size must be >= 1");
-        double iter_comm = 0;
-        double iter_exposed = 0;
-        if (world > 1) {
-            double penalty = 0;
-            if (!sampler_ddp_compatible)
-                penalty = iter_transfer * (world - 1);
-            if (options.overlapComm && !timelines.empty()) {
-                double total = 0;
-                double exposed = 0;
-                for (const IterationTimeline &t : timelines) {
-                    CommCost c = overlapCommCost(
-                        interconnect, parameter_bytes, world, t,
-                        options);
-                    total += c.totalSec;
-                    exposed += c.exposedSec;
-                }
-                const double n =
-                    static_cast<double>(timelines.size());
-                iter_comm = total / n + penalty;
-                iter_exposed = exposed / n + penalty;
-            } else {
-                iter_comm = syncCommCost(interconnect, parameter_bytes,
-                                         world) +
-                            penalty;
-                iter_exposed = iter_comm;
-            }
-        }
-        ScalingResult res;
-        res.worldSize = world;
-        res.computeTimeSec = epoch_compute_sec;
-        res.commTimeSec = iter_comm * iterations_per_epoch;
-        res.commExposedSec = iter_exposed * iterations_per_epoch;
-        res.epochTimeSec = res.computeTimeSec + res.commExposedSec;
-        res.overlapFrac =
-            res.commTimeSec > 0
-                ? 1.0 - res.commExposedSec / res.commTimeSec
-                : 0;
-        out.push_back(res);
+        out.push_back(pricePoint(interconnect, timelines, iter_transfer,
+                                 epoch_compute_sec, iterations_per_epoch,
+                                 parameter_bytes, sampler_ddp_compatible,
+                                 world, options));
     }
-
-    // Weak-scaling efficiency against the single-GPU point, with the
-    // same fallback as weakScalingCurve: per-GPU work is constant, so
-    // the first measured point is its own reference.
-    double base_time = 0;
-    for (const ScalingResult &r : out) {
-        if (r.worldSize == 1)
-            base_time = r.epochTimeSec;
-    }
-    if (base_time == 0 && !out.empty())
-        base_time = out.front().epochTimeSec;
-    for (ScalingResult &r : out) {
-        r.speedup = base_time > 0 && r.epochTimeSec > 0
-                        ? base_time / r.epochTimeSec
-                        : 0;
-    }
+    setSpeedups(out, /*weak=*/true);
     return out;
 }
 
@@ -229,56 +250,12 @@ DdpTrainer::measureImpl(Workload &workload, const WorkloadConfig &base,
         device.wallTimeSec() / measured_iterations;
     const double iter_transfer =
         device.transferTimeSec() / measured_iterations;
-
-    double iter_comm = 0;
-    double iter_exposed = 0;
-    if (world > 1) {
-        const double bytes = workload.parameterBytes();
-        // Replicated batches: every replica pulls the full input over
-        // the shared host link, serialising the copies. Charged on
-        // both scaling modes (weak scaling used to skip it, silently
-        // flattering replication-pathological workloads).
-        double penalty = 0;
-        if (!workload.samplerDdpCompatible())
-            penalty = iter_transfer * (world - 1);
-
-        const auto &its = timelines.iterations();
-        if (options_.overlapComm && !its.empty()) {
-            // Bucketed ring all-reduce drained by a comm stream that
-            // overlaps the backward window of each measured
-            // iteration's kernel timeline.
-            double total = 0;
-            double exposed = 0;
-            for (const IterationTimeline &t : its) {
-                ddp::CommCost c = ddp::overlapCommCost(
-                    interconnect_, bytes, world, t, options_);
-                total += c.totalSec;
-                exposed += c.exposedSec;
-            }
-            const double n = static_cast<double>(its.size());
-            iter_comm = total / n + penalty;
-            iter_exposed = exposed / n + penalty;
-        } else {
-            // Legacy synchronous model: the bucketed all-reduce fully
-            // serializes after compute.
-            iter_comm =
-                ddp::syncCommCost(interconnect_, bytes, world) + penalty;
-            iter_exposed = iter_comm;
-        }
-    }
-
-    ScalingResult res;
-    res.worldSize = world;
     const double iters =
         static_cast<double>(workload.iterationsPerEpoch());
-    res.computeTimeSec = iter_compute * iters;
-    res.commTimeSec = iter_comm * iters;
-    res.commExposedSec = iter_exposed * iters;
-    res.epochTimeSec = res.computeTimeSec + res.commExposedSec;
-    res.overlapFrac =
-        res.commTimeSec > 0
-            ? 1.0 - res.commExposedSec / res.commTimeSec
-            : 0;
+    const ScalingResult res = ddp::pricePoint(
+        interconnect_, timelines.iterations(), iter_transfer,
+        iter_compute * iters, iters, workload.parameterBytes(),
+        workload.samplerDdpCompatible(), world, options_);
 
     obs::Metrics &metrics = obs::Metrics::instance();
     metrics.setGauge("ddp.comm_total_sec", res.commTimeSec);
@@ -312,26 +289,9 @@ DdpTrainer::weakScalingCurve(Workload &workload,
                              int measured_iterations)
 {
     std::vector<ScalingResult> out;
-    double base_time = 0;
-    for (int w : world_sizes) {
-        ScalingResult r =
-            measureWeak(workload, base, w, measured_iterations);
-        if (w == 1)
-            base_time = r.epochTimeSec;
-        out.push_back(r);
-    }
-    if (base_time == 0 && !out.empty()) {
-        // No world_size == 1 point was measured; per-GPU work is
-        // constant under weak scaling, so the first measured point is
-        // itself the single-GPU reference.
-        base_time = out.front().epochTimeSec;
-    }
-    for (ScalingResult &r : out) {
-        // Weak-scaling efficiency: constant per-GPU time is 1.0.
-        r.speedup = base_time > 0 && r.epochTimeSec > 0
-                        ? base_time / r.epochTimeSec
-                        : 0;
-    }
+    for (int w : world_sizes)
+        out.push_back(measureWeak(workload, base, w, measured_iterations));
+    ddp::setSpeedups(out, /*weak=*/true);
     return out;
 }
 
@@ -341,25 +301,9 @@ DdpTrainer::scalingCurve(Workload &workload, const WorkloadConfig &base,
                          int measured_iterations)
 {
     std::vector<ScalingResult> out;
-    double base_time = 0;
-    for (int w : world_sizes) {
-        ScalingResult r =
-            measure(workload, base, w, measured_iterations);
-        if (w == 1)
-            base_time = r.epochTimeSec;
-        out.push_back(r);
-    }
-    if (base_time == 0 && !out.empty()) {
-        // No world_size == 1 point was measured; extrapolate the
-        // single-GPU time from the first point assuming ideal linear
-        // scaling, so speedups stay relative to one GPU.
-        base_time = out.front().epochTimeSec * out.front().worldSize;
-    }
-    for (ScalingResult &r : out) {
-        r.speedup =
-            base_time > 0 && r.epochTimeSec > 0
-                ? base_time / r.epochTimeSec : 0;
-    }
+    for (int w : world_sizes)
+        out.push_back(measure(workload, base, w, measured_iterations));
+    ddp::setSpeedups(out, /*weak=*/false);
     return out;
 }
 

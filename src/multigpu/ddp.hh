@@ -113,6 +113,33 @@ CommCost overlapCommCost(const Interconnect &interconnect, double bytes,
                          const DdpOptions &options);
 
 /**
+ * Price one scaling point on `world` replicas from the measured
+ * per-GPU work: the measured iterations' kernel `timelines`, their
+ * mean H2D time and the epoch's compute time. Adds the replicated
+ * input transfers of a sampler that is not DDP-aware, then the
+ * overlapped gradient sync (overlapComm, with timelines) or the
+ * synchronous one, both scaled to the epoch. `speedup` stays 0;
+ * setSpeedups() fills it for a whole curve.
+ */
+ScalingResult pricePoint(const Interconnect &interconnect,
+                         const std::vector<IterationTimeline> &timelines,
+                         double iter_transfer_sec,
+                         double epoch_compute_sec,
+                         double iterations_per_epoch,
+                         double parameter_bytes,
+                         bool sampler_ddp_compatible, int world,
+                         const DdpOptions &options);
+
+/**
+ * Set each point's `speedup` to t1/tw against the curve's 1-GPU
+ * epoch time: the speedup under strong scaling, the efficiency under
+ * `weak` scaling. Without a 1-GPU point the first point stands in,
+ * as-is when weak (per-GPU work is constant) and times its GPU count
+ * when strong (ideal linear scaling).
+ */
+void setSpeedups(std::vector<ScalingResult> &curve, bool weak);
+
+/**
  * Price a scaling curve offline from recorded per-iteration kernel
  * timelines (e.g. a trace replay's ReplayResult::iterations): the
  * recorded stream is the fixed per-GPU work, so the curve has

@@ -41,6 +41,29 @@ TEST(Reports, TableOnePrintsEveryWorkload)
     EXPECT_NE(os.str().find("PinSAGE"), std::string::npos);
     EXPECT_NE(os.str().find("DGL"), std::string::npos);
     EXPECT_NE(os.str().find("Heterogeneous"), std::string::npos);
+    EXPECT_NE(os.str().find("Workload statistics at scale 1"),
+              std::string::npos);
+}
+
+TEST(Reports, ScalingTableNamesItsMode)
+{
+    ScalingResult point;
+    point.worldSize = 2;
+    point.epochTimeSec = 0.004;
+    point.computeTimeSec = 0.003;
+    point.speedup = 0.75;
+    const std::vector<std::pair<std::string, std::vector<ScalingResult>>>
+        curves = {{"INVENTED", {point}}};
+
+    std::ostringstream strong, weak;
+    reports::printFig9Scaling(curves, /*weak=*/false, strong);
+    reports::printFig9Scaling(curves, /*weak=*/true, weak);
+    EXPECT_NE(strong.str().find("strong"), std::string::npos);
+    EXPECT_NE(strong.str().find("Speedup"), std::string::npos);
+    EXPECT_NE(weak.str().find("Efficiency"), std::string::npos);
+    EXPECT_NE(weak.str().find("INVENTED"), std::string::npos);
+    EXPECT_EQ(weak.str().find("strong"), std::string::npos);
+    EXPECT_EQ(weak.str().find("Speedup"), std::string::npos);
 }
 
 TEST(Reports, WorkloadSummaryWithoutLossesSkipsTheLossRow)

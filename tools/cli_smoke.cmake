@@ -1,6 +1,6 @@
 # CLI contract smoke test, run under ctest: bad invocations must exit
 # with the usage status (2) and good ones with 0. Invoke as
-#   cmake -DGNNMARK_BIN=<path-to-gnnmark> -DBENCH_BIN=<a figure bench>
+#   cmake -DGNNMARK_BIN=<path-to-gnnmark> -DBENCH_BIN=<a bench binary>
 #         -P cli_smoke.cmake
 
 foreach(var GNNMARK_BIN BENCH_BIN)
@@ -63,8 +63,8 @@ expect_exit(2 list --rps 5)
 expect_exit(2 run STGCN extra)
 expect_exit(0 list)                   # healthy baseline
 
-# The figure benches take GNNMARK_SCALE and GNNMARK_ITERS by the same
-# number rules: garbage is a usage error, not a run at scale 0.
+# The benches take GNNMARK_SCALE and GNNMARK_ITERS by the same number
+# rules: garbage is a usage error, not a run at scale 0.
 foreach(env GNNMARK_SCALE=abc GNNMARK_ITERS=4x)
     execute_process(
         COMMAND ${CMAKE_COMMAND} -E env ${env} ${BENCH_BIN}

@@ -542,6 +542,7 @@ cmdCharacterize(cli::Command &cmd)
     reports::printFig5Stalls(profiles, std::cout);
     reports::printFig6Cache(profiles, std::cout);
     reports::printFig7Sparsity(profiles, std::cout);
+    reports::printFig8SparsityTimeline(profiles, std::cout, opt.iterations);
     if (memstats)
         reports::printMemstats(profiles, std::cout);
     if (opstats)
@@ -592,7 +593,7 @@ cmdScaling(cli::Command &cmd)
     if (out.json)
         std::cout << reports::scalingJson(curves) << "\n";
     else
-        reports::printFig9Scaling(curves, std::cout);
+        reports::printFig9Scaling(curves, weak, std::cout);
     return 0;
 }
 
@@ -604,13 +605,16 @@ cmdTimeToTrain(cli::Command &cmd)
                Flag{"--target", "F", "loss fraction to train down to",
                     {0, 1, true}}(opt.lossFraction)});
     TablePrinter table("Time-to-train");
-    table.setHeader({"Workload", "Converged", "Steps", "Sim time (ms)"});
+    table.setHeader({"Workload", "Converged", "Steps", "Sim time (ms)",
+                     "Loss start", "Loss end"});
     for (const std::string &name : BenchmarkSuite::workloadNames()) {
         auto wl = BenchmarkSuite::create(name);
         TimeToTrainResult r = measureTimeToTrain(*wl, opt);
         table.addRow({r.name, r.converged ? "yes" : "no",
                       strfmt("%d", r.iterations),
-                      strfmt("%.1f", r.simulatedTimeSec * 1e3)});
+                      strfmt("%.1f", r.simulatedTimeSec * 1e3),
+                      strfmt("%.3f", r.initialLoss),
+                      strfmt("%.3f", r.finalLoss)});
     }
     table.print(std::cout);
     return 0;
