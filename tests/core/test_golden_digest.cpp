@@ -8,7 +8,13 @@
  *  before, so a digest is only defined for a fresh process: ctest runs
  *  each case in its own process, and a case that finds the device
  *  address space already used skips. Regenerate the constants together
- *  with bench/baselines/golden_*.jsonl (see that directory's README). */
+ *  with bench/baselines/golden_*.jsonl (see that directory's README).
+ *
+ *  The replay case pins trace replay the same way: a recorded DGCN run
+ *  replayed on its own config must hash like the recording, and
+ *  replays at a 4 MiB L2 (2,048 sets, the power-of-two set path the
+ *  default 3,072-set L2 never takes) and a 64 KiB L1 must hash to
+ *  committed constants. */
 
 #include <gtest/gtest.h>
 
@@ -19,6 +25,10 @@
 #include "base/allocator.hh"
 #include "base/string_utils.hh"
 #include "core/characterization.hh"
+#include "core/trace_capture.hh"
+#include "trace/reader.hh"
+#include "trace/replayer.hh"
+#include "trace/writer.hh"
 
 using namespace gnnmark;
 
@@ -84,26 +94,56 @@ class Digest : public KernelObserver
     uint64_t hash_ = 0xcbf29ce484222325ull;
 };
 
-void
-expectDigest(const std::string &workload, uint64_t expected)
+/** The golden gates' settings: scale 0.2, two measured iterations. */
+RunOptions
+goldenOptions(KernelObserver *observer)
 {
-    if (DeviceAddrSpace::instance().stats().requests > 0) {
-        GTEST_SKIP() << "this process already mapped device addresses, "
-                        "so the address stream differs from a fresh "
-                        "run's; run one case per process (ctest does)";
-    }
-    Digest digest;
     RunOptions opt;
     opt.scale = 0.2;
     opt.iterations = 2;
-    opt.extraObserver = &digest;
+    opt.extraObserver = observer;
+    return opt;
+}
+
+bool
+freshAddressSpace()
+{
+    return DeviceAddrSpace::instance().stats().requests == 0;
+}
+
+constexpr const char *kUsedAddressSpace =
+    "this process already mapped device addresses, so the address "
+    "stream differs from a fresh run's; run one case per process "
+    "(ctest does)";
+
+std::string
+hex(uint64_t v)
+{
+    return strfmt("0x%016" PRIx64, v);
+}
+
+void
+expectDigest(const std::string &workload, uint64_t expected)
+{
+    if (!freshAddressSpace())
+        GTEST_SKIP() << kUsedAddressSpace;
+    Digest digest;
+    const RunOptions opt = goldenOptions(&digest);
     const WorkloadProfile profile =
         CharacterizationRunner(opt).run(workload);
     for (float v : profile.losses)
         digest.loss(v);
     EXPECT_EQ(digest.value(), expected)
-        << workload << " computed digest "
-        << strfmt("0x%016" PRIx64, digest.value());
+        << workload << " computed digest " << hex(digest.value());
+}
+
+/** Digest of every record a replay of `trace` on `config` emits. */
+uint64_t
+replayDigest(const trace::RecordedTrace &trace, const GpuConfig &config)
+{
+    Digest digest;
+    (void)trace::replayTrace(trace, config, {&digest});
+    return digest.value();
 }
 
 } // namespace
@@ -151,4 +191,34 @@ TEST(GoldenDigest, ARGA)
 TEST(GoldenDigest, TLSTM)
 {
     expectDigest("TLSTM", 0x6658f203510f4210ull);
+}
+
+TEST(GoldenDigest, DGCN_Replay)
+{
+    if (!freshAddressSpace())
+        GTEST_SKIP() << kUsedAddressSpace;
+    Digest recording;
+    const trace::RecordedTrace recorded =
+        recordWorkloadTrace("DGCN", goldenOptions(&recording));
+    const trace::RecordedTrace trace = trace::parseTrace(
+        trace::serializeTrace(recorded), "in-memory DGCN trace");
+    EXPECT_EQ(recording.value(), 0x4e56c2fdf19c3265ull)
+        << "recording computed digest " << hex(recording.value());
+
+    const GpuConfig base = trace.header.config;
+    const uint64_t same = replayDigest(trace, base);
+    EXPECT_EQ(same, recording.value())
+        << "replay on the recording config computed digest " << hex(same);
+
+    GpuConfig l2 = base;
+    l2.l2SizeBytes = 4 * MiB;
+    const uint64_t at_l2 = replayDigest(trace, l2);
+    EXPECT_EQ(at_l2, 0xfedc33d5c833a0edull)
+        << "replay at L2 = 4 MiB computed digest " << hex(at_l2);
+
+    GpuConfig l1 = base;
+    l1.l1SizeBytes = 64 * KiB;
+    const uint64_t at_l1 = replayDigest(trace, l1);
+    EXPECT_EQ(at_l1, 0x5df6dcead762447eull)
+        << "replay at L1 = 64 KiB computed digest " << hex(at_l1);
 }
