@@ -10,28 +10,6 @@ IoError::IoError(Kind kind, const std::string &message)
 {
 }
 
-const char *
-IoError::kindName(Kind kind)
-{
-    switch (kind) {
-      case Kind::OpenFailed:
-        return "open-failed";
-      case Kind::ShortRead:
-        return "short-read";
-      case Kind::ShortWrite:
-        return "short-write";
-      case Kind::BadMagic:
-        return "bad-magic";
-      case Kind::BadVersion:
-        return "bad-version";
-      case Kind::Corrupt:
-        return "corrupt";
-      case Kind::TrailingBytes:
-        return "trailing-bytes";
-    }
-    return "unknown";
-}
-
 uint64_t
 fnv1a(const uint8_t *data, size_t n)
 {

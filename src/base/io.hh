@@ -41,9 +41,6 @@ class IoError : public std::runtime_error
 
     Kind kind() const { return kind_; }
 
-    /** Stable lower-case name for messages/tests, e.g. "short-read". */
-    static const char *kindName(Kind kind);
-
   private:
     Kind kind_;
 };

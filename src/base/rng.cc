@@ -138,12 +138,6 @@ Rng::permutation(int32_t n)
 }
 
 Rng
-Rng::fork()
-{
-    return Rng(next() ^ 0xd2b74407b1ce6e93ULL);
-}
-
-Rng
 Rng::split(uint64_t stream_id) const
 {
     // Funnel the full state and the stream id through splitmix64 so

@@ -90,17 +90,14 @@ class Rng
     /** Random permutation of [0, n). */
     std::vector<int32_t> permutation(int32_t n);
 
-    /** Derive an independent child generator (for parallel streams). */
-    Rng fork();
-
     /**
      * Derive the `stream_id`-th sub-stream deterministically, without
-     * advancing this generator. Unlike fork(), split() is a pure
-     * function of (current state, stream_id): any worker holding an
-     * equal-state Rng derives bit-identical children for equal ids,
-     * which is what lets chunked generators seed each work unit
-     * independently of thread count and chunk partitioning. Children
-     * of distinct ids are statistically independent streams.
+     * advancing this generator. split() is a pure function of (current
+     * state, stream_id): any worker holding an equal-state Rng derives
+     * bit-identical children for equal ids, which is what lets chunked
+     * generators seed each work unit independently of thread count and
+     * chunk partitioning. Children of distinct ids are statistically
+     * independent streams.
      */
     Rng split(uint64_t stream_id) const;
 

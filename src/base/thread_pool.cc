@@ -46,12 +46,6 @@ ThreadPool::~ThreadPool()
     joinWorkers();
 }
 
-bool
-ThreadPool::onWorkerThread()
-{
-    return onWorker;
-}
-
 int
 ThreadPool::currentWorkerIndex()
 {

@@ -65,9 +65,6 @@ class ThreadPool
     void parallelFor(int64_t begin, int64_t end, int64_t grain,
                      const std::function<void(int64_t, int64_t)> &fn);
 
-    /** True when the current thread is a pool worker. */
-    static bool onWorkerThread();
-
     /**
      * Stable index of the calling pool worker (0-based, assigned at
      * spawn), or -1 on any non-pool thread. Observability layers use

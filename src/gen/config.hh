@@ -2,8 +2,8 @@
  * @file
  * The unified generator configuration facade (KaGen-style): one
  * struct names the family and the scale knobs, and every generation
- * entry point — materializing, streaming, the CLI verb, the benches —
- * goes through it. Resolution helpers pin down the derived quantities
+ * entry point — streaming, the CLI verb, the benches — goes through
+ * it. Resolution helpers pin down the derived quantities
  * (actual vertex count, target edge count, unit count) so callers and
  * reports agree on what a config means.
  */

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 
 #include "base/logging.hh"
 #include "base/thread_pool.hh"
@@ -147,27 +146,6 @@ residentBudgetBytes(const GeneratorConfig &cfg)
         sizeof(std::pair<int64_t, int64_t>);
     return (cfg.lookahead + 1) * per_chunk * edge_bytes * 4 +
            (int64_t{1} << 16);
-}
-
-Graph
-materialize(const GeneratorConfig &cfg)
-{
-    const int64_t n = resolvedVertices(cfg);
-    GNN_ASSERT(n <= std::numeric_limits<int32_t>::max(),
-               "materialize: %lld vertices exceed the 32-bit Graph id "
-               "space; use the streaming path",
-               static_cast<long long>(n));
-    ChunkedEdgeStream stream(cfg);
-    std::vector<std::pair<int32_t, int32_t>> edges;
-    edges.reserve(static_cast<size_t>(resolvedTargetEdges(cfg)));
-    EdgeBlock block;
-    while (stream.next(block)) {
-        for (const auto &[u, v] : block.edges) {
-            edges.emplace_back(static_cast<int32_t>(u),
-                               static_cast<int32_t>(v));
-        }
-    }
-    return Graph(n, std::move(edges), /*symmetric=*/true);
 }
 
 } // namespace gen

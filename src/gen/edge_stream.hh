@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "gen/config.hh"
-#include "graph/graph.hh"
 
 namespace gnnmark {
 namespace gen {
@@ -107,13 +106,6 @@ class ChunkedEdgeStream : public EdgeStream
  * plus chunk-local state stays within a small multiple of it.
  */
 int64_t residentBudgetBytes(const GeneratorConfig &cfg);
-
-/**
- * Materializing path for small scales: drain a stream into a Graph
- * (undirected, deduplicated) the existing gen:: consumers can use.
- * Asserts the vertex count fits the 32-bit Graph id space.
- */
-Graph materialize(const GeneratorConfig &cfg);
 
 } // namespace gen
 } // namespace gnnmark

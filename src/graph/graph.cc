@@ -55,16 +55,6 @@ Graph::neighbors(int64_t v) const
 }
 
 Graph
-Graph::transposed() const
-{
-    std::vector<std::pair<int32_t, int32_t>> edges;
-    edges.reserve(dst_.size());
-    for (size_t e = 0; e < dst_.size(); ++e)
-        edges.emplace_back(dst_[e], src_[e]);
-    return Graph(numNodes_, std::move(edges));
-}
-
-Graph
 Graph::withSelfLoops() const
 {
     std::vector<std::pair<int32_t, int32_t>> edges;
@@ -78,33 +68,8 @@ Graph::withSelfLoops() const
     return Graph(numNodes_, std::move(edges));
 }
 
-namespace {
-
-/** CSR skeleton shared by every adjacency normalisation. */
-CsrMatrix
-adjacencyCsr(int64_t num_nodes, const std::vector<int32_t> &row_ptr,
-             const std::vector<int32_t> &dst)
-{
-    CsrMatrix m;
-    m.rows = num_nodes;
-    m.cols = num_nodes;
-    m.rowPtr = row_ptr;
-    m.colIdx = dst;
-    m.vals.assign(dst.size(), 1.0f);
-    return m;
-}
-
-} // namespace
-
 SparseMatrix
-Graph::adjacency(SparseFormat format) const
-{
-    return SparseMatrix::fromCsr(adjacencyCsr(numNodes_, rowPtr_, dst_),
-                                 format);
-}
-
-SparseMatrix
-Graph::gcnNormAdjacency(SparseFormat format) const
+Graph::gcnNormAdjacency() const
 {
     Graph with_loops = withSelfLoops();
     std::vector<float> inv_sqrt_deg(numNodes_);
@@ -114,29 +79,18 @@ Graph::gcnNormAdjacency(SparseFormat format) const
         inv_sqrt_deg[v] =
             1.0f / std::sqrt(static_cast<float>(with_loops.degree(v)));
     }
-    CsrMatrix m = adjacencyCsr(numNodes_, with_loops.rowPtr_,
-                               with_loops.dst_);
+    CsrMatrix m;
+    m.rows = numNodes_;
+    m.cols = numNodes_;
+    m.rowPtr = with_loops.rowPtr_;
+    m.colIdx = with_loops.dst_;
+    m.vals.resize(m.colIdx.size());
     for (size_t e = 0; e < m.colIdx.size(); ++e) {
         const int32_t s = with_loops.src_[e];
         const int32_t d = with_loops.dst_[e];
         m.vals[e] = inv_sqrt_deg[s] * inv_sqrt_deg[d];
     }
-    return SparseMatrix::fromCsr(std::move(m), format);
-}
-
-SparseMatrix
-Graph::meanAdjacency(SparseFormat format) const
-{
-    CsrMatrix m = adjacencyCsr(numNodes_, rowPtr_, dst_);
-    for (int64_t v = 0; v < numNodes_; ++v) {
-        const int32_t deg = degree(v);
-        if (deg == 0)
-            continue;
-        const float inv = 1.0f / static_cast<float>(deg);
-        for (int32_t e = rowPtr_[v]; e < rowPtr_[v + 1]; ++e)
-            m.vals[e] = inv;
-    }
-    return SparseMatrix::fromCsr(std::move(m), format);
+    return SparseMatrix(std::move(m));
 }
 
 } // namespace gnnmark

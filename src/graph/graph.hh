@@ -1,7 +1,7 @@
 /**
  * @file
- * Homogeneous graph in CSR form with the adjacency normalisations GNN
- * layers need (GCN symmetric norm, row-mean norm).
+ * Homogeneous graph in CSR form with the GCN-normalised adjacency GNN
+ * layers aggregate over.
  */
 
 #ifndef GNNMARK_GRAPH_GRAPH_HH
@@ -52,29 +52,14 @@ class Graph
     std::pair<const int32_t *, const int32_t *>
     neighbors(int64_t v) const;
 
-    /** Graph with all edge directions flipped. */
-    Graph transposed() const;
-
     /** Graph with self loops added to every node. */
     Graph withSelfLoops() const;
 
     /**
-     * Unweighted adjacency (all values 1) in the requested storage
-     * format, so workloads opt into COO / blocked-ELL aggregation
-     * without touching layer code.
-     */
-    SparseMatrix adjacency(SparseFormat format = SparseFormat::Csr) const;
-
-    /**
-     * GCN normalisation D^-1/2 (A + I) D^-1/2 (Kipf & Welling);
+     * GCN normalisation D^-1/2 (A + I) D^-1/2 (Kipf & Welling), in CSR;
      * symmetric for undirected graphs.
      */
-    SparseMatrix
-    gcnNormAdjacency(SparseFormat format = SparseFormat::Csr) const;
-
-    /** Row-normalised adjacency D^-1 A (mean aggregation). */
-    SparseMatrix
-    meanAdjacency(SparseFormat format = SparseFormat::Csr) const;
+    SparseMatrix gcnNormAdjacency() const;
 
   private:
     int64_t numNodes_ = 0;

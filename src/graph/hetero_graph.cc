@@ -34,18 +34,6 @@ HeteroGraph::addRelation(Relation relation)
     return static_cast<int>(relations_.size()) - 1;
 }
 
-CsrMatrix
-HeteroGraph::relationCsr(int r) const
-{
-    const Relation &rel = relations_[r];
-    std::vector<std::tuple<int32_t, int32_t, float>> triples;
-    triples.reserve(rel.edges.size());
-    for (auto [s, d] : rel.edges)
-        triples.emplace_back(s, d, 1.0f);
-    return csrFromTriples(typeCount(rel.srcType), typeCount(rel.dstType),
-                          std::move(triples));
-}
-
 std::vector<std::vector<int32_t>>
 HeteroGraph::relationAdjList(int r) const
 {

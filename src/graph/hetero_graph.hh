@@ -50,9 +50,6 @@ class HeteroGraph
     int64_t typeCount(int t) const { return types_[t].count; }
     const Relation &relation(int r) const { return relations_[r]; }
 
-    /** Adjacency of a relation as [srcCount x dstCount] CSR. */
-    CsrMatrix relationCsr(int r) const;
-
     /** Per-source neighbour lists of a relation. */
     std::vector<std::vector<int32_t>> relationAdjList(int r) const;
 

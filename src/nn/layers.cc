@@ -21,7 +21,7 @@ glorot(int64_t in, int64_t out, Rng &rng)
 } // namespace
 
 Linear::Linear(int64_t in, int64_t out, Rng &rng, bool bias)
-    : in_(in), out_(out), weight_(addParam(glorot(in, out, rng)))
+    : weight_(addParam(glorot(in, out, rng)))
 {
     if (bias)
         bias_ = addParam(Tensor::zeros({out}));

@@ -26,11 +26,7 @@ class Linear : public Module
     /** x is [N, in]; returns [N, out]. */
     Variable forward(const Variable &x) const;
 
-    int64_t inFeatures() const { return in_; }
-    int64_t outFeatures() const { return out_; }
-
   private:
-    int64_t in_, out_;
     Variable weight_; ///< [in, out]
     Variable bias_;   ///< [out] (undefined if bias = false)
 };

@@ -55,50 +55,6 @@ Optimizer::parameterBytes() const
     return bytes;
 }
 
-Sgd::Sgd(std::vector<Variable> params, float lr, float momentum)
-    : Optimizer(std::move(params)), lr_(lr), momentum_(momentum)
-{
-    if (momentum_ > 0.0f) {
-        velocity_.reserve(params_.size());
-        for (const Variable &p : params_)
-            velocity_.push_back(Tensor::zeros(p.value().shape()));
-    }
-}
-
-void
-Sgd::step()
-{
-    GNN_SPAN("optim.sgd.step");
-    for (size_t i = 0; i < params_.size(); ++i) {
-        Variable &p = params_[i];
-        if (!p.hasGrad())
-            continue;
-        float *pv = p.value().data();
-        const float *pg = p.grad().data();
-        if (momentum_ > 0.0f) {
-            float *vel = velocity_[i].data();
-            for (int64_t j = 0; j < p.value().numel(); ++j) {
-                vel[j] = momentum_ * vel[j] + pg[j];
-                pv[j] -= lr_ * vel[j];
-            }
-            emitUpdate("optim_sgd_momentum", p.value(), 3, 0);
-        } else {
-            for (int64_t j = 0; j < p.value().numel(); ++j)
-                pv[j] -= lr_ * pg[j];
-            emitUpdate("optim_sgd", p.value(), 1, 0);
-        }
-    }
-}
-
-void
-Sgd::visitState(const std::function<void(Tensor &)> &slot,
-                const std::function<void(int64_t &)> &scalar)
-{
-    (void)scalar;
-    for (Tensor &v : velocity_)
-        slot(v);
-}
-
 Adam::Adam(std::vector<Variable> params, float lr, float beta1,
            float beta2, float eps)
     : Optimizer(std::move(params)), lr_(lr), beta1_(beta1), beta2_(beta2),

@@ -36,7 +36,7 @@ class Optimizer
 
     /**
      * Enumerate the optimiser's internal state for checkpointing, in a
-     * fixed order: every slot tensor (momentum/moment buffers) through
+     * fixed order: every slot tensor (moment buffers) through
      * `slot`, every integer scalar (step counters) through `scalar`.
      * The base optimiser has none; subclasses override.
      */
@@ -50,21 +50,6 @@ class Optimizer
 
   protected:
     std::vector<Variable> params_;
-};
-
-/** SGD with optional momentum. */
-class Sgd : public Optimizer
-{
-  public:
-    Sgd(std::vector<Variable> params, float lr, float momentum = 0.0f);
-    void step() override;
-    void visitState(const std::function<void(Tensor &)> &slot,
-                    const std::function<void(int64_t &)> &scalar) override;
-
-  private:
-    float lr_;
-    float momentum_;
-    std::vector<Tensor> velocity_;
 };
 
 /** Adam (Kingma & Ba), the optimiser the GNNMark workloads use. */

@@ -10,14 +10,6 @@ RequestTracer::RequestTracer(int64_t sampleEvery, size_t laneCap)
 {
 }
 
-bool RequestTracer::tracing(int64_t id) const
-{
-    if (sampled(id))
-        return true;
-    auto it = pending_.find(id);
-    return it != pending_.end() && it->second.retained;
-}
-
 void RequestTracer::addSpan(int64_t id, const std::string &name,
                             double startSec, double endSec,
                             const std::string &detail)

@@ -71,9 +71,6 @@ class RequestTracer
      */
     explicit RequestTracer(int64_t sampleEvery, size_t laneCap = 256);
 
-    /** True when the request's spans are worth recording right now. */
-    bool tracing(int64_t id) const;
-
     /** Append a [start, end) span to the request's chain. */
     void addSpan(int64_t id, const std::string &name, double startSec,
                  double endSec, const std::string &detail = "");

@@ -27,13 +27,6 @@ TelemetrySink::writeRecord(const std::string &json_object)
     }
 }
 
-bool
-TelemetrySink::good()
-{
-    out_.flush();
-    return static_cast<bool>(out_);
-}
-
 void
 writeMetricsSnapshot(JsonWriter &w, const MetricsSnapshot &snapshot)
 {

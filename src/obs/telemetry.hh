@@ -32,9 +32,6 @@ class TelemetrySink
     /** Write one JSON object as a line (caller provides the object). */
     void writeRecord(const std::string &json_object);
 
-    /** Flush and report stream health. */
-    bool good();
-
     int64_t recordCount() const { return records_; }
     const std::string &path() const { return path_; }
 

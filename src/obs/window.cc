@@ -38,13 +38,6 @@ void QuantileSketch::observe(double value)
     count_++;
 }
 
-void QuantileSketch::merge(const QuantileSketch &other)
-{
-    for (size_t i = 0; i < kSketchBuckets; i++)
-        buckets_[i] += other.buckets_[i];
-    count_ += other.count_;
-}
-
 double QuantileSketch::quantile(double q) const
 {
     if (count_ == 0)

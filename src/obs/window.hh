@@ -6,11 +6,10 @@
  * QuantileSketch is a fixed-layout log-spaced bucket sketch: an
  * observation lands in bucket floor(8*log2(v)) + offset, so eight
  * sub-buckets cover every octave and a reported quantile is at most
- * ~4.5% from the true value. Buckets hold integer counts, merging two
- * sketches is element-wise addition, and a quantile is read off the
- * cumulative counts by nearest rank — no floating-point accumulation
- * order anywhere, so the same multiset of observations produces the
- * same sketch bytes on any thread count or merge order.
+ * ~4.5% from the true value. Buckets hold integer counts and a
+ * quantile is read off the cumulative counts by nearest rank — no
+ * floating-point accumulation order anywhere, so the same multiset of
+ * observations produces the same sketch bytes in any order.
  *
  * WindowedSeries buckets (time, value) observations into tumbling
  * windows of fixed width on the *simulated* clock: window k covers
@@ -48,9 +47,6 @@ class QuantileSketch
   public:
     /** Record one observation. */
     void observe(double value);
-
-    /** Element-wise add another sketch's counts. */
-    void merge(const QuantileSketch &other);
 
     /** Total observations recorded. */
     int64_t count() const { return count_; }
@@ -110,8 +106,6 @@ class WindowedSeries
 
     /** Record `value` at simulated time `t` (t < 0 clamps to 0). */
     void observe(double t, double value);
-
-    double widthSec() const { return widthSec_; }
 
     /** Total observations across all windows. */
     int64_t totalCount() const { return total_; }

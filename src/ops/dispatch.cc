@@ -322,12 +322,6 @@ Dispatch::setMetricsEnabled(bool on)
     impl_->metricsEnabled.store(on, std::memory_order_relaxed);
 }
 
-bool
-Dispatch::metricsEnabled() const
-{
-    return impl_->metricsEnabled.load(std::memory_order_relaxed);
-}
-
 DispatchStats
 Dispatch::stats() const
 {

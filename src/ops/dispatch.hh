@@ -94,7 +94,6 @@ class Dispatch
      * `gnnmark ops` arm it.
      */
     void setMetricsEnabled(bool on);
-    bool metricsEnabled() const;
 
     DispatchStats stats() const;
     void resetStats();

@@ -105,14 +105,6 @@ div(const Tensor &a, const Tensor &b)
 }
 
 Tensor
-addScaled(const Tensor &a, const Tensor &b, float alpha)
-{
-    return binaryMap(a, b, "ew_axpy",
-                     [alpha](float x, float y) { return x + alpha * y; },
-                     1);
-}
-
-Tensor
 scale(const Tensor &a, float alpha)
 {
     return unaryMap(a, "ew_scale",
@@ -292,14 +284,6 @@ addBiasRows(const Tensor &a, const Tensor &bias)
         }
     });
     emitMap("ew_bias", {&a, &bias}, {&c}, 1, 0, 10);
-    return c;
-}
-
-Tensor
-copy(const Tensor &a)
-{
-    Tensor c = a.clone();
-    emitMap("ew_copy", {&a}, {&c}, 0, 0, 2);
     return c;
 }
 

@@ -26,9 +26,6 @@ Tensor mul(const Tensor &a, const Tensor &b);
 /** c = a / b (Hadamard; caller guarantees b != 0). */
 Tensor div(const Tensor &a, const Tensor &b);
 
-/** c = a + alpha * b. */
-Tensor addScaled(const Tensor &a, const Tensor &b, float alpha);
-
 /** c = alpha * a. */
 Tensor scale(const Tensor &a, float alpha);
 
@@ -82,9 +79,6 @@ Tensor dropout(const Tensor &a, float p, Rng &rng,
 
 /** c[i][j] = a[i][j] + bias[j] for a [N, F] tensor. */
 Tensor addBiasRows(const Tensor &a, const Tensor &bias);
-
-/** Plain device-side copy (e.g. contiguous() after a view). */
-Tensor copy(const Tensor &a);
 
 /** Concatenate [Ni, F] tensors along rows into [sum Ni, F]. */
 Tensor concatRows(const std::vector<Tensor> &parts);

@@ -14,15 +14,6 @@ ExecContext::device()
     return currentDevice;
 }
 
-Allocator &
-ExecContext::allocator()
-{
-    // The allocator binding lives in base (bindAllocator) so the
-    // tensor layer resolves the same thread-local without a
-    // dependency on ops.
-    return currentAllocator();
-}
-
 RunContext
 ExecContext::current()
 {
@@ -53,12 +44,6 @@ ContextGuard::ContextGuard(GpuDevice *device, Allocator *allocator)
     next.device = device;
     next.allocator = allocator;
     ExecContext::set(next);
-}
-
-ContextGuard::ContextGuard(const RunContext &ctx)
-    : prev_(ExecContext::current())
-{
-    ExecContext::set(ctx);
 }
 
 ContextGuard::~ContextGuard()

@@ -34,9 +34,6 @@ class ExecContext
     /** Currently bound device, or nullptr. */
     static GpuDevice *device();
 
-    /** The run's allocator: bound one, else the process default. */
-    static Allocator &allocator();
-
     /** Both bindings as they currently stand. */
     static RunContext current();
 
@@ -56,7 +53,6 @@ class ContextGuard
   public:
     explicit ContextGuard(GpuDevice *device);
     ContextGuard(GpuDevice *device, Allocator *allocator);
-    explicit ContextGuard(const RunContext &ctx);
     ~ContextGuard();
 
     ContextGuard(const ContextGuard &) = delete;

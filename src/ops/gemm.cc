@@ -201,73 +201,5 @@ gemm(const Tensor &a, const Tensor &b, GemmOpts opts)
     return c;
 }
 
-Tensor
-gemv(const Tensor &a, const Tensor &x)
-{
-    GNN_SPAN("op.gemv");
-    GNN_ASSERT(a.dim() == 2 && x.dim() == 1 && a.size(1) == x.size(0),
-               "gemv: bad shapes %s, %s", a.shapeString().c_str(),
-               x.shapeString().c_str());
-    const int64_t m = a.size(0);
-    const int64_t k = a.size(1);
-
-    Tensor y = Tensor::empty({m});
-    const float *pa = a.data();
-    const float *px = x.data();
-    float *py = y.data();
-    parallel_for(0, m, 64, [&](int64_t i0, int64_t i1) {
-        for (int64_t i = i0; i < i1; ++i) {
-            float acc = 0.0f;
-            for (int64_t kk = 0; kk < k; ++kk)
-                acc += pa[i * k + kk] * px[kk];
-            py[i] = acc;
-        }
-    });
-
-    if (ExecContext::device() != nullptr) {
-        const int eb = deviceElemBytes();
-        const uint64_t a_addr = a.deviceAddr();
-        const uint64_t x_addr = x.deviceAddr();
-        const uint64_t y_addr = y.deviceAddr();
-        const int64_t kchunks = std::max<int64_t>(1, (k + 31) / 32);
-
-        KernelDesc desc;
-        desc.name = kernelName("gemv", {m, k});
-        desc.opClass = OpClass::Gemv;
-        desc.blocks = std::max<int64_t>(1, (m + 7) / 8);
-        desc.warpsPerBlock = 8;
-        desc.codeBytes = 6 * 1024;
-        desc.aluIlp = 3.0;
-        desc.loadDepFraction = 0.5;
-        desc.outputRanges.emplace_back(
-            y_addr, static_cast<uint64_t>(m) * eb);
-        desc.trace = [=](int64_t warp_id, WarpTraceSink &sink) {
-            const int64_t row = warp_id; // one warp per output row
-            if (row >= m)
-                return;
-            int64_t done = 0;
-            for (int64_t ck = 0; ck < kchunks; ++ck, ++done) {
-                if (sink.full())
-                    break;
-                sink.loadCoalesced(a_addr + (row * k + ck * 32) * eb, eb);
-                sink.loadCoalesced(x_addr + ck * 32 * eb, eb);
-                sink.fma(1);
-                sink.int32(1);
-            }
-            if (done < kchunks && done > 0) {
-                sink.scaleRemainder(static_cast<double>(kchunks) /
-                                    static_cast<double>(done));
-            }
-            // Warp tree-reduction of the partial sums.
-            sink.sharedLoad(5);
-            sink.fp32(5);
-            uint64_t addr = y_addr + row * eb;
-            sink.storeGlobal(&addr, 1, eb);
-        };
-        emitKernel(desc);
-    }
-    return y;
-}
-
 } // namespace ops
 } // namespace gnnmark

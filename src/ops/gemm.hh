@@ -31,9 +31,6 @@ struct GemmOpts
  */
 Tensor gemm(const Tensor &a, const Tensor &b, GemmOpts opts = {});
 
-/** y = A * x for A [M, K], x [K]; returns [M]. */
-Tensor gemv(const Tensor &a, const Tensor &x);
-
 } // namespace ops
 } // namespace gnnmark
 

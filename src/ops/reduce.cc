@@ -301,14 +301,11 @@ reduceSumCols(const Tensor &a)
     return out;
 }
 
-namespace {
-
-template <typename Combine>
 Tensor
-segmentReduce(const Tensor &src, const std::vector<int32_t> &offsets,
-              const char *name, Combine combine, float init)
+segmentSumRows(const Tensor &src, const std::vector<int32_t> &offsets)
 {
     GNN_SPAN("op.segment_reduce");
+    const char *name = "segment_sum";
     GNN_ASSERT(src.dim() == 2, "%s needs 2-d src, got %s", name,
                src.shapeString().c_str());
     GNN_ASSERT(!offsets.empty(), "%s: empty offsets", name);
@@ -318,8 +315,8 @@ segmentReduce(const Tensor &src, const std::vector<int32_t> &offsets,
                "%s: offsets end %d != src rows %lld", name,
                offsets.back(), static_cast<long long>(src.size(0)));
 
-    // Uninitialised output: every segment row is written below — empty
-    // segments explicitly get zeros so max and sum agree on the value.
+    // Uninitialised output: every segment row is written below, an
+    // empty segment with its zero initial sum.
     Tensor out = Tensor::empty({segs, f});
     const float *ps = src.data();
     float *po = out.data();
@@ -328,16 +325,10 @@ segmentReduce(const Tensor &src, const std::vector<int32_t> &offsets,
             GNN_ASSERT(offsets[s] <= offsets[s + 1],
                        "%s: offsets not monotone at %lld", name,
                        static_cast<long long>(s));
-            if (offsets[s] == offsets[s + 1]) {
-                for (int64_t j = 0; j < f; ++j)
-                    po[s * f + j] = 0.0f;
-                continue;
-            }
             for (int64_t j = 0; j < f; ++j) {
-                float acc = init;
+                float acc = 0.0f;
                 for (int32_t r = offsets[s]; r < offsets[s + 1]; ++r)
-                    acc = combine(acc,
-                                  ps[static_cast<int64_t>(r) * f + j]);
+                    acc += ps[static_cast<int64_t>(r) * f + j];
                 po[s * f + j] = acc;
             }
         }
@@ -394,24 +385,6 @@ segmentReduce(const Tensor &src, const std::vector<int32_t> &offsets,
         emitKernel(desc);
     }
     return out;
-}
-
-} // namespace
-
-Tensor
-segmentSumRows(const Tensor &src, const std::vector<int32_t> &offsets)
-{
-    return segmentReduce(src, offsets, "segment_sum",
-                         [](float a, float b) { return a + b; }, 0.0f);
-}
-
-Tensor
-segmentMaxRows(const Tensor &src, const std::vector<int32_t> &offsets)
-{
-    return segmentReduce(
-        src, offsets, "segment_max",
-        [](float a, float b) { return std::max(a, b); },
-        -std::numeric_limits<float>::infinity());
 }
 
 Tensor

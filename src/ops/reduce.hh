@@ -42,10 +42,6 @@ Tensor reduceSumCols(const Tensor &a);
 Tensor segmentSumRows(const Tensor &src,
                       const std::vector<int32_t> &offsets);
 
-/** Segment max with the same convention; empty segments yield 0. */
-Tensor segmentMaxRows(const Tensor &src,
-                      const std::vector<int32_t> &offsets);
-
 /** @{ Row broadcasts: combine each row of a [N, F] with v [N]. */
 Tensor subRowsBy(const Tensor &a, const Tensor &v);
 Tensor divRowsBy(const Tensor &a, const Tensor &v);

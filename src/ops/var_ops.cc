@@ -174,16 +174,6 @@ exp(const Variable &a)
 }
 
 Variable
-dropout(const Variable &a, float p, Rng &rng)
-{
-    Tensor mask;
-    Tensor y = ops::dropout(a.value(), p, rng, &mask);
-    return Variable::makeResult(y, {a}, [mask](VarNode &self) {
-        backInto(self, 0, ops::mul(self.grad, mask));
-    });
-}
-
-Variable
 gemm(const Variable &a, const Variable &b, ops::GemmOpts opts)
 {
     Tensor av = a.value(), bv = b.value();
@@ -420,32 +410,6 @@ concatCols(const Variable &a, const Variable &b)
                 emitElementwise(spec);
                 backInto(self, 1, gb);
             }
-        });
-}
-
-Variable
-sliceRows(const Variable &a, int64_t begin, int64_t end)
-{
-    const int64_t n = a.value().size(0);
-    return Variable::makeResult(
-        ops::sliceRows(a.value(), begin, end), {a},
-        [begin, end, n](VarNode &self) {
-            if (!wantsGrad(self, 0))
-                return;
-            Tensor ga = Tensor::zeros({n, self.value.size(1)});
-            std::copy(self.grad.data(),
-                      self.grad.data() + self.grad.numel(),
-                      ga.data() + begin * self.value.size(1));
-            (void)end;
-            ElementwiseSpec spec;
-            spec.name = "ew_copy";
-            spec.elems = self.grad.numel();
-            spec.inAddrs = {self.grad.deviceAddr()};
-            spec.outAddrs = {ga.deviceAddr()};
-            spec.fp32PerElem = 0;
-            spec.int32PerElem = 2;
-            emitElementwise(spec);
-            backInto(self, 0, ga);
         });
 }
 

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "base/rng.hh"
 #include "ops/gemm.hh"
 #include "ops/variable.hh"
 #include "tensor/sparse.hh"
@@ -36,9 +35,6 @@ Variable sigmoid(const Variable &a);
 Variable tanh(const Variable &a);
 Variable exp(const Variable &a);
 /** @} */
-
-/** Inverted dropout (train mode). */
-Variable dropout(const Variable &a, float p, Rng &rng);
 
 /** C = op(A) op(B) (see ops::gemm). */
 Variable gemm(const Variable &a, const Variable &b,
@@ -88,9 +84,6 @@ Variable concatRows(const std::vector<Variable> &parts);
 
 /** Concatenate two [N, Fi] tensors along columns. */
 Variable concatCols(const Variable &a, const Variable &b);
-
-/** Rows [begin, end). */
-Variable sliceRows(const Variable &a, int64_t begin, int64_t end);
 
 /** Columns [begin, end) of a [N, F] tensor. */
 Variable sliceCols(const Variable &a, int64_t begin, int64_t end);

@@ -30,25 +30,15 @@ transferTid(int rank)
 } // namespace
 
 void
-ChromeTraceWriter::setRank(int rank)
-{
-    rank_ = rank;
-    if (std::find(ranks_.begin(), ranks_.end(), rank) == ranks_.end()) {
-        ranks_.push_back(rank);
-        std::sort(ranks_.begin(), ranks_.end());
-    }
-}
-
-void
 ChromeTraceWriter::onKernel(const KernelRecord &record)
 {
     Event event;
     event.name = record.name;
     event.category = opClassName(record.opClass);
-    event.tid = kernelTid(rank_);
-    event.startUs = kernelClockUs_[rank_];
+    event.tid = kernelTid(0);
+    event.startUs = kernelClockUs_;
     event.durationUs = record.timeSec * 1e6;
-    kernelClockUs_[rank_] += event.durationUs;
+    kernelClockUs_ += event.durationUs;
     event.args = {
         {"op_class", opClassName(record.opClass)},
         {"invocation", strfmt("%lld",
@@ -69,10 +59,10 @@ ChromeTraceWriter::onTransfer(const TransferRecord &record)
     Event event;
     event.name = "H2D " + record.tag;
     event.category = "transfer";
-    event.tid = transferTid(rank_);
-    event.startUs = transferClockUs_[rank_];
+    event.tid = transferTid(0);
+    event.startUs = transferClockUs_;
     event.durationUs = record.timeSec * 1e6;
-    transferClockUs_[rank_] += event.durationUs;
+    transferClockUs_ += event.durationUs;
     event.args = {
         {"bytes", strfmt("%.0f", record.bytes)},
         {"zero_fraction", strfmt("%.4f", record.zeroFraction)},
@@ -85,10 +75,6 @@ ChromeTraceWriter::mirrorDeviceLanes(int world)
 {
     const size_t original = events_.size();
     for (int rank = 1; rank < world; ++rank) {
-        if (std::find(ranks_.begin(), ranks_.end(), rank) ==
-            ranks_.end()) {
-            ranks_.push_back(rank);
-        }
         for (size_t i = 0; i < original; ++i) {
             if (events_[i].tid != kernelTid(0) &&
                 events_[i].tid != transferTid(0)) {
@@ -102,7 +88,7 @@ ChromeTraceWriter::mirrorDeviceLanes(int world)
             events_.push_back(std::move(copy));
         }
     }
-    std::sort(ranks_.begin(), ranks_.end());
+    world_ = std::max(world_, world);
 }
 
 void
@@ -199,7 +185,7 @@ ChromeTraceWriter::json() const
     // The two pids carry different clock domains: pid 1 runs on
     // simulated device time, pid 2 on the host monotonic clock.
     meta(1, 0, "process_name", "device (sim time)");
-    for (int rank : ranks_) {
+    for (int rank = 0; rank < world_; ++rank) {
         const std::string suffix =
             rank == 0 ? "" : strfmt(" rank %d", rank);
         meta(1, kernelTid(rank), "thread_name", "kernels" + suffix);

@@ -44,12 +44,6 @@ class ChromeTraceWriter : public KernelObserver
     void onTransfer(const TransferRecord &record) override;
 
     /**
-     * Attribute subsequent device events to DDP rank `rank` (own lane
-     * pair, own running clocks). Rank 0 is the default.
-     */
-    void setRank(int rank);
-
-    /**
      * Mirror rank 0's device lanes onto ranks 1..world-1. The DDP
      * model simulates one real device and treats replicas as lockstep
      * mirrors of rank 0's stream, so the mirrored lanes are the
@@ -101,10 +95,9 @@ class ChromeTraceWriter : public KernelObserver
     std::vector<Event> requestEvents_;
     std::map<int, std::string> requestLaneNames_; ///< tid -> lane label
     std::map<int, std::string> hostLaneNames_; ///< tid -> thread name
-    int rank_ = 0;
-    std::map<int, double> kernelClockUs_;   ///< per-rank kernel lane end
-    std::map<int, double> transferClockUs_; ///< per-rank copy lane end
-    std::vector<int> ranks_ = {0};          ///< ranks with lanes, sorted
+    double kernelClockUs_ = 0;   ///< end of the kernel lane
+    double transferClockUs_ = 0; ///< end of the copy lane
+    int world_ = 1;              ///< ranks with device lanes
 };
 
 } // namespace gnnmark

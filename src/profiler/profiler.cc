@@ -56,12 +56,6 @@ Profiler::beginIteration()
     ++iteration_;
 }
 
-void
-Profiler::reset()
-{
-    *this = Profiler();
-}
-
 std::array<double, kNumOpClasses>
 Profiler::opTimeBreakdown() const
 {

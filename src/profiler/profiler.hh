@@ -56,9 +56,6 @@ class Profiler : public KernelObserver
     /** Advance the iteration counter used to time-stamp transfers. */
     void beginIteration();
 
-    /** Drop everything recorded so far. */
-    void reset();
-
     // --- Totals ---
     double totalKernelTimeSec() const { return total_.timeSec; }
     int64_t totalLaunches() const { return total_.launches; }

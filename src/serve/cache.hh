@@ -34,7 +34,6 @@ class EmbeddingCache
     void insert(int32_t item, float value);
 
     size_t size() const { return map_.size(); }
-    size_t capacity() const { return capacity_; }
 
     int64_t hits() const { return hits_; }
     int64_t misses() const { return misses_; }

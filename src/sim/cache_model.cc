@@ -58,7 +58,6 @@ CacheModel::walkLines(uint64_t line, int64_t count)
         ++clock_;
         if (tags_[base + hint] == line) {
             lastUse_[base + hint] = clock_;
-            ++hits_;
         } else {
             const int r = scanFill(line, base);
             hint = r >= 0 ? r : ~r;
@@ -89,10 +88,8 @@ CacheModel::materialize()
     if (deferred_.empty())
         return;
     // The clock already stands where the eager walks would leave it;
-    // the replays below rewind it, and must not count.
+    // the replays below rewind it.
     const uint64_t clock = clock_;
-    const uint64_t hits = hits_;
-    const uint64_t misses = misses_;
     if (deferredLines_ < numSets_ * static_cast<uint64_t>(assoc_)) {
         for (const Deferred &d : deferred_) {
             clock_ = d.clock;
@@ -104,8 +101,6 @@ CacheModel::materialize()
     deferred_.clear();
     deferredLines_ = 0;
     clock_ = clock;
-    hits_ = hits;
-    misses_ = misses;
 }
 
 void
@@ -165,19 +160,6 @@ CacheModel::materializeSuffix()
     }
 }
 
-bool
-CacheModel::probe(uint64_t addr) const
-{
-    GNN_ASSERT(deferred_.empty(), "probe() with deferred installs pending");
-    const uint64_t line = addr >> lineShift_;
-    const size_t base = static_cast<size_t>(setIndex(line)) * assoc_;
-    for (int w = 0; w < assoc_; ++w) {
-        if (tags_[base + w] == line)
-            return true;
-    }
-    return false;
-}
-
 std::vector<std::pair<uint64_t, uint64_t>>
 CacheModel::setState(uint64_t set) const
 {
@@ -202,20 +184,6 @@ CacheModel::flush()
     lastUse_.assign(lastUse_.size(), 0);
     deferred_.clear();
     deferredLines_ = 0;
-}
-
-void
-CacheModel::resetStats()
-{
-    hits_ = 0;
-    misses_ = 0;
-}
-
-double
-CacheModel::hitRate() const
-{
-    uint64_t total = hits_ + misses_;
-    return total == 0 ? 0.0 : static_cast<double>(hits_) / total;
 }
 
 } // namespace gnnmark

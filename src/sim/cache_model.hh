@@ -17,15 +17,14 @@ namespace gnnmark {
 /**
  * A classic set-associative cache with true-LRU replacement.
  *
- * Addresses are byte addresses; the model tracks tags only (no data).
- * Statistics accumulate until resetStats().
+ * Addresses are byte addresses; the model tracks tags only (no data)
+ * and keeps no hit/miss counters: access() returns each lookup's
+ * outcome, and a KernelRecord's hits come from the WarpPipeline's
+ * per-access results.
  *
  * Bulk installs can be deferred (deferLines) and applied later in one
  * pass (materialize); every reader materializes first, so a deferred
- * install is indistinguishable from accessLines() except that its
- * lines do not count toward hits()/misses(). Nothing reads the L2's
- * own counters: GpuDevice keeps its L2 private, and a KernelRecord's
- * hits come from the WarpPipeline's per-access results.
+ * install is indistinguishable from accessLines().
  */
 class CacheModel
 {
@@ -52,8 +51,8 @@ class CacheModel
 
     /**
      * access() every line of [addr, addr+bytes), at most max_lines of
-     * them. State and statistics end up identical to the equivalent
-     * per-line access() loop; the sequential walk just pays the
+     * them. The state ends up identical to the equivalent per-line
+     * access() loop; the sequential walk just pays the
      * set-index reduction once. This eager walk is the reference the
      * deferred install is tested against.
      * @return lines touched.
@@ -64,8 +63,7 @@ class CacheModel
     /**
      * accessLines(), deferred: logs the range and advances the clock
      * exactly as the walk would, leaving the sets untouched until the
-     * next materialize(). The deferred lines are never counted in
-     * hits()/misses(). A log of kMaxDeferred ranges materializes.
+     * next materialize(). A log of kMaxDeferred ranges materializes.
      * @return lines the walk would have touched.
      */
     int64_t deferLines(uint64_t addr, uint64_t bytes, int64_t max_lines);
@@ -81,12 +79,6 @@ class CacheModel
     void materialize();
 
     /**
-     * Look up without filling on miss (used for bypass modelling).
-     * Deferred installs must be materialized first.
-     */
-    bool probe(uint64_t addr) const;
-
-    /**
      * The valid (line, lastUse) pairs of one set, sorted by line: all
      * of the replacement state that decides future hits, whichever
      * ways hold it. Deferred installs must be materialized first.
@@ -96,17 +88,6 @@ class CacheModel
     /** Drop all lines and any deferred installs. */
     void flush();
 
-    /** Zero the hit/miss counters (contents are kept). */
-    void resetStats();
-
-    uint64_t hits() const { return hits_; }
-    uint64_t misses() const { return misses_; }
-    uint64_t accesses() const { return hits_ + misses_; }
-
-    /** Hit rate in [0,1]; 0 if no accesses yet. */
-    double hitRate() const;
-
-    int lineBytes() const { return lineBytes_; }
     uint64_t numSets() const { return numSets_; }
     int assoc() const { return assoc_; }
 
@@ -168,7 +149,6 @@ class CacheModel
         const int hit_w = h0 > h1 ? h0 : h1;
         if (hit_w >= 0) {
             lastUse_[base + hit_w] = clock_;
-            ++hits_;
             return hit_w;
         }
 
@@ -198,7 +178,6 @@ class CacheModel
         const int victim = static_cast<int>((m0 < m1 ? m0 : m1) & 63U);
         tags_[base + victim] = line;
         lastUse_[base + victim] = clock_;
-        ++misses_;
         return ~victim;
     }
 
@@ -218,8 +197,6 @@ class CacheModel
     std::vector<uint64_t> tags_;    // numSets_ * assoc_
     std::vector<uint64_t> lastUse_; // numSets_ * assoc_
     uint64_t clock_ = 0;
-    uint64_t hits_ = 0;
-    uint64_t misses_ = 0;
 
     /** A deferred range: `count` lines from `line`, the first at
      *  clock + 1. Consecutive ranges have consecutive clocks. */

@@ -1,7 +1,6 @@
 #include "sim/fault_injector.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "base/logging.hh"
@@ -17,16 +16,6 @@ activeAt(const FaultEvent &e, double t)
     if (t < e.timeSec)
         return false;
     return e.durationSec <= 0 || t < e.timeSec + e.durationSec;
-}
-
-/** Next arrival of a Poisson process with the given rate. */
-double
-nextArrival(Rng &rng, double rate)
-{
-    double u = 0;
-    while (u == 0.0)
-        u = rng.uniform();
-    return -std::log(u) / rate;
 }
 
 } // namespace
@@ -70,66 +59,6 @@ FaultPlan::FaultPlan(std::vector<FaultEvent> events)
                      });
 }
 
-FaultPlan
-FaultPlan::generate(Rng &rng, const FaultRates &rates, double horizonSec,
-                    int world)
-{
-    GNN_ASSERT(horizonSec > 0, "fault horizon must be positive");
-    GNN_ASSERT(world >= 1, "fault plan needs world >= 1");
-    for (double rate :
-         {rates.crashPerSec, rates.stragglerPerSec,
-          rates.degradedLinkPerSec, rates.transientPerSec}) {
-        GNN_ASSERT(std::isfinite(rate) && rate >= 0,
-                   "fault rates must be finite and >= 0, got %f", rate);
-    }
-
-    std::vector<FaultEvent> events;
-    auto drawArrivals = [&](double rate, auto &&make) {
-        // A zero-rate channel is silent and consumes no Rng state, so
-        // enabling one fault kind never perturbs another's schedule.
-        if (rate <= 0)
-            return;
-        for (double t = nextArrival(rng, rate); t < horizonSec;
-             t += nextArrival(rng, rate)) {
-            events.push_back(make(t));
-        }
-    };
-
-    drawArrivals(rates.crashPerSec, [&](double t) {
-        FaultEvent e;
-        e.kind = FaultKind::ReplicaCrash;
-        e.timeSec = t;
-        e.replica = static_cast<int>(
-            rng.randint(static_cast<uint64_t>(world)));
-        return e;
-    });
-    drawArrivals(rates.stragglerPerSec, [&](double t) {
-        FaultEvent e;
-        e.kind = FaultKind::Straggler;
-        e.timeSec = t;
-        e.replica = static_cast<int>(
-            rng.randint(static_cast<uint64_t>(world)));
-        e.durationSec = rates.stragglerDurationSec;
-        e.magnitude = rates.stragglerSlowdown;
-        return e;
-    });
-    drawArrivals(rates.degradedLinkPerSec, [&](double t) {
-        FaultEvent e;
-        e.kind = FaultKind::DegradedLink;
-        e.timeSec = t;
-        e.durationSec = rates.linkDurationSec;
-        e.magnitude = rates.linkFactor;
-        return e;
-    });
-    drawArrivals(rates.transientPerSec, [&](double t) {
-        FaultEvent e;
-        e.kind = FaultKind::TransientKernel;
-        e.timeSec = t;
-        return e;
-    });
-    return FaultPlan(std::move(events));
-}
-
 FaultInjector::FaultInjector(FaultPlan plan) : plan_(std::move(plan)) {}
 
 double
@@ -166,19 +95,6 @@ FaultInjector::crashTime(int replica) const
 }
 
 double
-FaultInjector::nextTransitionAfter(double t) const
-{
-    double next = std::numeric_limits<double>::infinity();
-    for (const FaultEvent &e : plan_.events()) {
-        if (e.timeSec > t)
-            next = std::min(next, e.timeSec);
-        if (e.durationSec > 0 && e.timeSec + e.durationSec > t)
-            next = std::min(next, e.timeSec + e.durationSec);
-    }
-    return next;
-}
-
-double
 FaultInjector::linkFactor(double t) const
 {
     double factor = 1.0;
@@ -199,30 +115,6 @@ FaultInjector::crashed(int replica, double t) const
         }
     }
     return false;
-}
-
-std::vector<FaultEvent>
-FaultInjector::crashesUpTo(double t) const
-{
-    std::vector<FaultEvent> out;
-    for (const FaultEvent &e : plan_.events()) {
-        if (e.kind == FaultKind::ReplicaCrash && e.timeSec <= t)
-            out.push_back(e);
-    }
-    return out;
-}
-
-int
-FaultInjector::transientFailures(double t0, double t1) const
-{
-    int n = 0;
-    for (const FaultEvent &e : plan_.events()) {
-        if (e.kind == FaultKind::TransientKernel && e.timeSec > t0 &&
-            e.timeSec <= t1) {
-            ++n;
-        }
-    }
-    return n;
 }
 
 } // namespace gnnmark

@@ -4,12 +4,12 @@
  *
  * A FaultPlan is an explicit list of fault events — replica crashes,
  * straggler slowdowns, degraded interconnect links, transient kernel
- * failures — each pinned to a simulated timestamp. Plans are either
- * written out by hand (reproducible scenarios) or generated from
- * Poisson rates by a seeded Rng. The FaultInjector answers stateless
- * queries about the fault environment at a given simulated time, so a
- * training harness that advances a simulated clock sees exactly the
- * same failures on every run with the same plan.
+ * failures — each pinned to a simulated timestamp. Plans are written
+ * out as event lists or loaded from fault_plan_io.hh's text format.
+ * The FaultInjector answers stateless queries about the fault
+ * environment at a given simulated time, so a training harness that
+ * advances a simulated clock sees exactly the same failures on every
+ * run with the same plan.
  */
 
 #ifndef GNNMARK_SIM_FAULT_INJECTOR_HH
@@ -18,8 +18,6 @@
 #include <cstdint>
 #include <limits>
 #include <vector>
-
-#include "base/rng.hh"
 
 namespace gnnmark {
 
@@ -53,22 +51,6 @@ struct FaultEvent
     double magnitude = 1.0;
 };
 
-/** Poisson rates (events per simulated second) for plan generation. */
-struct FaultRates
-{
-    double crashPerSec = 0;
-    double stragglerPerSec = 0;
-    double degradedLinkPerSec = 0;
-    double transientPerSec = 0;
-
-    /** @{ Severity/duration knobs for the generated events. */
-    double stragglerSlowdown = 3.0;
-    double stragglerDurationSec = 0.2;
-    double linkFactor = 0.25;
-    double linkDurationSec = 0.5;
-    /** @} */
-};
-
 /** An ordered fault schedule. */
 class FaultPlan
 {
@@ -77,19 +59,6 @@ class FaultPlan
 
     /** Explicit event list (sorted by time on construction). */
     explicit FaultPlan(std::vector<FaultEvent> events);
-
-    /**
-     * Draw a plan from Poisson processes, one per fault kind, over
-     * [0, horizonSec). Crash/straggler targets are uniform over
-     * [0, world). Deterministic in (rng state, rates, horizon, world).
-     *
-     * Zero-rate channels draw no events (and consume no Rng state);
-     * negative or non-finite rates are rejected. Generated events may
-     * overlap on the same replica — crash/straggler precedence is a
-     * query-time contract, see FaultInjector.
-     */
-    static FaultPlan generate(Rng &rng, const FaultRates &rates,
-                              double horizonSec, int world);
 
     const std::vector<FaultEvent> &events() const { return events_; }
     bool empty() const { return events_.empty(); }
@@ -137,14 +106,6 @@ class FaultInjector
     double crashTime(int replica) const;
 
     /**
-     * Earliest time strictly after `t` at which the fault environment
-     * changes (an event starts or a windowed event ends), or +infinity
-     * when nothing changes after `t`. Event-driven harnesses use this
-     * to re-evaluate routing decisions only when the world moved.
-     */
-    double nextTransitionAfter(double t) const;
-
-    /**
      * Remaining bandwidth fraction of the worst degraded ring hop at
      * time `t`, or 1 if all links are healthy.
      */
@@ -152,15 +113,6 @@ class FaultInjector
 
     /** True if a crash of `replica` is scheduled at or before `t`. */
     bool crashed(int replica, double t) const;
-
-    /**
-     * Crash events with timeSec <= t, in schedule order (the harness
-     * tracks which it has already recovered from).
-     */
-    std::vector<FaultEvent> crashesUpTo(double t) const;
-
-    /** Transient kernel failures with timeSec in (t0, t1]. */
-    int transientFailures(double t0, double t1) const;
 
   private:
     FaultPlan plan_;

@@ -11,7 +11,7 @@
  *   transient time=4
  *
  * Times are absolute simulated seconds. Doubles round-trip exactly
- * (%.17g), so saving a generated plan and loading it back yields a
+ * (%.17g), so saving a plan and loading it back yields a
  * bitwise-identical schedule — the `gnnmark faults/serve --save-plan`
  * / `--plan` contract. Malformed input surfaces as IoError, never an
  * assert: a plan file is user input, not library state.

@@ -336,12 +336,6 @@ GpuDevice::addObserver(KernelObserver *observer)
 }
 
 void
-GpuDevice::clearObservers()
-{
-    observers_.clear();
-}
-
-void
 GpuDevice::notify(const KernelRecord &record)
 {
     for (auto *obs : observers_)

@@ -75,9 +75,6 @@ class GpuDevice
     /** Register an observer that receives every kernel/transfer. */
     void addObserver(KernelObserver *observer);
 
-    /** Remove all observers. */
-    void clearObservers();
-
     /**
      * Attach (or detach, with nullptr) a capture hook that receives
      * the raw emission stream — launches with their detail-simulated

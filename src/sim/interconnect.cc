@@ -46,12 +46,4 @@ Interconnect::broadcastTime(double bytes, int world) const
                    cfg_.messageLatencySec);
 }
 
-double
-Interconnect::p2pTime(double bytes) const
-{
-    if (bytes <= 0)
-        return 0.0;
-    return bytes / ringBandwidth() + cfg_.messageLatencySec;
-}
-
 } // namespace gnnmark

@@ -44,9 +44,6 @@ class Interconnect
     /** One-to-all broadcast of `bytes`. */
     double broadcastTime(double bytes, int world) const;
 
-    /** Point-to-point copy of `bytes` between two GPUs. */
-    double p2pTime(double bytes) const;
-
   private:
     /** Bandwidth available to one ring direction. */
     double ringBandwidth() const;

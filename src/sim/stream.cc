@@ -24,12 +24,6 @@ SimStream::enqueue(const std::string &op_name, double ready_sec,
     return ops_.back();
 }
 
-void
-SimStream::waitEvent(const SimEvent &event)
-{
-    cursor_ = std::max(cursor_, event.timeSec);
-}
-
 double
 IterationTimeline::wallSec() const
 {
@@ -115,13 +109,6 @@ TimelineCollector::onPhase(PhaseMark mark)
         inBackward_ = false;
         break;
     }
-}
-
-void
-TimelineCollector::reset()
-{
-    iterations_.clear();
-    inBackward_ = false;
 }
 
 } // namespace gnnmark

@@ -5,9 +5,7 @@
  * A SimStream is an in-order queue of timed operations: each op
  * becomes *ready* when its dependency is satisfied (a gradient bucket
  * filling, a kernel finishing) and *starts* when the stream's cursor
- * reaches it, CUDA-stream style. SimEvents carry completion points
- * across streams, so a communication stream can wait on compute-side
- * readiness without sharing a timeline.
+ * reaches it, CUDA-stream style.
  *
  * TimelineCollector is the compute-side feeder: it observes a
  * GpuDevice's kernel/transfer records plus the phase marks the
@@ -36,12 +34,6 @@ struct StreamOp
     double endSec = 0;   ///< startSec + duration
 };
 
-/** A recorded completion point, usable for cross-stream waits. */
-struct SimEvent
-{
-    double timeSec = 0;
-};
-
 /**
  * An in-order queue of timed async operations. Ops run back-to-back
  * but never before their ready time; the cursor is the completion
@@ -58,12 +50,6 @@ class SimStream
      */
     const StreamOp &enqueue(const std::string &op_name,
                             double ready_sec, double duration_sec);
-
-    /** Stall the stream until `event` has completed. */
-    void waitEvent(const SimEvent &event);
-
-    /** Record an event at the stream's current completion point. */
-    SimEvent recordEvent() const { return SimEvent{cursor_}; }
 
     /** Completion time of the last scheduled op (0 if idle). */
     double cursorSec() const { return cursor_; }
@@ -146,9 +132,6 @@ class TimelineCollector : public KernelObserver
     {
         return iterations_;
     }
-
-    /** Drop everything collected so far. */
-    void reset();
 
   private:
     double launchOverheadSec_;

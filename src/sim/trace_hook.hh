@@ -38,9 +38,6 @@ enum class TraceMarker : uint8_t
     NumMarkers
 };
 
-/** Printable marker name ("iteration-begin", ...). */
-const char *traceMarkerName(TraceMarker marker);
-
 /** Observer of the full device input stream (see file comment). */
 class DeviceTraceHook
 {

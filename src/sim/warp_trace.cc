@@ -7,16 +7,6 @@
 
 namespace gnnmark {
 
-double
-WarpTrace::extrapolationFactor() const
-{
-    if (recordedInstrs == 0)
-        return 1.0;
-    double factor = static_cast<double>(counts.total()) /
-                    static_cast<double>(recordedInstrs);
-    return std::max(1.0, factor);
-}
-
 WarpTraceSink::WarpTraceSink(WarpTrace &trace, int cap, int line_bytes)
     : trace_(trace), cap_(static_cast<uint64_t>(cap)),
       lineBytes_(line_bytes)

@@ -75,9 +75,6 @@ class WarpTrace
     std::vector<uint64_t> lines; ///< line-address pool for memory ops
     TraceCounts counts;          ///< full-execution counts
     uint64_t recordedInstrs = 0; ///< instructions in `ops`
-
-    /** Ratio of full instruction count to recorded count (>= 1). */
-    double extrapolationFactor() const;
 };
 
 /**

@@ -20,20 +20,6 @@ sparseFormatName(SparseFormat format)
     GNN_PANIC("bad SparseFormat %d", static_cast<int>(format));
 }
 
-bool
-parseSparseFormat(const std::string &name, SparseFormat *out)
-{
-    if (name == "csr")
-        *out = SparseFormat::Csr;
-    else if (name == "coo")
-        *out = SparseFormat::Coo;
-    else if (name == "bell" || name == "blocked-ell")
-        *out = SparseFormat::BlockedEll;
-    else
-        return false;
-    return true;
-}
-
 namespace {
 
 uint64_t
@@ -208,45 +194,6 @@ bellFromCsr(const CsrMatrix &csr)
     return bell;
 }
 
-CsrMatrix
-csrFromCoo(const CooMatrix &coo)
-{
-    CsrMatrix csr;
-    csr.rows = coo.rows;
-    csr.cols = coo.cols;
-    csr.rowPtr.assign(coo.rows + 1, 0);
-    for (int32_t r : coo.rowIdx)
-        ++csr.rowPtr[r + 1];
-    for (int64_t r = 0; r < coo.rows; ++r)
-        csr.rowPtr[r + 1] += csr.rowPtr[r];
-    csr.colIdx = coo.colIdx;
-    csr.vals = coo.vals;
-    csr.validate();
-    return csr;
-}
-
-CsrMatrix
-csrFromBell(const BlockedEllMatrix &bell)
-{
-    CsrMatrix csr;
-    csr.rows = bell.rows;
-    csr.cols = bell.cols;
-    csr.rowPtr.assign(bell.rows + 1, 0);
-    for (int64_t r = 0; r < bell.rows; ++r)
-        csr.rowPtr[r + 1] = csr.rowPtr[r] + bell.rowNnz[r];
-    csr.colIdx.reserve(csr.rowPtr[bell.rows]);
-    csr.vals.reserve(csr.rowPtr[bell.rows]);
-    for (int64_t r = 0; r < bell.rows; ++r) {
-        const int64_t off = bell.rowOff(r);
-        for (int32_t t = 0; t < bell.rowNnz[r]; ++t) {
-            csr.colIdx.push_back(bell.colIdx[off + t]);
-            csr.vals.push_back(bell.vals[off + t]);
-        }
-    }
-    csr.validate();
-    return csr;
-}
-
 SparseMatrix::SparseMatrix(CsrMatrix csr)
     : format_(SparseFormat::Csr), rows_(csr.rows), cols_(csr.cols),
       nnz_(csr.nnz()),
@@ -280,15 +227,6 @@ SparseMatrix::fromCsr(CsrMatrix csr, SparseFormat format)
         return SparseMatrix(bellFromCsr(csr));
     }
     GNN_PANIC("bad SparseFormat %d", static_cast<int>(format));
-}
-
-double
-SparseMatrix::density() const
-{
-    if (rows_ == 0 || cols_ == 0)
-        return 0.0;
-    return static_cast<double>(nnz_) /
-           (static_cast<double>(rows_) * static_cast<double>(cols_));
 }
 
 int64_t
@@ -338,28 +276,6 @@ SparseMatrix::bell() const
                "SparseMatrix is %s, not bell",
                sparseFormatName(format_));
     return *bell_;
-}
-
-SparseMatrix
-SparseMatrix::toFormat(SparseFormat format) const
-{
-    if (format == format_)
-        return *this;
-    return fromCsr(toCsr(), format);
-}
-
-CsrMatrix
-SparseMatrix::toCsr() const
-{
-    switch (format_) {
-      case SparseFormat::Csr:
-        return *csr_;
-      case SparseFormat::Coo:
-        return csrFromCoo(*coo_);
-      case SparseFormat::BlockedEll:
-        return csrFromBell(*bell_);
-    }
-    GNN_PANIC("bad SparseFormat %d", static_cast<int>(format_));
 }
 
 } // namespace gnnmark

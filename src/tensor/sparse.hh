@@ -23,7 +23,7 @@
 
 namespace gnnmark {
 
-/** Storage layouts understood by ops::spmm and Graph::adjacency(). */
+/** Storage layouts understood by ops::spmm. */
 enum class SparseFormat
 {
     Csr,        ///< compressed sparse row (the baseline)
@@ -33,9 +33,6 @@ enum class SparseFormat
 
 /** Short lower-case name ("csr", "coo", "bell") for CLI/report use. */
 const char *sparseFormatName(SparseFormat format);
-
-/** Parse a sparseFormatName() string; returns false on unknown name. */
-bool parseSparseFormat(const std::string &name, SparseFormat *out);
 
 /**
  * Coordinate-format sparse matrix. The invariant ops::spmm relies on:
@@ -134,8 +131,6 @@ struct BlockedEllMatrix
 /** @{ Format conversions. All preserve CSR entry order exactly. */
 CooMatrix cooFromCsr(const CsrMatrix &csr);
 BlockedEllMatrix bellFromCsr(const CsrMatrix &csr);
-CsrMatrix csrFromCoo(const CooMatrix &coo);
-CsrMatrix csrFromBell(const BlockedEllMatrix &bell);
 /** @} */
 
 /**
@@ -164,9 +159,6 @@ class SparseMatrix
     int64_t cols() const { return cols_; }
     int64_t nnz() const { return nnz_; }
 
-    /** nnz / (rows * cols); 0 for degenerate shapes. */
-    double density() const;
-
     /**
      * Bytes the active format occupies (index + value arrays,
      * including blocked-ELL padding) — the per-format term of the
@@ -179,15 +171,6 @@ class SparseMatrix
     const CooMatrix &coo() const;
     const BlockedEllMatrix &bell() const;
     /** @} */
-
-    /**
-     * This matrix re-stored as `format` (round-trips through CSR;
-     * returns *this unchanged, sharing storage, if already there).
-     */
-    SparseMatrix toFormat(SparseFormat format) const;
-
-    /** Materialise CSR storage whatever the current format. */
-    CsrMatrix toCsr() const;
 
   private:
     SparseFormat format_ = SparseFormat::Csr;

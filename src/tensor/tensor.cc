@@ -245,12 +245,6 @@ Tensor::fill(float value)
     });
 }
 
-void
-Tensor::zero()
-{
-    fill(0.0f);
-}
-
 uint64_t
 Tensor::deviceAddr() const
 {

@@ -96,9 +96,6 @@ class Tensor
     /** Set all elements to `value`. */
     void fill(float value);
 
-    /** Set all elements to zero. */
-    void zero();
-
     /** True if storage is allocated (numel may still be 0). */
     bool defined() const { return storage_ != nullptr; }
 

@@ -156,17 +156,6 @@ TEST(Rng, PermutationContainsAll)
     EXPECT_EQ(*s.rbegin(), 99);
 }
 
-TEST(Rng, ForkIndependent)
-{
-    Rng a(53);
-    Rng child = a.fork();
-    // Child diverges from parent's continued stream.
-    int same = 0;
-    for (int i = 0; i < 100; ++i)
-        same += a.next() == child.next();
-    EXPECT_LT(same, 3);
-}
-
 /** Property sweep: randint has no obvious modulo bias at many bounds. */
 class RngBoundSweep : public ::testing::TestWithParam<uint64_t>
 {

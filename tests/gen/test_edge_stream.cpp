@@ -110,20 +110,6 @@ TEST(EdgeStream, BlocksArriveInChunkOrder)
     EXPECT_EQ(expect, stream.chunkCount());
 }
 
-TEST(EdgeStream, MaterializeAgreesWithStreamContent)
-{
-    const GeneratorConfig cfg = smallConfig(Family::Grid2d);
-    // Grid edges are unique, so the undirected materialized graph has
-    // exactly 2x the streamed directed count.
-    gen::ChunkedEdgeStream stream(cfg);
-    gen::EdgeBlock block;
-    while (stream.next(block)) {
-    }
-    const Graph g = gen::materialize(cfg);
-    EXPECT_EQ(g.numNodes(), gen::resolvedVertices(cfg));
-    EXPECT_EQ(g.numEdges(), 2 * stream.edgesEmitted());
-}
-
 TEST(EdgeStream, ChecksumIsOrderDependent)
 {
     uint64_t a = gen::kChecksumSeed;

@@ -24,19 +24,6 @@ TEST(HeteroGraph, TypesAndRelations)
     EXPECT_EQ(g.relation(rid).edges.size(), 3u);
 }
 
-TEST(HeteroGraph, RelationCsrShape)
-{
-    HeteroGraph g;
-    int a = g.addNodeType("a", 4);
-    int b = g.addNodeType("b", 3);
-    g.addRelation(Relation{"r", a, b, {{0, 0}, {0, 2}, {3, 1}}});
-    CsrMatrix m = g.relationCsr(0);
-    m.validate();
-    EXPECT_EQ(m.rows, 4);
-    EXPECT_EQ(m.cols, 3);
-    EXPECT_EQ(m.nnz(), 3);
-}
-
 TEST(HeteroGraph, AdjListMatchesEdges)
 {
     HeteroGraph g;

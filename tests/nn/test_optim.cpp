@@ -9,7 +9,7 @@ using namespace gnnmark;
 
 namespace {
 
-/** One SGD/Adam step against a known quadratic. */
+/** A quadratic with its minimum at 3. */
 Variable
 quadraticLoss(const Variable &x)
 {
@@ -19,39 +19,6 @@ quadraticLoss(const Variable &x)
 }
 
 } // namespace
-
-TEST(Sgd, SingleStepMath)
-{
-    Variable p = Variable::param(Tensor::full({2}, 1.0f));
-    nn::Sgd opt({p}, /*lr=*/0.1f);
-    quadraticLoss(p).backward();
-    // dL/dp = 2(p - 3) = -4.
-    opt.step();
-    EXPECT_NEAR(p.value()(0), 1.0f - 0.1f * (-4.0f), 1e-5f);
-}
-
-TEST(Sgd, SkipsParamsWithoutGrad)
-{
-    Variable p = Variable::param(Tensor::full({2}, 1.0f));
-    nn::Sgd opt({p}, 0.1f);
-    opt.step(); // no backward happened
-    EXPECT_FLOAT_EQ(p.value()(0), 1.0f);
-}
-
-TEST(Sgd, MomentumAccumulates)
-{
-    Variable p = Variable::param(Tensor::full({1}, 0.0f));
-    nn::Sgd opt({p}, 0.1f, /*momentum=*/0.9f);
-    for (int i = 0; i < 3; ++i) {
-        opt.zeroGrad();
-        // Constant gradient of 1.
-        Variable l = ag::sumAll(p);
-        l.backward();
-        opt.step();
-    }
-    // Velocity: 1, 1.9, 2.71 -> p = -0.1*(1 + 1.9 + 2.71).
-    EXPECT_NEAR(p.value()(0), -0.1f * (1.0f + 1.9f + 2.71f), 1e-5f);
-}
 
 TEST(Adam, ConvergesOnQuadratic)
 {
@@ -81,7 +48,7 @@ TEST(Optimizer, ParameterBytes)
 {
     Variable a = Variable::param(Tensor::zeros({10, 10}));
     Variable b = Variable::param(Tensor::zeros({5}));
-    nn::Sgd opt({a, b}, 0.1f);
+    nn::Adam opt({a, b}, 0.1f);
     EXPECT_DOUBLE_EQ(opt.parameterBytes(), (100 + 5) * 4.0);
 }
 
@@ -98,5 +65,5 @@ TEST(Optimizer, ZeroGradClearsAll)
 TEST(OptimizerDeath, RejectsNonTrainableParams)
 {
     Variable frozen(Tensor::zeros({2}));
-    EXPECT_DEATH(nn::Sgd({frozen}, 0.1f), "non-trainable");
+    EXPECT_DEATH(nn::Adam({frozen}, 0.1f), "non-trainable");
 }

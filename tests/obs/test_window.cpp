@@ -63,22 +63,6 @@ TEST(QuantileSketch, QuantileWithinRelativeError)
     }
 }
 
-TEST(QuantileSketch, MergeEqualsBulkObservation)
-{
-    obs::QuantileSketch bulk, left, right;
-    Rng rng(11);
-    for (int i = 0; i < 5000; ++i) {
-        const double v = std::exp(6.0 * rng.uniform() - 3.0);
-        bulk.observe(v);
-        (i % 2 ? left : right).observe(v);
-    }
-    obs::QuantileSketch merged = left;
-    merged.merge(right);
-    EXPECT_EQ(merged.count(), bulk.count());
-    EXPECT_EQ(merged.buckets(), bulk.buckets());
-    EXPECT_DOUBLE_EQ(merged.quantile(0.5), bulk.quantile(0.5));
-}
-
 TEST(QuantileSketch, EmptySketchReportsZero)
 {
     obs::QuantileSketch sketch;

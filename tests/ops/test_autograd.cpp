@@ -210,9 +210,6 @@ TEST(AutogradGradCheck, BiasSoftmaxSlices)
     checkGrad(x.clone(),
               [](const Variable &v) { return ag::logSoftmaxRows(v); });
     checkGrad(x.clone(), [](const Variable &v) {
-        return ag::sliceRows(v, 1, 3);
-    });
-    checkGrad(x.clone(), [](const Variable &v) {
         return ag::sliceCols(v, 2, 5);
     });
     checkGrad(x.clone(),
@@ -320,24 +317,6 @@ TEST(AutogradGradCheck, Losses)
     checkGrad(x.clone(), [&](const Variable &v) {
         return ag::bceWithLogits(v, y);
     });
-}
-
-TEST(Autograd, DropoutBackwardUsesMask)
-{
-    Rng rng(52);
-    Variable x = Variable::param(Tensor::full({1000}, 1.0f));
-    Rng drop_rng(7);
-    Variable y = ag::dropout(x, 0.5f, drop_rng);
-    ag::sumAll(y).backward();
-    // Gradient equals the mask: zero where dropped, 2 where kept.
-    int zeros = 0;
-    for (int64_t i = 0; i < 1000; ++i) {
-        float g = x.grad()(i);
-        EXPECT_TRUE(g == 0.0f || std::abs(g - 2.0f) < 1e-5f);
-        zeros += g == 0.0f;
-        EXPECT_FLOAT_EQ(y.value()(i), g); // output 1*mask
-    }
-    EXPECT_NEAR(zeros / 1000.0, 0.5, 0.06);
 }
 
 TEST(Autograd, BackwardOnNonScalarWithSeed)

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "base/rng.hh"
+#include "obs/metrics.hh"
 #include "ops/dispatch.hh"
 #include "ops/exec_context.hh"
 #include "ops/gemm.hh"
@@ -216,8 +217,7 @@ TEST(Dispatch, StatsCountExecutedOps)
     const CsrMatrix csr = randomCsr(rng, 40, 40, 0.1);
     Tensor feat = Tensor::randn({40, 32}, rng);
     (void)ops::spmm(SparseMatrix(csr), feat);
-    (void)ops::spmm(SparseMatrix(csr).toFormat(SparseFormat::Coo),
-                    feat);
+    (void)ops::spmm(SparseMatrix::fromCsr(csr, SparseFormat::Coo), feat);
     const ops::DispatchStats s = d.stats();
     EXPECT_EQ(s.gemmNaive + s.gemmTiled, 1);
     EXPECT_EQ(s.spmmCsrScalar + s.spmmCsrVector, 1);
@@ -257,9 +257,19 @@ TEST(Dispatch, MetricsDisarmedByDefault)
 {
     // The ops.* counters must stay out of Metrics unless armed —
     // gated telemetry baselines diff snapshots exactly.
-    EXPECT_FALSE(Dispatch::instance().metricsEnabled());
-    Dispatch::instance().setMetricsEnabled(true);
-    EXPECT_TRUE(Dispatch::instance().metricsEnabled());
-    Dispatch::instance().setMetricsEnabled(false);
-    EXPECT_FALSE(Dispatch::instance().metricsEnabled());
+    const auto naive_count = [] {
+        const auto counters = obs::Metrics::instance().snapshot().counters;
+        const auto it = counters.find("ops.variant.gemm_naive");
+        return it == counters.end() ? 0.0 : it->second;
+    };
+    Dispatch &d = Dispatch::instance();
+    const double before = naive_count();
+    EXPECT_EQ(d.chooseGemm(1, 1, 1, 0.0), GemmVariant::Naive);
+    EXPECT_EQ(naive_count(), before);
+    d.setMetricsEnabled(true);
+    d.chooseGemm(1, 1, 1, 0.0);
+    EXPECT_EQ(naive_count(), before + 1);
+    d.setMetricsEnabled(false);
+    d.chooseGemm(1, 1, 1, 0.0);
+    EXPECT_EQ(naive_count(), before + 1);
 }

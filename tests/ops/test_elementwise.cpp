@@ -77,9 +77,6 @@ TEST(Elementwise, Div)
 TEST(Elementwise, ScaledOps)
 {
     Tensor a = iota({4});
-    Tensor b = Tensor::ones({4});
-    Tensor r = ops::addScaled(a, b, 0.5f);
-    EXPECT_FLOAT_EQ(r(0), a(0) + 0.5f);
     EXPECT_FLOAT_EQ(ops::scale(a, -2.0f)(1), -2.0f * a(1));
     EXPECT_FLOAT_EQ(ops::addScalar(a, 10.0f)(2), a(2) + 10.0f);
 }
@@ -344,11 +341,6 @@ TEST_P(ElementwiseLanes, MapsMatchScalarLoopBitwise)
         {"sub", &ops::sub, [](float x, float y) { return x - y; }},
         {"mul", &ops::mul, [](float x, float y) { return x * y; }},
         {"div", &ops::div, [](float x, float y) { return x / y; }},
-        {"addScaled",
-         [](const Tensor &x, const Tensor &y) {
-             return ops::addScaled(x, y, 0.37f);
-         },
-         [](float x, float y) { return x + 0.37f * y; }},
         {"reluGrad", &ops::reluGrad,
          [](float g, float x) { return x > 0 ? g : 0.0f; }},
         {"preluGradInput",

@@ -97,32 +97,3 @@ TEST(Gemm, EmitsGemmClassKernelWithFlops)
     // Tiled kernel executes the padded 64x64x64 tile exactly.
     EXPECT_NEAR(s.flops, 2.0 * 64 * 64 * 64, 2.0 * 64 * 64 * 64 * 0.2);
 }
-
-TEST(Gemv, MatchesReference)
-{
-    Rng rng(6);
-    Tensor a = Tensor::randn({9, 17}, rng);
-    Tensor x = Tensor::randn({17}, rng);
-    Tensor y = ops::gemv(a, x);
-    for (int64_t i = 0; i < 9; ++i) {
-        double acc = 0;
-        for (int64_t k = 0; k < 17; ++k)
-            acc += static_cast<double>(a(i, k)) * x(k);
-        EXPECT_NEAR(y(i), acc, 1e-4);
-    }
-}
-
-TEST(Gemv, EmitsGemvClass)
-{
-    GpuDevice dev;
-    Profiler prof;
-    dev.addObserver(&prof);
-    Rng rng(7);
-    Tensor a = Tensor::randn({64, 32}, rng);
-    Tensor x = Tensor::randn({32}, rng);
-    {
-        ContextGuard guard(&dev);
-        ops::gemv(a, x);
-    }
-    EXPECT_EQ(prof.classStats(OpClass::Gemv).launches, 1);
-}

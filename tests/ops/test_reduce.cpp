@@ -51,16 +51,6 @@ TEST(Reduce, SegmentSum)
     EXPECT_FLOAT_EQ(out(2, 1), 9.0f);
 }
 
-TEST(Reduce, SegmentMax)
-{
-    Tensor src = Tensor::fromVector({3, 1}, {5, -2, 7});
-    std::vector<int32_t> offsets = {0, 2, 2, 3};
-    Tensor out = ops::segmentMaxRows(src, offsets);
-    EXPECT_FLOAT_EQ(out(0, 0), 5.0f);
-    EXPECT_FLOAT_EQ(out(1, 0), 0.0f); // empty segment yields 0
-    EXPECT_FLOAT_EQ(out(2, 0), 7.0f);
-}
-
 TEST(Reduce, RowBroadcasts)
 {
     Tensor a = Tensor::fromVector({2, 2}, {2, 4, 6, 8});

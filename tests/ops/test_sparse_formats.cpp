@@ -56,7 +56,7 @@ expectAllFormatsEqual(const CsrMatrix &csr, int64_t f, uint64_t seed)
     const Tensor ref = ops::spmm(base, b);
     for (SparseFormat format :
          {SparseFormat::Coo, SparseFormat::BlockedEll}) {
-        const SparseMatrix m = base.toFormat(format);
+        const SparseMatrix m = SparseMatrix::fromCsr(csr, format);
         const Tensor out = ops::spmm(m, b);
         EXPECT_TRUE(bitwiseEqual(ref, out))
             << "format " << sparseFormatName(format)
@@ -137,7 +137,7 @@ TEST(SpmmFormats, EachFormatEmitsItsOwnSimKernel)
         dev.addObserver(&prof);
         {
             ContextGuard guard(&dev);
-            ops::spmm(SparseMatrix(csr).toFormat(formats[i]), b);
+            ops::spmm(SparseMatrix::fromCsr(csr, formats[i]), b);
         }
         const auto &kernels = prof.kernelStats();
         ASSERT_EQ(kernels.size(), 1u);

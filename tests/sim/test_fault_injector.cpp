@@ -52,41 +52,6 @@ TEST(FaultPlanDeath, RejectsInvalidMagnitudes)
         "timeSec >= 0");
 }
 
-TEST(FaultPlan, GenerateIsDeterministic)
-{
-    FaultRates rates;
-    rates.crashPerSec = 0.5;
-    rates.stragglerPerSec = 2.0;
-    rates.degradedLinkPerSec = 1.0;
-    rates.transientPerSec = 3.0;
-
-    Rng a(42), b(42);
-    FaultPlan pa = FaultPlan::generate(a, rates, 10.0, 4);
-    FaultPlan pb = FaultPlan::generate(b, rates, 10.0, 4);
-    ASSERT_EQ(pa.events().size(), pb.events().size());
-    EXPECT_FALSE(pa.empty());
-    for (size_t i = 0; i < pa.events().size(); ++i) {
-        EXPECT_EQ(static_cast<int>(pa.events()[i].kind),
-                  static_cast<int>(pb.events()[i].kind));
-        EXPECT_DOUBLE_EQ(pa.events()[i].timeSec,
-                         pb.events()[i].timeSec);
-        EXPECT_EQ(pa.events()[i].replica, pb.events()[i].replica);
-    }
-    for (const FaultEvent &e : pa.events()) {
-        EXPECT_GE(e.timeSec, 0.0);
-        EXPECT_LT(e.timeSec, 10.0);
-        EXPECT_GE(e.replica, 0);
-        EXPECT_LT(e.replica, 4);
-    }
-}
-
-TEST(FaultPlan, ZeroRatesGenerateNothing)
-{
-    Rng rng(1);
-    FaultPlan plan = FaultPlan::generate(rng, FaultRates{}, 100.0, 2);
-    EXPECT_TRUE(plan.empty());
-}
-
 TEST(FaultInjector, StragglerFactorWindowed)
 {
     FaultInjector inj(FaultPlan(
@@ -124,19 +89,6 @@ TEST(FaultInjector, PermanentCrashNeverHeals)
     EXPECT_TRUE(inj.crashed(1, 2.0));
     EXPECT_TRUE(inj.crashed(1, 1e9));
     EXPECT_FALSE(inj.crashed(0, 1e9));
-    EXPECT_EQ(inj.crashesUpTo(1.9).size(), 0u);
-    EXPECT_EQ(inj.crashesUpTo(2.5).size(), 1u);
-}
-
-TEST(FaultInjector, TransientFailuresCountedInWindow)
-{
-    FaultInjector inj(FaultPlan(
-        {event(FaultKind::TransientKernel, 1.0),
-         event(FaultKind::TransientKernel, 2.0),
-         event(FaultKind::TransientKernel, 3.0)}));
-    EXPECT_EQ(inj.transientFailures(0.0, 0.9), 0);
-    EXPECT_EQ(inj.transientFailures(0.0, 2.0), 2); // (t0, t1]
-    EXPECT_EQ(inj.transientFailures(2.0, 3.0), 1);
 }
 
 TEST(FaultInjector, ServiceFactorCrashDominatesStraggler)
@@ -167,45 +119,15 @@ TEST(FaultInjector, CrashTimeIsFirstCrashOrInfinity)
     EXPECT_TRUE(std::isinf(inj.crashTime(7)));
 }
 
-TEST(FaultInjector, NextTransitionAfterSeesStartsAndEnds)
-{
-    // Straggler [1, 1.5), crash at 2: transitions at 1, 1.5, 2.
-    FaultInjector inj(FaultPlan(
-        {event(FaultKind::Straggler, 1.0, 0, 0.5, 2.0),
-         event(FaultKind::ReplicaCrash, 2.0, 1)}));
-    EXPECT_DOUBLE_EQ(inj.nextTransitionAfter(0.0), 1.0);
-    EXPECT_DOUBLE_EQ(inj.nextTransitionAfter(1.0), 1.5);
-    EXPECT_DOUBLE_EQ(inj.nextTransitionAfter(1.5), 2.0);
-    EXPECT_TRUE(std::isinf(inj.nextTransitionAfter(2.0)));
-    EXPECT_TRUE(std::isinf(FaultInjector().nextTransitionAfter(0.0)));
-}
-
-TEST(FaultPlanDeath, GenerateRejectsBadRates)
-{
-    Rng rng(3);
-    FaultRates bad;
-    bad.crashPerSec = -0.5;
-    EXPECT_DEATH(FaultPlan::generate(rng, bad, 10.0, 2),
-                 "finite and >= 0");
-    bad.crashPerSec = std::numeric_limits<double>::infinity();
-    EXPECT_DEATH(FaultPlan::generate(rng, bad, 10.0, 2),
-                 "finite and >= 0");
-    EXPECT_DEATH(FaultPlan::generate(rng, FaultRates{}, 0.0, 2),
-                 "horizon");
-    EXPECT_DEATH(FaultPlan::generate(rng, FaultRates{}, 10.0, 0),
-                 "world");
-}
-
 TEST(FaultPlanIo, TextRoundTripIsExact)
 {
-    Rng rng(11);
-    FaultRates rates;
-    rates.crashPerSec = 0.3;
-    rates.stragglerPerSec = 2.0;
-    rates.degradedLinkPerSec = 1.0;
-    rates.transientPerSec = 4.0;
-    FaultPlan plan = FaultPlan::generate(rng, rates, 8.0, 4);
-    ASSERT_FALSE(plan.empty());
+    // Every kind, with doubles that need all 17 significant digits.
+    const FaultPlan plan(
+        {event(FaultKind::Straggler, 1.0 / 3.0, 2, 0.1 + 0.2,
+               1.0 + 3.0 / 7.0),
+         event(FaultKind::ReplicaCrash, std::nextafter(2.0, 3.0), 3),
+         event(FaultKind::DegradedLink, 0.7, 0, 1.0 / 9.0, 0.25 / 3.0),
+         event(FaultKind::TransientKernel, 5.0 / 7.0)});
 
     const std::string text = faultPlanToText(plan);
     FaultPlan back = faultPlanFromText(text, "round-trip");

@@ -17,7 +17,7 @@ TEST(Interconnect, ZeroBytesIsFree)
 {
     Interconnect ic;
     EXPECT_EQ(ic.allReduceTime(0, 4), 0.0);
-    EXPECT_EQ(ic.p2pTime(0), 0.0);
+    EXPECT_EQ(ic.broadcastTime(0, 4), 0.0);
 }
 
 TEST(Interconnect, AllReduceMonotoneInBytes)
@@ -54,14 +54,6 @@ TEST(Interconnect, BroadcastLogHops)
     double two = ic.broadcastTime(75e9, 2);
     double four = ic.broadcastTime(75e9, 4);
     EXPECT_NEAR(four / two, 2.0, 1e-9);
-}
-
-TEST(Interconnect, P2pUsesRingBandwidth)
-{
-    InterconnectConfig cfg;
-    cfg.messageLatencySec = 0.0;
-    Interconnect ic(cfg);
-    EXPECT_NEAR(ic.p2pTime(75e9), 1.0, 1e-9);
 }
 
 TEST(Interconnect, MoreGpusCostMoreLatencySteps)

@@ -144,20 +144,6 @@ TEST(Profiler, KernelStatsKeyedByName)
     EXPECT_DOUBLE_EQ(stats.at("gemm_64").timeSec, 0.003);
 }
 
-TEST(Profiler, ResetClearsEverything)
-{
-    Profiler p;
-    p.onKernel(record("a", OpClass::Gemm, 1.0, 100, 100, 100));
-    TransferRecord t;
-    t.bytes = 10;
-    p.onTransfer(t);
-    p.reset();
-    EXPECT_EQ(p.totalLaunches(), 0);
-    EXPECT_EQ(p.totalKernelTimeSec(), 0);
-    EXPECT_EQ(p.totalTransferBytes(), 0);
-    EXPECT_TRUE(p.sparsityTimeline().empty());
-}
-
 TEST(Profiler, IpcIsCycleWeighted)
 {
     Profiler p;
@@ -216,6 +202,8 @@ TEST(Profiler, EmptyRunReportsZeroesNotNaN)
 TEST(Profiler, ZeroTimeKernelsDoNotPoisonAggregates)
 {
     Profiler p;
+    EXPECT_EQ(p.totalLaunches(), 0);
+    EXPECT_TRUE(std::isfinite(p.avgIpc()));
     // A degenerate kernel: zero time, zero cycles, zero instructions.
     p.onKernel(record("noop", OpClass::Other, 0.0));
     p.onKernel(record("real", OpClass::Gemm, 0.001, /*fp32=*/100));
@@ -227,13 +215,4 @@ TEST(Profiler, ZeroTimeKernelsDoNotPoisonAggregates)
     // All measured time belongs to the real kernel.
     EXPECT_DOUBLE_EQ(
         p.opTimeBreakdown()[static_cast<size_t>(OpClass::Gemm)], 1.0);
-}
-
-TEST(Profiler, ResetAfterResetStaysClean)
-{
-    Profiler p;
-    p.reset();
-    p.reset();
-    EXPECT_EQ(p.totalLaunches(), 0);
-    EXPECT_TRUE(std::isfinite(p.avgIpc()));
 }

@@ -52,18 +52,6 @@ TEST(SimStream, ReadyTimeDelaysStart)
     EXPECT_EQ(late.endSec, 11.0);
 }
 
-TEST(SimStream, EventsCarryCompletionAcrossStreams)
-{
-    SimStream compute, comm;
-    compute.enqueue("fwd", 0.0, 4.0);
-    const SimEvent done = compute.recordEvent();
-    EXPECT_EQ(done.timeSec, 4.0);
-    comm.waitEvent(done);
-    const StreamOp &op = comm.enqueue("reduce", 0.0, 1.0);
-    EXPECT_EQ(op.startSec, 4.0);
-    EXPECT_EQ(op.endSec, 5.0);
-}
-
 TEST(IterationTimeline, WallClockMapsTransferPrologueAndKernels)
 {
     IterationTimeline t;
@@ -187,15 +175,4 @@ TEST(TimelineCollector, MultipleBackwardSegmentsAccumulate)
     ASSERT_EQ(t.backwardKernelEnds.size(), 2u);
     EXPECT_DOUBLE_EQ(t.backwardKernelEnds[0], 1.5);
     EXPECT_DOUBLE_EQ(t.backwardKernelEnds[1], 2.0);
-}
-
-TEST(TimelineCollector, ResetDropsState)
-{
-    TimelineCollector c(1e-6);
-    c.onPhase(PhaseMark::IterationBegin);
-    c.onKernel(kernel(1.0));
-    c.reset();
-    EXPECT_TRUE(c.iterations().empty());
-    c.onKernel(kernel(1.0)); // back to warm-up: ignored
-    EXPECT_TRUE(c.iterations().empty());
 }

@@ -220,26 +220,6 @@ TEST(ChromeTrace, MergedTraceCarriesDeviceWorkerAndHostLanes)
     EXPECT_TRUE(thread_names.count("worker-0")) << all_names;
 }
 
-TEST(ChromeTrace, RankLanesAndMirroring)
-{
-    ChromeTraceWriter writer;
-    writer.onKernel(kernel("k0", 1e-6));
-    writer.setRank(1);
-    writer.onKernel(kernel("k1", 2e-6));
-    writer.setRank(0);
-    writer.onKernel(kernel("k0b", 3e-6));
-
-    const std::string doc = writer.json();
-    // Rank 0 keeps tid 0; rank 1's kernels run on tid 2.
-    EXPECT_NE(doc.find("\"tid\":0,\"name\":\"k0\""), std::string::npos);
-    EXPECT_NE(doc.find("\"tid\":2,\"name\":\"k1\""), std::string::npos);
-    EXPECT_NE(doc.find("\"name\":\"kernels rank 1\""),
-              std::string::npos);
-    // Per-rank clocks are independent: k0b starts at rank 0's 1 us.
-    EXPECT_NE(doc.find("\"ts\":1.0000,\"dur\":3.0000"),
-              std::string::npos);
-}
-
 TEST(ChromeTrace, MirrorDeviceLanesCopiesRankZero)
 {
     ChromeTraceWriter writer;
