@@ -30,11 +30,28 @@ validateConfig(const GpuConfig &cfg)
     if (cfg.simSmCount < 1 || cfg.simSmCount > cfg.numSms)
         return strfmt("need 1 <= detailed SMs (%d) <= SMs (%d)",
                       cfg.simSmCount, cfg.numSms);
-    const std::string l1 = validateCache("L1", cfg.l1SizeBytes,
-                                         cfg.l1Assoc, cfg.cacheLineBytes);
-    return l1.empty() ? validateCache("L2", cfg.l2SizeBytes, cfg.l2Assoc,
-                                      cfg.cacheLineBytes)
-                      : l1;
+    if (cfg.maxWarpsPerSm < 1 || cfg.maxBlocksPerSm < 1)
+        return strfmt("need at least one resident warp (%d) and block "
+                      "(%d) per SM",
+                      cfg.maxWarpsPerSm, cfg.maxBlocksPerSm);
+    const struct
+    {
+        const char *name;
+        uint64_t bytes;
+        int assoc;
+    } caches[] = {
+        {"L1", cfg.l1SizeBytes, cfg.l1Assoc},
+        {"L2", cfg.l2SizeBytes, cfg.l2Assoc},
+        {"L0I", cfg.l0ISizeBytes, cfg.l0IAssoc},
+        {"L1I", cfg.l1ISizeBytes, kL1IAssoc},
+    };
+    for (const auto &cache : caches) {
+        std::string problem = validateCache(cache.name, cache.bytes,
+                                            cache.assoc, cfg.cacheLineBytes);
+        if (!problem.empty())
+            return problem;
+    }
+    return "";
 }
 
 GpuConfig

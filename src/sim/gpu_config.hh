@@ -93,9 +93,13 @@ struct GpuConfig
     double clockHz() const { return clockGhz * 1e9; }
 };
 
+/** Ways of the per-SM L1 I-cache, which has no GpuConfig field. */
+inline constexpr int kL1IAssoc = 4;
+
 /**
- * "" when GpuDevice can be built from `cfg` (SM counts, L1/L2 geometry
- * and a size cap per cache), else a one-line description of the problem.
+ * "" when GpuDevice can be built from `cfg` and its warp pipeline can
+ * run (SM counts, resident warp and block limits, the geometry and a
+ * size cap of every cache), else a one-line description of the problem.
  */
 std::string validateConfig(const GpuConfig &cfg);
 

@@ -63,7 +63,7 @@ WarpPipeline::run(const std::vector<const WarpTrace *> &warps,
     // DRAM — the expensive path behind the paper's instruction-fetch
     // stalls on short kernels.
     CacheModel l0i(cfg_.l0ISizeBytes, cfg_.l0IAssoc, cfg_.cacheLineBytes);
-    CacheModel l1i(cfg_.l1ISizeBytes, 4, cfg_.cacheLineBytes);
+    CacheModel l1i(cfg_.l1ISizeBytes, kL1IAssoc, cfg_.cacheLineBytes);
     const uint64_t code_bytes = std::max<uint64_t>(
         static_cast<uint64_t>(desc.codeBytes), cfg_.cacheLineBytes);
     // Kernel code sizes are almost always powers of two; mask instead

@@ -333,6 +333,11 @@ decodeHeader(ByteCursor &in)
     for (uint64_t i = 0; i < losses; ++i)
         h.losses.push_back(in.f32());
     h.config = decodeGpuConfig(in);
+    const std::string problem = validateConfig(h.config);
+    if (!problem.empty()) {
+        in.fail(IoError::Kind::Corrupt,
+                "recorded GPU config cannot be simulated: " + problem);
+    }
     return h;
 }
 

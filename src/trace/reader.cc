@@ -81,8 +81,18 @@ parseTrace(const std::vector<uint8_t> &bytes, const std::string &context)
             payload.fail(IoError::Kind::Corrupt,
                          "implausible event count");
         trace.events.reserve(static_cast<size_t>(events));
-        for (uint64_t i = 0; i < events; ++i)
+        const int max_warps = trace.header.config.maxWarpsPerSm;
+        for (uint64_t i = 0; i < events; ++i) {
             trace.events.push_back(decodeEvent(payload, strings));
+            const auto *launch =
+                std::get_if<LaunchEvent>(&trace.events.back());
+            if (launch != nullptr && launch->warpsPerBlock > max_warps) {
+                payload.fail(IoError::Kind::Corrupt,
+                             "launch '" + launch->name +
+                                 "' has more warps per block than the "
+                                 "recorded config's warps per SM");
+            }
+        }
         if (!payload.exhausted()) {
             payload.fail(IoError::Kind::Corrupt,
                          "unread bytes after the last event");

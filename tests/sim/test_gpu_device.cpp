@@ -227,4 +227,17 @@ TEST(GpuConfig, ValidateAcceptsPresetsAndRejectsImpossibleGeometry)
     cfg = GpuConfig{};
     cfg.cacheLineBytes = 96;
     EXPECT_NE(validateConfig(cfg).find("96 B lines"), std::string::npos);
+    cfg = GpuConfig{};
+    cfg.maxWarpsPerSm = 0;
+    EXPECT_NE(validateConfig(cfg).find("resident warp"), std::string::npos);
+    cfg = GpuConfig{};
+    cfg.maxBlocksPerSm = 0;
+    EXPECT_NE(validateConfig(cfg).find("resident warp"), std::string::npos);
+    cfg = GpuConfig{};
+    cfg.l0IAssoc = 0;
+    EXPECT_NE(validateConfig(cfg).find("L0I of"), std::string::npos);
+    cfg = GpuConfig{};
+    cfg.l1ISizeBytes = 640; // not a multiple of 128 B x 4 ways
+    EXPECT_NE(validateConfig(cfg).find("L1I of 640 B, 4-way"),
+              std::string::npos);
 }

@@ -64,7 +64,45 @@ makeTrace()
     return trace;
 }
 
+/** Kind of the IoError parseTrace throws on `trace`'s own bytes. */
+IoError::Kind
+parseKind(const RecordedTrace &trace)
+{
+    try {
+        (void)parseTrace(serializeTrace(trace), "in-memory trace");
+    } catch (const IoError &e) {
+        return e.kind();
+    }
+    ADD_FAILURE() << "parseTrace accepted a trace the simulator cannot "
+                     "replay";
+    return IoError::Kind::OpenFailed;
+}
+
 } // namespace
+
+// A trace with a valid checksum can still record a configuration or a
+// launch the simulator would assert on; decoding rejects it instead.
+TEST(TraceDecode, UnbuildableL2IsCorrupt)
+{
+    RecordedTrace trace = makeTrace();
+    trace.header.config.l2Assoc = 0;
+    EXPECT_EQ(parseKind(trace), IoError::Kind::Corrupt);
+}
+
+TEST(TraceDecode, UnbuildableL0ICacheIsCorrupt)
+{
+    RecordedTrace trace = makeTrace();
+    trace.header.config.l0IAssoc = 0;
+    EXPECT_EQ(parseKind(trace), IoError::Kind::Corrupt);
+}
+
+TEST(TraceDecode, BlockWiderThanAnSmIsCorrupt)
+{
+    RecordedTrace trace = makeTrace();
+    ASSERT_EQ(trace.header.config.maxWarpsPerSm, 64);
+    std::get<LaunchEvent>(trace.events[2]).warpsPerBlock = 65;
+    EXPECT_EQ(parseKind(trace), IoError::Kind::Corrupt);
+}
 
 class TraceFile : public ::testing::Test
 {
