@@ -54,21 +54,6 @@ benchOptions()
     return opt;
 }
 
-/**
- * Inference-mode twin of benchOptions(): forward passes only, the
- * shorter iteration budget the inference-path benches share. The
- * training/inference contrast bench and the serving bench both start
- * from this so the two stay on the same configuration.
- */
-inline RunOptions
-inferenceOptions()
-{
-    RunOptions opt = benchOptions();
-    opt.iterations = 4;
-    opt.inferenceOnly = true;
-    return opt;
-}
-
 } // namespace bench
 } // namespace gnnmark
 

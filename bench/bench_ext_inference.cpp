@@ -32,7 +32,10 @@ gemmShare(const WorkloadProfile &p)
 int
 main()
 {
-    RunOptions infer = bench::inferenceOptions();
+    // Forward passes only, at a shorter iteration budget.
+    RunOptions infer = bench::benchOptions();
+    infer.iterations = 4;
+    infer.inferenceOnly = true;
     RunOptions train = infer;
     train.inferenceOnly = false;
 

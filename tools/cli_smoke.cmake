@@ -1,9 +1,9 @@
 # CLI contract smoke test, run under ctest: bad invocations must exit
 # with the usage status (2) and good ones with 0. Invoke as
 #   cmake -DGNNMARK_BIN=<path-to-gnnmark> -DBENCH_BIN=<a bench binary>
-#         -P cli_smoke.cmake
+#         -DPINNED_BENCH_BIN=<a gate producer> -P cli_smoke.cmake
 
-foreach(var GNNMARK_BIN BENCH_BIN)
+foreach(var GNNMARK_BIN BENCH_BIN PINNED_BENCH_BIN)
     if(NOT DEFINED ${var})
         message(FATAL_ERROR "pass -D${var}=...")
     endif()
@@ -75,6 +75,15 @@ foreach(env GNNMARK_SCALE=abc GNNMARK_ITERS=4x)
             "${env} ${BENCH_BIN}: expected exit 2, got '${rv}'")
     endif()
 endforeach()
+# A gate producer pins its own configuration and never reads them.
+execute_process(
+    COMMAND ${CMAKE_COMMAND} -E env GNNMARK_SCALE=abc ${PINNED_BENCH_BIN}
+    RESULT_VARIABLE rv
+    OUTPUT_QUIET ERROR_QUIET)
+if(NOT rv EQUAL 0)
+    message(FATAL_ERROR
+        "GNNMARK_SCALE=abc ${PINNED_BENCH_BIN}: expected exit 0, got '${rv}'")
+endif()
 
 # A short serving run with every robustness mechanism engaged, plus
 # the save-plan/load-plan round trip on the faults scenario.
