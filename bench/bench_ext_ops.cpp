@@ -68,22 +68,6 @@ denseOperand(Rng &rng, int64_t elems)
     return v;
 }
 
-CsrMatrix
-randomCsr(Rng &rng, int64_t rows, int64_t cols, double density)
-{
-    std::vector<std::tuple<int32_t, int32_t, float>> triples;
-    for (int64_t r = 0; r < rows; ++r) {
-        for (int64_t c = 0; c < cols; ++c) {
-            if (rng.bernoulli(density)) {
-                triples.emplace_back(static_cast<int32_t>(r),
-                                     static_cast<int32_t>(c),
-                                     rng.uniform(-1.0f, 1.0f));
-            }
-        }
-    }
-    return csrFromTriples(rows, cols, std::move(triples));
-}
-
 uint64_t
 checksumFloats(const std::vector<float> &v)
 {
@@ -183,7 +167,7 @@ main(int argc, char **argv)
     for (const SpmmCase &sc : spmm_cases) {
         Rng rng(2000 + sc.rows);
         const CsrMatrix csr =
-            randomCsr(rng, sc.rows, sc.cols, sc.density);
+            uniformCsr(rng, sc.rows, sc.cols, sc.density);
         const CooMatrix coo = cooFromCsr(csr);
         const BlockedEllMatrix bell = bellFromCsr(csr);
         const std::vector<float> b =

@@ -7,7 +7,9 @@
 #include "base/logging.hh"
 #include "base/thread_pool.hh"
 #include "obs/span.hh"
+#include "ops/cpu_kernels.hh"
 #include "ops/exec_context.hh"
+#include "ops/gemm.hh"
 #include "ops/kernel_common.hh"
 
 namespace gnnmark {
@@ -266,6 +268,26 @@ col2im(const std::vector<float> &dpatches, const ConvDims &d, int pad,
     });
 }
 
+/** Transpose each of the d.n per-image [rows, cols] blocks of src. */
+void
+transposeImages(const float *src, float *dst, const ConvDims &d,
+                int64_t rows, int64_t cols)
+{
+    for (int64_t n = 0; n < d.n; ++n) {
+        kern::transpose(src + n * rows * cols, dst + n * rows * cols,
+                        rows, cols);
+    }
+}
+
+/** grad_out [N, K, OH, OW] laid out as GEMM rows [N*OH*OW, K]. */
+std::vector<float>
+gradRows(const Tensor &grad_out, const ConvDims &d)
+{
+    std::vector<float> rows(d.n * d.oh * d.ow * d.k);
+    transposeImages(grad_out.data(), rows.data(), d, d.k, d.oh * d.ow);
+    return rows;
+}
+
 } // namespace
 
 Tensor
@@ -279,37 +301,14 @@ conv2d(const Tensor &input, const Tensor &weight, int pad)
     const int64_t gemm_k = d.c * d.r * d.s;
     std::vector<float> patches = im2col(input, d, pad);
 
-    // W transposed once so the inner product streams contiguously.
+    // rows [N*OH*OW, K] = patches [N*OH*OW, C*R*S] x W^T [C*R*S, K];
+    // each image's [OH*OW, K] block of rows transposes into its
+    // [K, OH, OW] output slice.
     std::vector<float> wt(gemm_k * d.k);
-    const float *w = weight.data();
-    for (int64_t ko = 0; ko < d.k; ++ko) {
-        for (int64_t kk = 0; kk < gemm_k; ++kk)
-            wt[kk * d.k + ko] = w[ko * gemm_k + kk];
-    }
-
-    // out_mat[m][ko] = sum_k patches[m][k] * wt[k][ko], written back
-    // in NKHW order. Each chunk owns its output pixels outright.
-    const int64_t ohow = d.oh * d.ow;
-    float *po = out.data();
-    parallel_for(0, gemm_m, 32, [&](int64_t m0, int64_t m1) {
-        std::vector<float> out_row(d.k);
-        for (int64_t m = m0; m < m1; ++m) {
-            std::fill(out_row.begin(), out_row.end(), 0.0f);
-            const float *prow = patches.data() + m * gemm_k;
-            for (int64_t kk = 0; kk < gemm_k; ++kk) {
-                const float p = prow[kk];
-                if (p == 0.0f)
-                    continue;
-                const float *wrow = wt.data() + kk * d.k;
-                for (int64_t ko = 0; ko < d.k; ++ko)
-                    out_row[ko] += p * wrow[ko];
-            }
-            const int64_t n = m / ohow;
-            const int64_t pix = m % ohow;
-            for (int64_t ko = 0; ko < d.k; ++ko)
-                po[(n * d.k + ko) * ohow + pix] = out_row[ko];
-        }
-    });
+    kern::transpose(weight.data(), wt.data(), d.k, gemm_k);
+    std::vector<float> rows(gemm_m * d.k, 0.0f);
+    hostGemm(patches.data(), wt.data(), rows.data(), gemm_m, d.k, gemm_k);
+    transposeImages(rows.data(), out.data(), d, d.oh * d.ow, d.k);
     emitConvKernel("conv2d_fwd", d, input.deviceAddr(),
                    weight.deviceAddr(), out.deviceAddr());
     return out;
@@ -331,27 +330,13 @@ conv2dGradInput(const Tensor &grad_out, const Tensor &weight,
     Tensor gin = Tensor::zeros({d.n, d.c, d.h, d.w});
     const int64_t gemm_m = d.n * d.oh * d.ow;
     const int64_t gemm_k = d.c * d.r * d.s;
-    const int64_t ohow = d.oh * d.ow;
 
-    // dP[m][k] = sum_ko gout[m][ko] * W[ko][k], then col2im.
+    // dP [N*OH*OW, C*R*S] = grad rows [N*OH*OW, K] x W [K, C*R*S],
+    // then col2im.
+    const std::vector<float> grows = gradRows(grad_out, d);
     std::vector<float> dpatches(gemm_m * gemm_k, 0.0f);
-    const float *go = grad_out.data();
-    const float *w = weight.data();
-    parallel_for(0, gemm_m, 32, [&](int64_t m0, int64_t m1) {
-        for (int64_t m = m0; m < m1; ++m) {
-            const int64_t n = m / ohow;
-            const int64_t pix = m % ohow;
-            float *drow = dpatches.data() + m * gemm_k;
-            for (int64_t ko = 0; ko < d.k; ++ko) {
-                const float g = go[(n * d.k + ko) * ohow + pix];
-                if (g == 0.0f)
-                    continue;
-                const float *wrow = w + ko * gemm_k;
-                for (int64_t kk = 0; kk < gemm_k; ++kk)
-                    drow[kk] += g * wrow[kk];
-            }
-        }
-    });
+    hostGemm(grows.data(), weight.data(), dpatches.data(), gemm_m,
+             gemm_k, d.k);
     col2im(dpatches, d, pad, gin);
     emitConvKernel("conv2d_bwd_data", d, grad_out.deviceAddr(),
                    weight.deviceAddr(), gin.deviceAddr());
@@ -367,34 +352,25 @@ conv2dGradWeight(const Tensor &grad_out, const Tensor &input,
     Tensor gw = Tensor::empty({d.k, d.c, d.r, d.s});
     const int64_t gemm_m = d.n * d.oh * d.ow;
     const int64_t gemm_k = d.c * d.r * d.s;
-    const int64_t ohow = d.oh * d.ow;
 
-    // dW[ko][k] = sum_m gout[m][ko] * P[m][k]. The filter gradient is
-    // shared across all m, so chunks accumulate private copies that
-    // are combined in fixed chunk order (thread-count independent; a
+    // dW [K, C*R*S] = grad rows^T [K, N*OH*OW] x P [N*OH*OW, C*R*S].
+    // The filter gradient is shared across all rows, so each 512-row
+    // chunk is one GEMM into a private copy, and the copies are
+    // combined in fixed chunk order (thread-count independent; a
     // single chunk reproduces the serial order exactly).
     std::vector<float> patches = im2col(input, d, pad);
-    const float *go = grad_out.data();
-    float *pw = gw.data();
+    const std::vector<float> grows = gradRows(grad_out, d);
     const int64_t wg_elems = d.k * gemm_k;
     using Acc = std::vector<float>;
     Acc dw = parallel_reduce(
         0, gemm_m, 512, Acc(wg_elems, 0.0f),
         [&](int64_t m0, int64_t m1) {
+            std::vector<float> gt(d.k * (m1 - m0));
+            kern::transpose(grows.data() + m0 * d.k, gt.data(), m1 - m0,
+                            d.k);
             Acc local(wg_elems, 0.0f);
-            for (int64_t m = m0; m < m1; ++m) {
-                const int64_t n = m / ohow;
-                const int64_t pix = m % ohow;
-                const float *prow = patches.data() + m * gemm_k;
-                for (int64_t ko = 0; ko < d.k; ++ko) {
-                    const float g = go[(n * d.k + ko) * ohow + pix];
-                    if (g == 0.0f)
-                        continue;
-                    float *wrow = local.data() + ko * gemm_k;
-                    for (int64_t kk = 0; kk < gemm_k; ++kk)
-                        wrow[kk] += g * prow[kk];
-                }
-            }
+            hostGemm(gt.data(), patches.data() + m0 * gemm_k,
+                     local.data(), d.k, gemm_k, m1 - m0);
             return local;
         },
         [&](Acc acc, const Acc &local) {
@@ -402,7 +378,7 @@ conv2dGradWeight(const Tensor &grad_out, const Tensor &input,
                 acc[i] += local[i];
             return acc;
         });
-    std::copy(dw.begin(), dw.end(), pw);
+    std::copy(dw.begin(), dw.end(), gw.data());
     emitConvKernel("conv2d_bwd_filter", d, grad_out.deviceAddr(),
                    input.deviceAddr(), gw.deviceAddr());
     return gw;

@@ -262,6 +262,17 @@ gemmTiled(const float *a, const float *b, float *c, int64_t m,
 }
 
 void
+transpose(const float *src, float *dst, int64_t rows, int64_t cols)
+{
+    parallel_for(0, rows, 64, [&](int64_t r0, int64_t r1) {
+        for (int64_t i = r0; i < r1; ++i) {
+            for (int64_t j = 0; j < cols; ++j)
+                dst[j * rows + i] = src[i * cols + j];
+        }
+    });
+}
+
+void
 spmmCsrScalar(const CsrMatrix &a, const float *b, float *c, int64_t f)
 {
     parallel_for(0, a.rows, 64, [&](int64_t r0, int64_t r1) {

@@ -1,10 +1,10 @@
 /**
  * @file
- * Host compute kernels behind ops::gemm / ops::spmm — the scalar
- * baselines plus the register-tiled / vectorized variants selected by
- * ops::Dispatch. Exposed as raw array kernels (no sim emission, no
- * dispatch) so bench_ext_ops and the calibration pass can time and
- * cross-check them in isolation.
+ * Host compute kernels behind ops::gemm, ops::conv2d and ops::spmm —
+ * the scalar baselines plus the register-tiled / vectorized variants
+ * selected by ops::Dispatch — and the one host transpose. Exposed as
+ * raw array kernels (no sim emission, no dispatch) so bench_ext_ops
+ * and the calibration pass can time and cross-check them in isolation.
  *
  * Bit-compatibility contract: for a given operand set, every variant
  * of an op produces bitwise-identical fp32 output. This holds because
@@ -46,6 +46,10 @@ void gemmNaive(const float *a, const float *b, float *c, int64_t m,
 void gemmTiled(const float *a, const float *b, float *c, int64_t m,
                int64_t n, int64_t k);
 /** @} */
+
+/** dst [cols, rows] = the transpose of row-major src [rows, cols]:
+ *  pure copies, parallel over source rows. */
+void transpose(const float *src, float *dst, int64_t rows, int64_t cols);
 
 /**
  * @{ C = A * B for sparse A and row-major dense B [A.cols, f] into

@@ -128,23 +128,6 @@ probeDense(Rng &rng, int64_t elems, double zero_frac)
     return v;
 }
 
-/** Seeded sparse probe matrix. */
-CsrMatrix
-probeCsr(Rng &rng, int64_t rows, int64_t cols, double density)
-{
-    std::vector<std::tuple<int32_t, int32_t, float>> triples;
-    for (int64_t r = 0; r < rows; ++r) {
-        for (int64_t c = 0; c < cols; ++c) {
-            if (rng.bernoulli(density)) {
-                triples.emplace_back(static_cast<int32_t>(r),
-                                     static_cast<int32_t>(c),
-                                     rng.uniform(-1.0f, 1.0f));
-            }
-        }
-    }
-    return csrFromTriples(rows, cols, std::move(triples));
-}
-
 } // namespace
 
 Dispatch::Dispatch() : impl_(new Impl)
@@ -209,7 +192,7 @@ Dispatch::ensureCalibrated()
     // SpMM probe across every format and both CSR flavours.
     {
         const int64_t rows = 96, cols = 80, f = 40;
-        const CsrMatrix csr = probeCsr(rng, rows, cols, 0.1);
+        const CsrMatrix csr = uniformCsr(rng, rows, cols, 0.1);
         const CooMatrix coo = cooFromCsr(csr);
         const BlockedEllMatrix bell = bellFromCsr(csr);
         const std::vector<float> b = probeDense(rng, cols * f, 0.0);

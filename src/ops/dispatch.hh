@@ -1,11 +1,12 @@
 /**
  * @file
  * Runtime variant selector for the host compute kernels (the op
- * autotuning layer, ROADMAP item 4). ops::gemm / ops::spmm ask the
- * Dispatch singleton which kernel flavour to run for the operands at
- * hand; the choice is keyed on measured shape and sparsity through a
- * deterministic closed-form cost model, so a given workload always
- * picks the same variants on every run and every thread count.
+ * autotuning layer, ROADMAP item 4). ops::hostGemm (behind ops::gemm
+ * and ops::conv2d) and ops::spmm ask the Dispatch singleton which
+ * kernel flavour to run for the operands at hand; the choice is keyed
+ * on measured shape and sparsity through a deterministic closed-form
+ * cost model, so a given workload always picks the same variants on
+ * every run and every thread count.
  *
  * Selection contract (documented in DESIGN.md):
  *  1. `GNNMARK_OP_VARIANT` (e.g. "gemm=naive,spmm=vector") pins a

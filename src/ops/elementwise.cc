@@ -5,6 +5,7 @@
 #include "base/logging.hh"
 #include "base/thread_pool.hh"
 #include "obs/span.hh"
+#include "ops/cpu_kernels.hh"
 #include "ops/kernel_common.hh"
 #include "ops/lanes.hh"
 
@@ -349,17 +350,8 @@ transpose2d(const Tensor &a)
 {
     GNN_ASSERT(a.dim() == 2, "transpose2d needs a 2-d tensor, got %s",
                a.shapeString().c_str());
-    const int64_t n = a.size(0);
-    const int64_t m = a.size(1);
-    Tensor c = Tensor::empty({m, n});
-    const float *pa = a.data();
-    float *pc = c.data();
-    parallel_for(0, m, 64, [&](int64_t j0, int64_t j1) {
-        for (int64_t i = 0; i < n; ++i) {
-            for (int64_t j = j0; j < j1; ++j)
-                pc[j * n + i] = pa[i * m + j];
-        }
-    });
+    Tensor c = Tensor::empty({a.size(1), a.size(0)});
+    kern::transpose(a.data(), c.data(), a.size(0), a.size(1));
     emitMap("ew_transpose", {&a}, {&c}, 0, 0, 4);
     return c;
 }

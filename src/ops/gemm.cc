@@ -1,10 +1,8 @@
 #include "ops/gemm.hh"
 
 #include <algorithm>
-#include <vector>
 
 #include "base/logging.hh"
-#include "base/thread_pool.hh"
 #include "obs/span.hh"
 #include "ops/cpu_kernels.hh"
 #include "ops/dispatch.hh"
@@ -21,16 +19,10 @@ namespace {
  *  natively). Under the caching arena the workspace block is reused
  *  across iterations instead of malloc'd per call. */
 Tensor
-hostTranspose(const float *src, int64_t rows, int64_t cols)
+hostTranspose(const Tensor &src)
 {
-    Tensor out = Tensor::empty({cols, rows});
-    float *po = out.data();
-    parallel_for(0, rows, 64, [&](int64_t r0, int64_t r1) {
-        for (int64_t i = r0; i < r1; ++i) {
-            for (int64_t j = 0; j < cols; ++j)
-                po[j * rows + i] = src[i * cols + j];
-        }
-    });
+    Tensor out = Tensor::empty({src.size(1), src.size(0)});
+    kern::transpose(src.data(), out.data(), src.size(0), src.size(1));
     return out;
 }
 
@@ -175,30 +167,35 @@ gemm(const Tensor &a, const Tensor &b, GemmOpts opts)
     uint64_t a_addr = a.deviceAddr();
     uint64_t b_addr = b.deviceAddr();
     if (opts.trans_a) {
-        at = hostTranspose(a.data(), a.size(0), a.size(1));
+        at = hostTranspose(a);
         pa = at.data();
         a_addr = at.deviceAddr();
     }
     if (opts.trans_b) {
-        bt = hostTranspose(b.data(), b.size(0), b.size(1));
+        bt = hostTranspose(b);
         pb = bt.data();
         b_addr = bt.deviceAddr();
     }
 
-    // Pick the host variant from the shape and the sampled sparsity
-    // of the normalised A; every variant is bitwise-equal (see
-    // ops/cpu_kernels.hh), and each output row has exactly one
-    // writer, so the result is identical for any thread count.
     Tensor c = Tensor::zeros({m, n});
-    const GemmVariant variant = Dispatch::instance().chooseGemm(
-        m, n, k, Dispatch::sampledZeroFraction(pa, m * k));
-    if (variant == GemmVariant::Tiled)
-        kern::gemmTiled(pa, pb, c.data(), m, n, k);
-    else
-        kern::gemmNaive(pa, pb, c.data(), m, n, k);
-
+    hostGemm(pa, pb, c.data(), m, n, k);
     emitGemmKernel("gemm", m, n, k, a_addr, b_addr, c.deviceAddr());
     return c;
+}
+
+void
+hostGemm(const float *a, const float *b, float *c, int64_t m, int64_t n,
+         int64_t k)
+{
+    // Every variant is bitwise-equal (see ops/cpu_kernels.hh), and
+    // each output row has exactly one writer, so the result is
+    // identical for any thread count.
+    const GemmVariant variant = Dispatch::instance().chooseGemm(
+        m, n, k, Dispatch::sampledZeroFraction(a, m * k));
+    if (variant == GemmVariant::Tiled)
+        kern::gemmTiled(a, b, c, m, n, k);
+    else
+        kern::gemmNaive(a, b, c, m, n, k);
 }
 
 } // namespace ops

@@ -31,6 +31,14 @@ struct GemmOpts
  */
 Tensor gemm(const Tensor &a, const Tensor &b, GemmOpts opts = {});
 
+/**
+ * The host half of gemm: C = A * B for row-major A [m,k], B [k,n] into
+ * zero-initialised C [m,n], on the kern:: variant ops::Dispatch picks
+ * from the shape and the sampled sparsity of A. Emits no kernel.
+ */
+void hostGemm(const float *a, const float *b, float *c, int64_t m,
+              int64_t n, int64_t k);
+
 } // namespace ops
 } // namespace gnnmark
 

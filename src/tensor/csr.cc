@@ -4,6 +4,7 @@
 #include <tuple>
 
 #include "base/logging.hh"
+#include "base/rng.hh"
 
 namespace gnnmark {
 
@@ -96,6 +97,22 @@ csrFromTriples(int64_t rows, int64_t cols,
         m.rowPtr[r + 1] += m.rowPtr[r];
     m.validate();
     return m;
+}
+
+CsrMatrix
+uniformCsr(Rng &rng, int64_t rows, int64_t cols, double density)
+{
+    std::vector<std::tuple<int32_t, int32_t, float>> triples;
+    for (int64_t r = 0; r < rows; ++r) {
+        for (int64_t c = 0; c < cols; ++c) {
+            if (rng.bernoulli(density)) {
+                triples.emplace_back(static_cast<int32_t>(r),
+                                     static_cast<int32_t>(c),
+                                     rng.uniform(-1.0f, 1.0f));
+            }
+        }
+    }
+    return csrFromTriples(rows, cols, std::move(triples));
 }
 
 } // namespace gnnmark

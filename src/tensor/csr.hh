@@ -51,6 +51,14 @@ CsrMatrix csrFromTriples(int64_t rows, int64_t cols,
                          std::vector<std::tuple<int32_t, int32_t, float>>
                              triples);
 
+class Rng;
+
+/**
+ * A seeded random rows x cols matrix: cells are visited row-major and
+ * each is kept with probability `density`, valued uniform in [-1, 1).
+ */
+CsrMatrix uniformCsr(Rng &rng, int64_t rows, int64_t cols, double density);
+
 } // namespace gnnmark
 
 #endif // GNNMARK_TENSOR_CSR_HH

@@ -12,6 +12,7 @@
 #include "base/thread_pool.hh"
 #include "ops/batchnorm.hh"
 #include "ops/conv2d.hh"
+#include "ops/dispatch.hh"
 
 using namespace gnnmark;
 
@@ -139,6 +140,201 @@ bitwiseEqual(const Tensor &t, const std::vector<float> &want)
                        want.size() * sizeof(float)) == 0;
 }
 
+/** ReLU-like activations: a run of four zeros (some of them -0.0) in
+ *  every twenty values, and scattered -0.0 between uniform values. */
+std::vector<float>
+reluLike(Rng &rng, int64_t count)
+{
+    std::vector<float> v(count);
+    for (int64_t i = 0; i < count; ++i) {
+        const float u = rng.uniform(-1.0f, 1.0f);
+        if ((i / 4) % 5 == 0)
+            v[i] = i % 3 == 0 ? -0.0f : 0.0f;
+        else
+            v[i] = u < -0.8f ? -0.0f : u;
+    }
+    return v;
+}
+
+/** Convolution geometry of the reference loops below. */
+struct RefConvDims
+{
+    int64_t n, c, h, w; // input
+    int64_t k, r, s;    // filters
+    int64_t oh, ow;     // output
+};
+
+/** Patch matrix [N*OH*OW, C*R*S] of an NCHW input, zero-padded. */
+std::vector<float>
+referenceIm2col(const std::vector<float> &input, const RefConvDims &d,
+                int pad)
+{
+    const int64_t gemm_k = d.c * d.r * d.s;
+    std::vector<float> patches(d.n * d.oh * d.ow * gemm_k, 0.0f);
+    int64_t m = 0;
+    for (int64_t n = 0; n < d.n; ++n) {
+        for (int64_t oh = 0; oh < d.oh; ++oh) {
+            for (int64_t ow = 0; ow < d.ow; ++ow, ++m) {
+                for (int64_t c = 0; c < d.c; ++c) {
+                    for (int64_t r = 0; r < d.r; ++r) {
+                        const int64_t ih = oh + r - pad;
+                        for (int64_t sx = 0; sx < d.s; ++sx) {
+                            const int64_t iw = ow + sx - pad;
+                            if (ih >= 0 && ih < d.h && iw >= 0 &&
+                                iw < d.w) {
+                                patches[m * gemm_k + (c * d.r + r) * d.s +
+                                        sx] =
+                                    input[((n * d.c + c) * d.h + ih) *
+                                              d.w +
+                                          iw];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    return patches;
+}
+
+/*
+ * The hand-written GEMM loops conv2d ran before it moved onto the
+ * shared dispatched kernels, kept as the bitwise reference for the
+ * forward, grad-input and grad-weight results.
+ */
+
+std::vector<float>
+referenceConv2d(const std::vector<float> &input, const std::vector<float> &w,
+                const RefConvDims &d, int pad)
+{
+    const int64_t gemm_m = d.n * d.oh * d.ow;
+    const int64_t gemm_k = d.c * d.r * d.s;
+    std::vector<float> patches = referenceIm2col(input, d, pad);
+    std::vector<float> out(d.n * d.k * d.oh * d.ow);
+
+    std::vector<float> wt(gemm_k * d.k);
+    for (int64_t ko = 0; ko < d.k; ++ko) {
+        for (int64_t kk = 0; kk < gemm_k; ++kk)
+            wt[kk * d.k + ko] = w[ko * gemm_k + kk];
+    }
+
+    const int64_t ohow = d.oh * d.ow;
+    float *po = out.data();
+    parallel_for(0, gemm_m, 32, [&](int64_t m0, int64_t m1) {
+        std::vector<float> out_row(d.k);
+        for (int64_t m = m0; m < m1; ++m) {
+            std::fill(out_row.begin(), out_row.end(), 0.0f);
+            const float *prow = patches.data() + m * gemm_k;
+            for (int64_t kk = 0; kk < gemm_k; ++kk) {
+                const float p = prow[kk];
+                if (p == 0.0f)
+                    continue;
+                const float *wrow = wt.data() + kk * d.k;
+                for (int64_t ko = 0; ko < d.k; ++ko)
+                    out_row[ko] += p * wrow[ko];
+            }
+            const int64_t n = m / ohow;
+            const int64_t pix = m % ohow;
+            for (int64_t ko = 0; ko < d.k; ++ko)
+                po[(n * d.k + ko) * ohow + pix] = out_row[ko];
+        }
+    });
+    return out;
+}
+
+std::vector<float>
+referenceConv2dGradInput(const std::vector<float> &grad_out,
+                         const std::vector<float> &weight,
+                         const RefConvDims &d, int pad)
+{
+    const int64_t gemm_m = d.n * d.oh * d.ow;
+    const int64_t gemm_k = d.c * d.r * d.s;
+    const int64_t ohow = d.oh * d.ow;
+
+    std::vector<float> dpatches(gemm_m * gemm_k, 0.0f);
+    const float *go = grad_out.data();
+    const float *w = weight.data();
+    parallel_for(0, gemm_m, 32, [&](int64_t m0, int64_t m1) {
+        for (int64_t m = m0; m < m1; ++m) {
+            const int64_t n = m / ohow;
+            const int64_t pix = m % ohow;
+            float *drow = dpatches.data() + m * gemm_k;
+            for (int64_t ko = 0; ko < d.k; ++ko) {
+                const float g = go[(n * d.k + ko) * ohow + pix];
+                if (g == 0.0f)
+                    continue;
+                const float *wrow = w + ko * gemm_k;
+                for (int64_t kk = 0; kk < gemm_k; ++kk)
+                    drow[kk] += g * wrow[kk];
+            }
+        }
+    });
+
+    // col2im: patch rows accumulate into the input in ascending order.
+    std::vector<float> gin(d.n * d.c * d.h * d.w, 0.0f);
+    int64_t m = 0;
+    for (int64_t n = 0; n < d.n; ++n) {
+        for (int64_t oh = 0; oh < d.oh; ++oh) {
+            for (int64_t ow = 0; ow < d.ow; ++ow, ++m) {
+                const float *row = dpatches.data() + m * gemm_k;
+                for (int64_t c = 0; c < d.c; ++c) {
+                    for (int64_t r = 0; r < d.r; ++r) {
+                        const int64_t ih = oh + r - pad;
+                        for (int64_t sx = 0; sx < d.s; ++sx) {
+                            const int64_t iw = ow + sx - pad;
+                            if (ih >= 0 && ih < d.h && iw >= 0 &&
+                                iw < d.w) {
+                                gin[((n * d.c + c) * d.h + ih) * d.w +
+                                    iw] += row[(c * d.r + r) * d.s + sx];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    return gin;
+}
+
+std::vector<float>
+referenceConv2dGradWeight(const std::vector<float> &grad_out,
+                          const std::vector<float> &input,
+                          const RefConvDims &d, int pad)
+{
+    const int64_t gemm_m = d.n * d.oh * d.ow;
+    const int64_t gemm_k = d.c * d.r * d.s;
+    const int64_t ohow = d.oh * d.ow;
+
+    std::vector<float> patches = referenceIm2col(input, d, pad);
+    const float *go = grad_out.data();
+    const int64_t wg_elems = d.k * gemm_k;
+    using Acc = std::vector<float>;
+    return parallel_reduce(
+        0, gemm_m, 512, Acc(wg_elems, 0.0f),
+        [&](int64_t m0, int64_t m1) {
+            Acc local(wg_elems, 0.0f);
+            for (int64_t m = m0; m < m1; ++m) {
+                const int64_t n = m / ohow;
+                const int64_t pix = m % ohow;
+                const float *prow = patches.data() + m * gemm_k;
+                for (int64_t ko = 0; ko < d.k; ++ko) {
+                    const float g = go[(n * d.k + ko) * ohow + pix];
+                    if (g == 0.0f)
+                        continue;
+                    float *wrow = local.data() + ko * gemm_k;
+                    for (int64_t kk = 0; kk < gemm_k; ++kk)
+                        wrow[kk] += g * prow[kk];
+                }
+            }
+            return local;
+        },
+        [&](Acc acc, const Acc &local) {
+            for (int64_t i = 0; i < wg_elems; ++i)
+                acc[i] += local[i];
+            return acc;
+        });
+}
+
 } // namespace
 
 TEST(Conv2d, KnownSmallConvolution)
@@ -207,6 +403,60 @@ TEST(Conv2d, GradWeightMatchesFiniteDifference)
         EXPECT_NEAR(gw.data()[idx], numeric, 5e-2)
             << "at flat index " << idx;
     }
+}
+
+TEST(Conv2d, BitwiseMatchesScalarLoopReference)
+{
+    // N*OH*OW runs from 600 to 840: more than one 512-row grad-weight
+    // chunk and never a multiple of it. K = 1 and 5 take the scalar
+    // column tail, 24 and 72 the 16-wide and 8-wide tiles; both C*R*S
+    // are odd, and 21 also tiles grad-input and grad-weight.
+    const int64_t n = 4, h = 12, w = 15;
+    const struct { int64_t c, r, s; } filters[] = {{3, 3, 1}, {7, 1, 3}};
+    const int64_t tiled_before =
+        ops::Dispatch::instance().stats().gemmTiled;
+    for (const int threads : {1, 4}) {
+        ThreadCountGuard guard(threads);
+        Rng rng(30);
+        for (const auto &f : filters) {
+            for (const int64_t k : {1, 5, 24, 72}) {
+                for (const int pad : {0, 1}) {
+                    RefConvDims d{n, f.c, h, w, k, f.r, f.s, 0, 0};
+                    d.oh = h + 2 * pad - f.r + 1;
+                    d.ow = w + 2 * pad - f.s + 1;
+                    const std::vector<float> x =
+                        reluLike(rng, n * f.c * h * w);
+                    const std::vector<float> wv =
+                        reluLike(rng, k * f.c * f.r * f.s);
+                    const std::vector<float> g =
+                        reluLike(rng, n * k * d.oh * d.ow);
+                    const Tensor tx = Tensor::fromVector({n, f.c, h, w}, x);
+                    const Tensor tw =
+                        Tensor::fromVector({k, f.c, f.r, f.s}, wv);
+                    const Tensor tg =
+                        Tensor::fromVector({n, k, d.oh, d.ow}, g);
+                    const std::string where =
+                        "crs=" + std::to_string(f.c * f.r * f.s) +
+                        " k=" + std::to_string(k) +
+                        " pad=" + std::to_string(pad) +
+                        " threads=" + std::to_string(threads);
+                    EXPECT_TRUE(bitwiseEqual(ops::conv2d(tx, tw, pad),
+                                             referenceConv2d(x, wv, d, pad)))
+                        << "forward " << where;
+                    EXPECT_TRUE(bitwiseEqual(
+                        ops::conv2dGradInput(tg, tw, tx, pad),
+                        referenceConv2dGradInput(g, wv, d, pad)))
+                        << "grad_input " << where;
+                    EXPECT_TRUE(bitwiseEqual(
+                        ops::conv2dGradWeight(tg, tx, tw, pad),
+                        referenceConv2dGradWeight(g, x, d, pad)))
+                        << "grad_weight " << where;
+                }
+            }
+        }
+    }
+    // The shapes reach the register-tiled kernel, not only the naive one.
+    EXPECT_GT(ops::Dispatch::instance().stats().gemmTiled, tiled_before);
 }
 
 TEST(Conv2dDeath, ChannelMismatchPanics)

@@ -58,6 +58,7 @@ expect_exit(2 sweep STGCN --param sms --points 0)
 expect_exit(2 sweep STGCN --param sms --points 0.5) # rounds to 0 SMs
 expect_exit(2 run STGCN --scale abc)
 expect_exit(2 serve --rps abc)
+expect_exit(2 serve --rps 1e12 --duration 1) # too many requests to hold
 expect_exit(2 run STGCN --rps 5)
 expect_exit(2 list --rps 5)
 expect_exit(2 run STGCN extra)
@@ -107,7 +108,24 @@ expect_exit(0 trace record STGCN --scale 0.25 --iters 2 --out ${trc})
 expect_exit(0 trace info ${trc})
 expect_exit(0 trace replay ${trc})
 expect_exit(0 trace diff ${trc} ${trc})
-expect_exit(0 sweep --trace ${trc} --param l2 --points 2,6)
+# Sweep points replay concurrently, so the table must not depend on
+# the thread count.
+foreach(threads 1 4)
+    execute_process(
+        COMMAND ${CMAKE_COMMAND} -E env GNNMARK_THREADS=${threads}
+            ${GNNMARK_BIN} sweep --trace ${trc} --param l2 --points 2,6
+        RESULT_VARIABLE rv
+        OUTPUT_VARIABLE sweep_${threads}
+        ERROR_QUIET)
+    if(NOT rv EQUAL 0)
+        message(FATAL_ERROR "GNNMARK_THREADS=${threads} gnnmark sweep "
+            "--trace: expected exit 0, got '${rv}'")
+    endif()
+endforeach()
+if(NOT sweep_1 STREQUAL sweep_4)
+    message(FATAL_ERROR "sweep --trace differs between 1 and 4 threads:\n"
+        "${sweep_1}\n--- vs ---\n${sweep_4}")
+endif()
 # Overrides the cache model cannot build exit 2 before any replay.
 expect_exit(2 trace replay ${trc} --l2 3.3)
 expect_exit(2 trace replay ${trc} --l1 0.01)

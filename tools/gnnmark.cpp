@@ -397,11 +397,18 @@ cmdSweep(cli::Command &cmd)
                       ? " with live " + workload + " runs...\n\n"
                       : " over the recorded " + trace.header.workload +
                             " trace...\n\n");
-    for (const auto &[label, point] : configs) {
+    std::vector<trace::ReplayResult> replays;
+    if (!trace_path.empty()) {
+        std::vector<GpuConfig> gpus;
+        for (const auto &config : configs)
+            gpus.push_back(config.second.deviceConfig);
+        replays = trace::sweepTrace(trace, gpus);
+    }
+    for (size_t i = 0; i < configs.size(); ++i) {
+        const auto &[label, point] = configs[i];
         const WorkloadProfile p =
             trace_path.empty() ? CharacterizationRunner(point).run(workload)
-                               : toWorkloadProfile(trace::replayTrace(
-                                     trace, point.deviceConfig));
+                               : toWorkloadProfile(replays[i]);
         table.addRow({label, strfmt("%.3f", p.epochTimeSec * 1e3),
                       strfmt("%.1f%%", p.profiler.l1HitRate() * 100),
                       strfmt("%.1f%%", p.profiler.l2HitRate() * 100),
@@ -712,6 +719,13 @@ cmdServe(cli::Command &cmd)
     if (opt.traffic.ratePerSec == 0)
         opt.traffic.ratePerSec =
             0.7 * opt.replicas * opt.maxBatch / batch_cost;
+    // Every arrival is materialised before the event loop starts.
+    const double offered =
+        opt.traffic.ratePerSec * opt.traffic.durationSec;
+    if (offered > 1e7)
+        cmd.fail(strfmt("--rps x --duration offers %g requests; at most "
+                        "1e7 fit in one run",
+                        offered));
     opt.traffic.sloSec = slo_ms > 0 ? slo_ms * 1e-3 : 5.0 * batch_cost;
     opt.windowSec = window_ms * 1e-3;
 
@@ -918,23 +932,6 @@ opsDense(Rng &rng, int64_t rows, int64_t cols, double zero_frac)
     return t;
 }
 
-/** Deterministic sparse operand at the requested density. */
-CsrMatrix
-opsCsr(Rng &rng, int64_t rows, int64_t cols, double density)
-{
-    std::vector<std::tuple<int32_t, int32_t, float>> triples;
-    for (int64_t r = 0; r < rows; ++r) {
-        for (int64_t c = 0; c < cols; ++c) {
-            if (rng.bernoulli(density)) {
-                triples.emplace_back(static_cast<int32_t>(r),
-                                     static_cast<int32_t>(c),
-                                     rng.uniform(-1.0f, 1.0f));
-            }
-        }
-    }
-    return csrFromTriples(rows, cols, std::move(triples));
-}
-
 /** Serialize the deterministic fields of one sweep row. */
 std::string
 opsRowJson(const OpsRow &row)
@@ -1038,7 +1035,7 @@ cmdOps(cli::Command &cmd)
     for (const SpmmCase &sc : spmm_cases) {
         Rng rng(seed ^ static_cast<uint64_t>(sc.rows * 40503 + sc.f));
         const CsrMatrix csr =
-            opsCsr(rng, sc.rows, sc.cols, sc.density);
+            uniformCsr(rng, sc.rows, sc.cols, sc.density);
         const Tensor b = opsDense(rng, sc.cols, sc.f, 0.0);
         for (SparseFormat format : formats) {
             const SparseMatrix a =
