@@ -13,8 +13,8 @@
  *  The replay case pins trace replay the same way: a recorded DGCN run
  *  replayed on its own config must hash like the recording, and
  *  replays at a 4 MiB L2 (2,048 sets, the power-of-two set path the
- *  default 3,072-set L2 never takes) and a 64 KiB L1 must hash to
- *  committed constants. */
+ *  default 3,072-set L2 never takes), a 12 MiB L2 (6,144 sets) and a
+ *  64 KiB L1 must hash to committed constants. */
 
 #include <gtest/gtest.h>
 
@@ -215,6 +215,12 @@ TEST(GoldenDigest, DGCN_Replay)
     const uint64_t at_l2 = replayDigest(trace, l2);
     EXPECT_EQ(at_l2, 0xfedc33d5c833a0edull)
         << "replay at L2 = 4 MiB computed digest " << hex(at_l2);
+
+    // 6,144 sets: hostbench's largest sweep point.
+    l2.l2SizeBytes = 12 * MiB;
+    const uint64_t at_l2_large = replayDigest(trace, l2);
+    EXPECT_EQ(at_l2_large, 0x3bb9dedf0ac8497dull)
+        << "replay at L2 = 12 MiB computed digest " << hex(at_l2_large);
 
     GpuConfig l1 = base;
     l1.l1SizeBytes = 64 * KiB;
