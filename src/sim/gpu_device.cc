@@ -73,13 +73,6 @@ GpuDevice::simulateDetailed(
     GNN_ASSERT(desc.trace != nullptr || desc.replay != nullptr,
                "kernel '%s' has no trace generator", desc.name.c_str());
 
-    {
-        // The pipeline is the L2's only reader, so the footprints
-        // deferred since the last detailed launch land here.
-        GNN_SPAN("sim.l2_install");
-        l2_.materialize();
-    }
-
     KernelRecord rec;
     double sim_warps = 0;
     double cycles_per_wave = 0;
@@ -217,8 +210,8 @@ GpuDevice::launch(const KernelDesc &desc)
     // Install the kernel's full data footprint into the L2 (the
     // sampled warps covered only a slice of it): the write-allocate
     // output spans first, then the grid-wide read spans with whatever
-    // is left of the line budget. The install is deferred until the
-    // next detailed launch reads the L2.
+    // is left of the line budget. The install is deferred: the next
+    // detailed launch's pipeline folds in only the sets it reads.
     {
         GNN_SPAN("sim.l2_install");
         int64_t line_budget = 32768;
