@@ -73,6 +73,18 @@ ByteCursor::fail(IoError::Kind kind, const std::string &detail) const
                             std::to_string(pos_) + ")");
 }
 
+uint64_t
+ByteCursor::count(size_t min_item_bytes, const char *what)
+{
+    const uint64_t n = varint();
+    if (n > remaining() / min_item_bytes) {
+        fail(IoError::Kind::Corrupt,
+             std::string("more ") + what +
+                 " than the rest of the image could encode");
+    }
+    return n;
+}
+
 void
 ByteCursor::bytes(void *out, size_t n)
 {

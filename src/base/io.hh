@@ -84,6 +84,12 @@ class ByteCursor
     /** Length-prefixed (varint) string. */
     std::string str();
     void bytes(void *out, size_t n);
+    /**
+     * Varint length of a sequence whose items take at least
+     * `min_item_bytes` each. IoError(Corrupt) when the rest of the
+     * image could not hold that many, so the count is safe to reserve.
+     */
+    uint64_t count(size_t min_item_bytes, const char *what);
 
     [[noreturn]] void fail(IoError::Kind kind,
                            const std::string &detail) const;

@@ -95,7 +95,7 @@ WarpTraceSink::recordMem(InstrKind kind, const uint64_t *addrs, int lanes,
     // Coalesce lane addresses into distinct line addresses, exactly as
     // the LD/ST unit would. A lane access can straddle two lines when
     // bytes_per_lane > 1 and the address is not line-aligned.
-    uint64_t lane_lines[64];
+    uint64_t lane_lines[kMaxOpLines];
     int n = 0;
     for (int i = 0; i < lanes; ++i) {
         uint64_t first = addrs[i] >> lineShift_;

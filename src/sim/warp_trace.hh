@@ -77,6 +77,10 @@ class WarpTrace
     uint64_t recordedInstrs = 0; ///< instructions in `ops`
 };
 
+/** Lines one memory op can touch: 32 lanes, each straddling at most
+ *  two lines. */
+inline constexpr int kMaxOpLines = 64;
+
 /**
  * Builder interface operator kernels use to describe a warp's execution.
  *

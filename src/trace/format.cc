@@ -21,6 +21,14 @@ constexpr uint8_t kTagLaunch = 'K';
 constexpr uint8_t kTagTransfer = 'T';
 constexpr uint8_t kTagMarker = 'M';
 
+/** @{ The fewest bytes one encoded item takes: a range is two varints;
+ *  a warp is its id, five count varints, two doubles and the
+ *  recorded-instruction, op and line counts; a loss is one float. */
+constexpr size_t kMinRangeBytes = 2;
+constexpr size_t kMinWarpBytes = 25;
+constexpr size_t kMinLossBytes = 4;
+/** @} */
+
 } // namespace
 
 void
@@ -163,9 +171,7 @@ encodeRanges(ByteBuilder &out,
 std::vector<std::pair<uint64_t, uint64_t>>
 decodeRanges(ByteCursor &in)
 {
-    const uint64_t n = in.varint();
-    if (n > (1u << 24))
-        in.fail(IoError::Kind::Corrupt, "implausible range count");
+    const uint64_t n = in.count(kMinRangeBytes, "ranges");
     std::vector<std::pair<uint64_t, uint64_t>> ranges;
     ranges.reserve(static_cast<size_t>(n));
     uint64_t prev = 0;
@@ -233,7 +239,7 @@ encodeWarpTrace(ByteBuilder &out, const WarpTrace &trace)
 }
 
 WarpTrace
-decodeWarpTrace(ByteCursor &in)
+decodeWarpTrace(ByteCursor &in, uint64_t max_ops)
 {
     WarpTrace trace;
     TraceCounts &c = trace.counts;
@@ -247,8 +253,10 @@ decodeWarpTrace(ByteCursor &in)
     trace.recordedInstrs = in.varint();
 
     const uint64_t op_count = in.varint();
-    if (op_count > (1u << 26))
-        in.fail(IoError::Kind::Corrupt, "implausible op count");
+    if (op_count > max_ops) {
+        in.fail(IoError::Kind::Corrupt,
+                "more ops than the recording's trace cap");
+    }
     trace.ops.reserve(static_cast<size_t>(op_count));
     uint32_t line_begin = 0;
     while (trace.ops.size() < op_count) {
@@ -259,7 +267,7 @@ decodeWarpTrace(ByteCursor &in)
         if (isMemKind(kind)) {
             const uint64_t line_count = in.varint();
             const uint64_t min_lines = in.varint();
-            if (line_count > UINT16_MAX || min_lines > UINT16_MAX)
+            if (line_count > kMaxOpLines || min_lines > UINT16_MAX)
                 in.fail(IoError::Kind::Corrupt, "line count overflow");
             TraceOp op;
             op.kind = kind;
@@ -326,9 +334,7 @@ decodeHeader(ByteCursor &in)
     h.inferenceOnly = in.u8() != 0;
     h.iterationsPerEpoch = in.svarint();
     h.parameterBytes = in.f64();
-    const uint64_t losses = in.varint();
-    if (losses > (1u << 24))
-        in.fail(IoError::Kind::Corrupt, "implausible loss count");
+    const uint64_t losses = in.count(kMinLossBytes, "losses");
     h.losses.reserve(static_cast<size_t>(losses));
     for (uint64_t i = 0; i < losses; ++i)
         h.losses.push_back(in.f32());
@@ -379,7 +385,7 @@ encodeEvent(ByteBuilder &out, StringTableWriter &strings,
 }
 
 TraceEvent
-decodeEvent(ByteCursor &in, StringTableReader &strings)
+decodeEvent(ByteCursor &in, StringTableReader &strings, uint64_t max_ops)
 {
     const uint8_t tag = in.u8();
     if (tag == kTagLaunch) {
@@ -399,16 +405,14 @@ decodeEvent(ByteCursor &in, StringTableReader &strings)
         launch.inputRanges = decodeRanges(in);
         if (launch.blocks < 1 || launch.warpsPerBlock < 1)
             in.fail(IoError::Kind::Corrupt, "invalid launch geometry");
-        const uint64_t warps = in.varint();
-        if (warps > (1u << 24))
-            in.fail(IoError::Kind::Corrupt, "implausible warp count");
+        const uint64_t warps = in.count(kMinWarpBytes, "warps");
         launch.warps.reserve(static_cast<size_t>(warps));
         int64_t prev_id = 0;
         for (uint64_t i = 0; i < warps; ++i) {
             TracedWarp warp;
             warp.warpId = prev_id + in.svarint();
             prev_id = warp.warpId;
-            warp.trace = decodeWarpTrace(in);
+            warp.trace = decodeWarpTrace(in, max_ops);
             launch.warps.push_back(std::move(warp));
         }
         return launch;

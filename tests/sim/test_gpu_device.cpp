@@ -241,3 +241,20 @@ TEST(GpuConfig, ValidateAcceptsPresetsAndRejectsImpossibleGeometry)
     EXPECT_NE(validateConfig(cfg).find("L1I of 640 B, 4-way"),
               std::string::npos);
 }
+
+TEST(GpuConfig, ValidateBoundsTheRecordedTraceLength)
+{
+    // The trace decoder sizes a warp's op list by this field, so a
+    // recorded config may not claim an arbitrary length.
+    GpuConfig cfg;
+    for (const int ok : {1, 2048, 65536}) {
+        cfg.maxTraceInstrs = ok;
+        EXPECT_EQ(validateConfig(cfg), "") << ok;
+    }
+    for (const int bad : {0, -1, 65537}) {
+        cfg.maxTraceInstrs = bad;
+        EXPECT_NE(validateConfig(cfg).find("recorded instructions per warp"),
+                  std::string::npos)
+            << bad;
+    }
+}

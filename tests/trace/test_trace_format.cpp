@@ -45,6 +45,20 @@ makeWarpTrace(uint64_t base, int cap = 64)
     return trace;
 }
 
+/** Kind of the IoError `decode` throws; a test failure if none. */
+template <typename Decode>
+IoError::Kind
+thrownKind(Decode decode)
+{
+    try {
+        decode();
+    } catch (const IoError &e) {
+        return e.kind();
+    }
+    ADD_FAILURE() << "decoded an image that cannot hold what it claims";
+    return IoError::Kind::OpenFailed;
+}
+
 } // namespace
 
 TEST(TraceVarint, EdgeValuesRoundTrip)
@@ -155,6 +169,41 @@ TEST(TraceFormat, RangesDeltaCodecRoundTrips)
     EXPECT_TRUE(decodeRanges(ce).empty());
 }
 
+// A count the rest of the image cannot hold is refused before anything
+// is reserved for it (a count once reserved up to 2^24 elements).
+TEST(TraceFormat, RangeCountBeyondTheInputIsCorrupt)
+{
+    ByteBuilder b;
+    b.varint(1u << 24);
+    b.svarint(0);
+    b.varint(64);
+    ByteCursor c = cursorOver(b);
+    EXPECT_EQ(thrownKind([&] { (void)decodeRanges(c); }),
+              IoError::Kind::Corrupt);
+}
+
+TEST(TraceFormat, LossCountBeyondTheHeaderIsCorrupt)
+{
+    // The loss list sits just before the config: keep what precedes
+    // its (empty) count, then claim 2^24 losses.
+    TraceHeader header;
+    header.workload = "DGCN";
+    ByteBuilder full;
+    encodeHeader(full, header);
+    ByteBuilder config;
+    encodeGpuConfig(config, header.config);
+    const size_t prefix = full.size() - config.size() - 1;
+    ASSERT_EQ(full.buffer()[prefix], 0);
+
+    ByteBuilder b;
+    b.bytes(full.buffer().data(), prefix);
+    b.varint(1u << 24);
+    b.bytes(config.buffer().data(), config.size());
+    ByteCursor c = cursorOver(b);
+    EXPECT_EQ(thrownKind([&] { (void)decodeHeader(c); }),
+              IoError::Kind::Corrupt);
+}
+
 TEST(TraceFormat, WarpTraceRoundTripsExactly)
 {
     const WarpTrace trace = makeWarpTrace(0x7f1234560000ULL);
@@ -164,7 +213,7 @@ TEST(TraceFormat, WarpTraceRoundTripsExactly)
     ByteBuilder b;
     encodeWarpTrace(b, trace);
     ByteCursor c = cursorOver(b);
-    const WarpTrace back = decodeWarpTrace(c);
+    const WarpTrace back = decodeWarpTrace(c, trace.ops.size());
     EXPECT_TRUE(c.exhausted());
 
     EXPECT_EQ(back.recordedInstrs, trace.recordedInstrs);
@@ -248,8 +297,9 @@ TEST(TraceFormat, EventCodecRoundTripsAllKinds)
 
     StringTableReader r;
     ByteCursor c = cursorOver(b);
+    constexpr uint64_t kCap = 64; // makeWarpTrace's default cap
 
-    const TraceEvent e1 = decodeEvent(c, r);
+    const TraceEvent e1 = decodeEvent(c, r, kCap);
     const auto *k = std::get_if<LaunchEvent>(&e1);
     ASSERT_NE(k, nullptr);
     EXPECT_EQ(k->name, launch.name);
@@ -267,7 +317,7 @@ TEST(TraceFormat, EventCodecRoundTripsAllKinds)
     EXPECT_EQ(k->warps[1].warpId, 2048);
     EXPECT_EQ(k->warps[1].trace.lines, launch.warps[1].trace.lines);
 
-    const TraceEvent e2 = decodeEvent(c, r);
+    const TraceEvent e2 = decodeEvent(c, r, kCap);
     const auto *t = std::get_if<TransferEvent>(&e2);
     ASSERT_NE(t, nullptr);
     EXPECT_EQ(t->tag, transfer.tag);
@@ -275,7 +325,7 @@ TEST(TraceFormat, EventCodecRoundTripsAllKinds)
     EXPECT_EQ(t->bytes, transfer.bytes);
     EXPECT_DOUBLE_EQ(t->zeroFraction, transfer.zeroFraction);
 
-    const TraceEvent e3 = decodeEvent(c, r);
+    const TraceEvent e3 = decodeEvent(c, r, kCap);
     const auto *m = std::get_if<TraceMarker>(&e3);
     ASSERT_NE(m, nullptr);
     EXPECT_EQ(*m, TraceMarker::IterationBegin);
@@ -296,7 +346,7 @@ TEST(TraceFormat, CorruptOpcodeKindIsTypedError)
         bytes[i] ^= 0xff;
         ByteCursor c(bytes.data(), bytes.size(), "fuzzed warp");
         try {
-            (void)decodeWarpTrace(c);
+            (void)decodeWarpTrace(c, trace.ops.size());
         } catch (const IoError &) {
             // expected for most flips
         }

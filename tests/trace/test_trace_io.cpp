@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -10,6 +11,7 @@
 #include "base/io.hh"
 #include "common/file_corruption.hh"
 #include "sim/warp_trace.hh"
+#include "trace/format.hh"
 #include "trace/reader.hh"
 #include "trace/toolkit.hh"
 #include "trace/writer.hh"
@@ -78,6 +80,33 @@ parseKind(const RecordedTrace &trace)
     return IoError::Kind::OpenFailed;
 }
 
+/** Kind of the IoError parseTrace throws on a file of `header` and
+ *  `payload`, framed and checksummed as serializeTrace() frames them,
+ *  so the decoder, not the checksum, must catch what is wrong. */
+IoError::Kind
+frameKind(const ByteBuilder &header, const ByteBuilder &payload)
+{
+    ByteBuilder file;
+    file.bytes(kTraceMagic, sizeof(kTraceMagic));
+    file.u32(kTraceFormatVersion);
+    file.u64(header.size());
+    file.bytes(header.buffer().data(), header.size());
+    file.u64(payload.size());
+    file.bytes(payload.buffer().data(), payload.size());
+    ByteBuilder summed;
+    summed.bytes(header.buffer().data(), header.size());
+    summed.bytes(payload.buffer().data(), payload.size());
+    file.u64(fnv1a(summed.buffer().data(), summed.size()));
+    try {
+        (void)parseTrace(file.buffer(), "hand-built trace");
+    } catch (const IoError &e) {
+        return e.kind();
+    }
+    ADD_FAILURE() << "parseTrace accepted a payload that cannot hold what "
+                     "it claims";
+    return IoError::Kind::OpenFailed;
+}
+
 } // namespace
 
 // A trace with a valid checksum can still record a configuration or a
@@ -102,6 +131,88 @@ TEST(TraceDecode, BlockWiderThanAnSmIsCorrupt)
     ASSERT_EQ(trace.header.config.maxWarpsPerSm, 64);
     std::get<LaunchEvent>(trace.events[2]).warpsPerBlock = 65;
     EXPECT_EQ(parseKind(trace), IoError::Kind::Corrupt);
+}
+
+// A recorded warp is never longer than the recording's trace cap
+// (WarpTraceSink stops there); a longer one was once decoded whatever
+// the cap, up to 2^26 ops from a few bytes of opcode runs.
+TEST(TraceDecode, WarpLongerThanTheTraceCapIsCorrupt)
+{
+    RecordedTrace trace = makeTrace();
+    size_t longest = 0;
+    for (const TraceEvent &event : trace.events) {
+        if (const auto *launch = std::get_if<LaunchEvent>(&event)) {
+            for (const TracedWarp &warp : launch->warps)
+                longest = std::max(longest, warp.trace.ops.size());
+        }
+    }
+    trace.header.config.maxTraceInstrs = static_cast<int>(longest);
+    EXPECT_NO_THROW(
+        (void)parseTrace(serializeTrace(trace), "in-memory trace"));
+    trace.header.config.maxTraceInstrs = static_cast<int>(longest) - 1;
+    EXPECT_EQ(parseKind(trace), IoError::Kind::Corrupt);
+}
+
+TEST(TraceDecode, TraceCapBeyondTheConfigLimitIsCorrupt)
+{
+    RecordedTrace trace = makeTrace();
+    trace.header.config.maxTraceInstrs = 65537;
+    EXPECT_EQ(parseKind(trace), IoError::Kind::Corrupt);
+}
+
+TEST(TraceDecode, MemoryOpWiderThanAWarpIsCorrupt)
+{
+    // 32 lanes touch at most 64 lines; the line pool is sized by the
+    // ops' line counts.
+    for (const uint16_t lines : {64, 65}) {
+        RecordedTrace trace = makeTrace();
+        WarpTrace &wide = std::get<LaunchEvent>(trace.events[2])
+                              .warps[0]
+                              .trace;
+        wide = WarpTrace{};
+        wide.ops.push_back(TraceOp{InstrKind::Load, lines, 1, 0});
+        for (uint64_t i = 0; i < lines; ++i)
+            wide.lines.push_back(0x10000 + i * 4096);
+        wide.recordedInstrs = 1;
+        if (lines == 64) {
+            EXPECT_NO_THROW(
+                (void)parseTrace(serializeTrace(trace), "in-memory trace"));
+        } else {
+            EXPECT_EQ(parseKind(trace), IoError::Kind::Corrupt);
+        }
+    }
+}
+
+TEST(TraceDecode, WarpCountBeyondThePayloadIsCorrupt)
+{
+    const RecordedTrace trace = makeTrace();
+    ByteBuilder header;
+    encodeHeader(header, trace.header);
+    LaunchEvent launch = std::get<LaunchEvent>(trace.events[2]);
+    launch.warps.clear();
+    ByteBuilder payload;
+    payload.varint(1);
+    StringTableWriter strings;
+    encodeEvent(payload, strings, launch);
+    // The warp count is a launch's last field: claim 2^24 warps, then
+    // give the bytes of one empty warp.
+    ASSERT_EQ(payload.buffer().back(), 0);
+    payload.buffer().pop_back();
+    payload.varint(1u << 24);
+    for (int i = 0; i < 25; ++i)
+        payload.u8(0);
+    EXPECT_EQ(frameKind(header, payload), IoError::Kind::Corrupt);
+}
+
+TEST(TraceDecode, EventCountBeyondThePayloadIsCorrupt)
+{
+    ByteBuilder header;
+    encodeHeader(header, makeTrace().header);
+    ByteBuilder payload;
+    payload.varint(1u << 20);
+    StringTableWriter strings;
+    encodeEvent(payload, strings, TraceMarker::IterationBegin);
+    EXPECT_EQ(frameKind(header, payload), IoError::Kind::Corrupt);
 }
 
 class TraceFile : public ::testing::Test
