@@ -136,11 +136,14 @@ generateTraffic(const TrafficConfig &config)
     GNN_ASSERT(config.sloSec > 0, "traffic needs sloSec > 0");
     GNN_ASSERT(config.catalogItems > 0,
                "traffic needs catalogItems > 0");
+    const double offered = config.ratePerSec * config.durationSec;
+    GNN_ASSERT(offered <= kMaxOfferedRequests,
+               "traffic offers %g requests; at most %g fit in one run",
+               offered, kMaxOfferedRequests);
 
     Rng rng(config.seed ^ 0x54524146u); // "TRAF"
     std::vector<double> arrivals;
-    arrivals.reserve(static_cast<size_t>(
-        config.ratePerSec * config.durationSec * 1.25) + 16);
+    arrivals.reserve(static_cast<size_t>(offered * 1.25) + 16);
     switch (config.process) {
       case ArrivalProcess::Poisson:
         appendPoisson(rng, config, arrivals);

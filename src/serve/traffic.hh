@@ -77,8 +77,15 @@ struct TrafficConfig
 };
 
 /**
+ * Most requests one schedule may offer (ratePerSec x durationSec):
+ * generateTraffic() builds every arrival before the event loop runs.
+ */
+inline constexpr double kMaxOfferedRequests = 1e7;
+
+/**
  * Generate the full arrival schedule: requests sorted by arrival
- * time, ids dense in arrival order. Deterministic in the config.
+ * time, ids dense in arrival order. Deterministic in the config,
+ * which may offer at most kMaxOfferedRequests.
  */
 std::vector<Request> generateTraffic(const TrafficConfig &config);
 

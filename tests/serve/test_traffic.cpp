@@ -153,3 +153,12 @@ TEST(TrafficDeath, RejectsNonPositiveKnobs)
     cfg.catalogItems = 0;
     EXPECT_DEATH(generateTraffic(cfg), "catalogItems");
 }
+
+TEST(TrafficDeath, RejectsAnOfferBeyondTheRequestCap)
+{
+    // 1e12 arrivals would be reserved before the first one is drawn.
+    TrafficConfig cfg = baseConfig();
+    cfg.ratePerSec = 1e12;
+    cfg.durationSec = 1;
+    EXPECT_DEATH(generateTraffic(cfg), "offers 1e\\+12 requests");
+}

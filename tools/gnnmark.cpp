@@ -722,10 +722,10 @@ cmdServe(cli::Command &cmd)
     // Every arrival is materialised before the event loop starts.
     const double offered =
         opt.traffic.ratePerSec * opt.traffic.durationSec;
-    if (offered > 1e7)
+    if (offered > serve::kMaxOfferedRequests)
         cmd.fail(strfmt("--rps x --duration offers %g requests; at most "
-                        "1e7 fit in one run",
-                        offered));
+                        "%g fit in one run",
+                        offered, serve::kMaxOfferedRequests));
     opt.traffic.sloSec = slo_ms > 0 ? slo_ms * 1e-3 : 5.0 * batch_cost;
     opt.windowSec = window_ms * 1e-3;
 
