@@ -230,8 +230,8 @@ void
 gemmNaive(const float *a, const float *b, float *c, int64_t m,
           int64_t n, int64_t k)
 {
+    GNN_SPAN("op.gemm.chunk");
     parallel_for(0, m, 16, [&](int64_t i0, int64_t i1) {
-        GNN_SPAN("op.gemm.chunk");
         for (int64_t i = i0; i < i1; ++i)
             gemmNaiveRow(a + i * k, k, b, n, c + i * n);
     });
@@ -241,9 +241,9 @@ void
 gemmTiled(const float *a, const float *b, float *c, int64_t m,
           int64_t n, int64_t k)
 {
+    GNN_SPAN("op.gemm.chunk");
     const bool simd = simdActive();
     parallel_for(0, m, 16, [&](int64_t i0, int64_t i1) {
-        GNN_SPAN("op.gemm.chunk");
         int64_t i = i0;
         for (; i + 4 <= i1; i += 4) {
 #if GNNMARK_AVX2
