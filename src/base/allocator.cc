@@ -326,4 +326,15 @@ DeviceAddrSpace::stats() const
     return impl_->core.stats();
 }
 
+void
+DeviceAddrSpace::reset()
+{
+    const uint64_t live = stats().bytesLive;
+    GNN_ASSERT(live == 0,
+               "device address space reset with %llu bytes still mapped",
+               static_cast<unsigned long long>(live));
+    delete impl_;
+    impl_ = new Impl();
+}
+
 } // namespace gnnmark

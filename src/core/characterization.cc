@@ -21,6 +21,8 @@ WorkloadProfile
 CharacterizationRunner::run(Workload &workload) const
 {
     GNN_SPAN("run.workload");
+    if (options_.freshAddressSpace)
+        DeviceAddrSpace::instance().reset();
     WorkloadProfile profile;
     profile.name = workload.name();
 

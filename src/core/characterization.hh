@@ -35,6 +35,16 @@ struct RunOptions
     GpuConfig deviceConfig = GpuConfig::v100();
 
     /**
+     * Map the run's buffers from the fresh device address space, as a
+     * process's first run does, so its figures do not depend on the
+     * runs before it in the process. The run refuses to start while
+     * anything is still mapped. Off, a run continues the process's
+     * address space: the expected values of hostbench's replay-sweep,
+     * which records three times in one process, pin that behaviour.
+     */
+    bool freshAddressSpace = false;
+
+    /**
      * Optional capture hook (e.g. trace::TraceRecorder): receives
      * every launch, transfer, and timeline marker of the run so the
      * whole characterization can be replayed offline. Not owned.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "base/allocator.hh"
 #include "base/logging.hh"
 #include "base/thread_pool.hh"
 #include "obs/span.hh"
@@ -50,21 +49,6 @@ checkDims(const Tensor &input, const Tensor &weight, int pad)
 }
 
 /**
- * Persistent device workspace for the materialised patch matrix (the
- * cuDNN-style im2col buffer, reused across convolutions).
- */
-uint64_t
-convWorkspaceAddr(size_t bytes)
-{
-    // Grows monotonically and keeps its mapping between calls, so the
-    // address is stable once the largest convolution has run.
-    static DeviceSpan workspace;
-    if (workspace.bytes() < bytes)
-        workspace = DeviceSpan(bytes);
-    return workspace.addr();
-}
-
-/**
  * Emit the im2col + GEMM kernel pair of a cuDNN-style convolution.
  * The im2col pass streams the input into the patch workspace (pure
  * data movement, heavy on index arithmetic); the GEMM part computes
@@ -82,7 +66,7 @@ emitConvKernel(const char *base, const ConvDims &d, uint64_t in_addr,
     {
         const int64_t patch_elems =
             d.n * d.oh * d.ow * d.c * d.r * d.s;
-        const uint64_t ws_addr = convWorkspaceAddr(
+        const uint64_t ws_addr = ExecContext::device()->workspace(
             static_cast<size_t>(patch_elems) * eb);
         const int64_t in_elems = d.n * d.c * d.h * d.w;
 

@@ -390,4 +390,12 @@ GpuDevice::resetSampling()
         hook_->onMarker(TraceMarker::SamplingReset);
 }
 
+uint64_t
+GpuDevice::workspace(size_t bytes)
+{
+    if (workspace_.bytes() < bytes)
+        workspace_ = DeviceSpan(bytes);
+    return workspace_.addr();
+}
+
 } // namespace gnnmark

@@ -4,11 +4,11 @@
  *  loss into one FNV-1a 64 hash. The golden gates print 12 significant
  *  digits; this gate sees the last bit of every figure.
  *
- *  The simulated address stream depends on what the process mapped
- *  before, so a digest is only defined for a fresh process: ctest runs
- *  each case in its own process, and a case that finds the device
- *  address space already used skips. Regenerate the constants together
- *  with bench/baselines/golden_*.jsonl (see that directory's README).
+ *  Every run starts from the fresh device address space
+ *  (RunOptions::freshAddressSpace), so a digest does not depend on the
+ *  cases run before it in the process; DGCN_AfterSTGCN checks that.
+ *  Regenerate the constants together with bench/baselines/golden_*.jsonl
+ *  (see that directory's README).
  *
  *  The replay case pins trace replay the same way: a recorded DGCN run
  *  replayed on its own config must hash like the recording, and
@@ -22,7 +22,6 @@
 #include <cinttypes>
 #include <string>
 
-#include "base/allocator.hh"
 #include "base/string_utils.hh"
 #include "core/characterization.hh"
 #include "core/trace_capture.hh"
@@ -94,27 +93,22 @@ class Digest : public KernelObserver
     uint64_t hash_ = 0xcbf29ce484222325ull;
 };
 
-/** The golden gates' settings: scale 0.2, two measured iterations. */
+/**
+ * The golden gates' settings: scale 0.2, two measured iterations, each
+ * run from the fresh address space like a process's first.
+ */
 RunOptions
 goldenOptions(KernelObserver *observer)
 {
     RunOptions opt;
     opt.scale = 0.2;
     opt.iterations = 2;
+    opt.freshAddressSpace = true;
     opt.extraObserver = observer;
     return opt;
 }
 
-bool
-freshAddressSpace()
-{
-    return DeviceAddrSpace::instance().stats().requests == 0;
-}
-
-constexpr const char *kUsedAddressSpace =
-    "this process already mapped device addresses, so the address "
-    "stream differs from a fresh run's; run one case per process "
-    "(ctest does)";
+constexpr uint64_t kDgcnDigest = 0x93670c701eacaf07ull;
 
 std::string
 hex(uint64_t v)
@@ -125,8 +119,6 @@ hex(uint64_t v)
 void
 expectDigest(const std::string &workload, uint64_t expected)
 {
-    if (!freshAddressSpace())
-        GTEST_SKIP() << kUsedAddressSpace;
     Digest digest;
     const RunOptions opt = goldenOptions(&digest);
     const WorkloadProfile profile =
@@ -165,7 +157,15 @@ TEST(GoldenDigest, STGCN)
 
 TEST(GoldenDigest, DGCN)
 {
-    expectDigest("DGCN", 0x93670c701eacaf07ull);
+    expectDigest("DGCN", kDgcnDigest);
+}
+
+TEST(GoldenDigest, DGCN_AfterSTGCN)
+{
+    // STGCN's convolutions map a device workspace; a run after it in
+    // the same process must hash as in a fresh process.
+    (void)CharacterizationRunner(goldenOptions(nullptr)).run("STGCN");
+    expectDigest("DGCN", kDgcnDigest);
 }
 
 TEST(GoldenDigest, GW)
@@ -195,8 +195,6 @@ TEST(GoldenDigest, TLSTM)
 
 TEST(GoldenDigest, DGCN_Replay)
 {
-    if (!freshAddressSpace())
-        GTEST_SKIP() << kUsedAddressSpace;
     Digest recording;
     const trace::RecordedTrace recorded =
         recordWorkloadTrace("DGCN", goldenOptions(&recording));
