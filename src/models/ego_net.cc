@@ -1,38 +1,13 @@
 #include "models/ego_net.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "base/logging.hh"
-#include "models/workload.hh"
-#include "ops/elementwise.hh"
-#include "ops/index.hh"
 #include "ops/reduce.hh"
 #include "ops/sort.hh"
 #include "ops/var_ops.hh"
 
 namespace gnnmark {
-
-namespace {
-
-/** Position of each query id within a sorted unique id list. */
-std::vector<int32_t>
-positionsIn(const std::vector<int32_t> &sorted_ids,
-            const std::vector<int32_t> &queries)
-{
-    std::vector<int32_t> out;
-    out.reserve(queries.size());
-    for (int32_t q : queries) {
-        auto it = std::lower_bound(sorted_ids.begin(), sorted_ids.end(),
-                                   q);
-        GNN_ASSERT(it != sorted_ids.end() && *it == q,
-                   "id %d missing from unique list", q);
-        out.push_back(static_cast<int32_t>(it - sorted_ids.begin()));
-    }
-    return out;
-}
-
-} // namespace
 
 EgoNetBatchModel::EgoNetBatchModel(double scale, uint64_t seed)
 {
@@ -47,15 +22,10 @@ EgoNetBatchModel::EgoNetBatchModel(double scale, uint64_t seed)
 
     data_ = gen::bipartiteRecsys(*rng_, users, items, clicks, fdim,
                                  /*feature_zero_fraction=*/0.22);
-    itemToUser_ = data_.graph.relationAdjList(data_.relItemUser);
-    userToItem_ = data_.graph.relationAdjList(data_.relUserItem);
-    sampler_ = std::make_unique<RandomWalkSampler>(
-        itemToUser_, userToItem_, /*walks=*/8, /*walk_length=*/2,
-        /*top_t=*/6);
-
-    proj_ = std::make_unique<nn::Linear>(fdim, hidden_, *rng_);
-    sage1_ = std::make_unique<SageLayer>(hidden_, hidden_, *rng_);
-    sage2_ = std::make_unique<SageLayer>(hidden_, hidden_, *rng_);
+    encoder_ = std::make_unique<PinSageEncoder>(
+        data_.graph.relationAdjList(data_.relItemUser),
+        data_.graph.relationAdjList(data_.relUserItem), fdim,
+        /*hidden=*/56, *rng_);
 }
 
 EgoNetBatchModel::~EgoNetBatchModel() = default;
@@ -74,67 +44,16 @@ EgoNetBatchModel::inferBatch(const std::vector<int32_t> &items)
     // to_block() (sorted unique + relabel).
     std::vector<int32_t> seeds = ops::sortedUnique(items);
 
-    // Two-layer sampled ego nets, built outside-in.
-    SampledBlock outer = sampler_->sample(seeds, *rng_);
-    SampledBlock inner = sampler_->sample(outer.srcNodes, *rng_);
-
-    // Block compaction sorts: inference keeps the forward op mix, so
-    // the endpoint relabel sorts stay on the priced path.
-    for (const SampledBlock *block : {&inner, &outer}) {
-        std::vector<int32_t> endpoint_ids;
-        endpoint_ids.reserve(block->neighbors.size() +
-                             block->dstNodes.size());
-        for (int32_t p : block->neighbors)
-            endpoint_ids.push_back(block->srcNodes[p]);
-        endpoint_ids.insert(endpoint_ids.end(), block->dstNodes.begin(),
-                            block->dstNodes.end());
-        ops::sortedUnique(endpoint_ids);
-
-        std::vector<int32_t> edge_order(block->neighbors.size());
-        for (size_t i = 0; i < edge_order.size(); ++i)
-            edge_order[i] = static_cast<int32_t>(i);
-        std::vector<int32_t> edge_keys = block->neighbors;
-        ops::sortKeyValue(edge_keys, edge_order);
-    }
-
-    // Host-side feature slice + sparsity-instrumented upload.
-    const int64_t fdim = data_.itemFeatures.size(1);
-    Tensor raw = Tensor::zeros(
-        {static_cast<int64_t>(inner.srcNodes.size()), fdim});
-    for (size_t i = 0; i < inner.srcNodes.size(); ++i) {
-        const float *src =
-            data_.itemFeatures.data() +
-            static_cast<int64_t>(inner.srcNodes[i]) * fdim;
-        std::copy(src, src + fdim, raw.data() + i * fdim);
-    }
-    uploadInput(raw, "item_features");
-    uploadInput(inner.neighbors, "block_inner");
-    uploadInput(outer.neighbors, "block_outer");
-
-    // Feature preprocessing (standardise + l2-normalise); no dropout —
-    // this is the serving path, not training.
-    Tensor mean_shifted = ops::addScalar(raw, -0.01f);
-    Tensor squared = ops::mul(mean_shifted, mean_shifted);
-    Tensor norms = ops::reduceSumRows(squared);
-    Tensor inv = Tensor::zeros({norms.size(0)});
-    for (int64_t i = 0; i < norms.size(0); ++i)
-        inv(i) = 1.0f / std::sqrt(norms(i) + 1e-6f);
-    Tensor normalized = ops::mulRowsBy(mean_shifted, inv);
-
-    Variable x(normalized);
-    Variable h0 = ag::relu(proj_->forward(x));
-
-    std::vector<int32_t> inner_dst =
-        positionsIn(inner.srcNodes, inner.dstNodes);
-    Variable h1 = sage1_->forward(inner, h0, inner_dst);
-
-    std::vector<int32_t> outer_dst =
-        positionsIn(outer.srcNodes, outer.dstNodes);
-    Variable h2 = sage2_->forward(outer, h1, outer_dst);
+    // No clamp, rescale or dropout: this is the serving path, not
+    // training.
+    const PinSageEncoder::Inputs in =
+        encoder_->gather(seeds, data_.itemFeatures, *rng_);
+    const PinSageEncoder::Embeddings h =
+        encoder_->encode(in, Variable(in.features));
 
     // Pull the requested embeddings (duplicates resolve to the same
     // compacted row) and reduce to a scalar checksum.
-    Variable out = ag::indexSelectRows(h2, positionsIn(seeds, items));
+    Variable out = ag::indexSelectRows(h.out, positionsIn(seeds, items));
     return ops::reduceMeanAll(out.value());
 }
 

@@ -17,9 +17,7 @@
 #include <vector>
 
 #include "graph/generators.hh"
-#include "graph/samplers.hh"
-#include "models/gnn_layers.hh"
-#include "nn/layers.hh"
+#include "models/pinsage.hh"
 
 namespace gnnmark {
 
@@ -52,14 +50,7 @@ class EgoNetBatchModel
     std::optional<Rng> rng_;
 
     gen::RecsysData data_;
-    std::vector<std::vector<int32_t>> itemToUser_;
-    std::vector<std::vector<int32_t>> userToItem_;
-    std::unique_ptr<RandomWalkSampler> sampler_;
-
-    int64_t hidden_ = 56;
-    std::unique_ptr<nn::Linear> proj_;
-    std::unique_ptr<SageLayer> sage1_;
-    std::unique_ptr<SageLayer> sage2_;
+    std::unique_ptr<PinSageEncoder> encoder_;
 };
 
 } // namespace gnnmark

@@ -13,9 +13,6 @@
 
 namespace gnnmark {
 
-namespace {
-
-/** Position of each query id within a sorted unique id list. */
 std::vector<int32_t>
 positionsIn(const std::vector<int32_t> &sorted_ids,
             const std::vector<int32_t> &queries)
@@ -32,7 +29,99 @@ positionsIn(const std::vector<int32_t> &sorted_ids,
     return out;
 }
 
-} // namespace
+PinSageEncoder::PinSageEncoder(
+    std::vector<std::vector<int32_t>> item_to_user,
+    std::vector<std::vector<int32_t>> user_to_item, int64_t feature_dim,
+    int64_t hidden, Rng &rng)
+    : sampler_(std::move(item_to_user), std::move(user_to_item),
+               /*walks=*/8, /*walk_length=*/2, /*top_t=*/6),
+      proj_(feature_dim, hidden, rng), sage1_(hidden, hidden, rng),
+      sage2_(hidden, hidden, rng)
+{
+}
+
+PinSageEncoder::Inputs
+PinSageEncoder::gather(const std::vector<int32_t> &seeds,
+                       const Tensor &item_features, Rng &rng) const
+{
+    Inputs in;
+    // Two-layer sampled computation graph, built outside-in.
+    in.outer = sampler_.sample(seeds, rng);
+    in.inner = sampler_.sample(in.outer.srcNodes, rng);
+
+    // Block construction (DGL to_block): every block compacts its
+    // node space with a sorted unique and relabels both endpoint
+    // arrays with sorted key/value passes — the source of PSAGE's
+    // sorting time (20.7% on MVL in the paper's Fig. 2).
+    for (const SampledBlock *block : {&in.inner, &in.outer}) {
+        std::vector<int32_t> endpoint_ids;
+        endpoint_ids.reserve(block->neighbors.size() +
+                             block->dstNodes.size());
+        for (int32_t p : block->neighbors)
+            endpoint_ids.push_back(block->srcNodes[p]);
+        endpoint_ids.insert(endpoint_ids.end(), block->dstNodes.begin(),
+                            block->dstNodes.end());
+        ops::sortedUnique(endpoint_ids);
+
+        std::vector<int32_t> edge_order(block->neighbors.size());
+        for (size_t i = 0; i < edge_order.size(); ++i)
+            edge_order[i] = static_cast<int32_t>(i);
+        std::vector<int32_t> edge_keys = block->neighbors;
+        ops::sortKeyValue(edge_keys, edge_order);
+    }
+
+    // Host-side feature slicing + upload of the batch's features: the
+    // CPU-to-GPU copies whose sparsity Fig. 7 characterises.
+    const int64_t fdim = item_features.size(1);
+    in.raw = Tensor::zeros(
+        {static_cast<int64_t>(in.inner.srcNodes.size()), fdim});
+    for (size_t i = 0; i < in.inner.srcNodes.size(); ++i) {
+        const float *src = item_features.data() +
+                           static_cast<int64_t>(in.inner.srcNodes[i]) * fdim;
+        std::copy(src, src + fdim, in.raw.data() + i * fdim);
+    }
+    uploadInput(in.raw, "item_features");
+    uploadInput(in.inner.neighbors, "block_inner");
+    uploadInput(in.outer.neighbors, "block_outer");
+
+    // Standardise and l2-normalise on the device: element-wise passes
+    // whose cost scales with the feature width (why PSAGE-NWP is
+    // element-wise-dominated at 10x the feature dimension, paper
+    // Fig. 2).
+    in.shifted = ops::addScalar(in.raw, -0.01f);
+    in.squared = ops::mul(in.shifted, in.shifted);
+    in.norms = ops::reduceSumRows(in.squared);
+    in.inv = Tensor::zeros({in.norms.size(0)});
+    for (int64_t i = 0; i < in.norms.size(0); ++i)
+        in.inv(i) = 1.0f / std::sqrt(in.norms(i) + 1e-6f);
+    in.features = ops::mulRowsBy(in.shifted, in.inv);
+    return in;
+}
+
+PinSageEncoder::Embeddings
+PinSageEncoder::encode(const Inputs &in, const Variable &x) const
+{
+    Embeddings e;
+    e.x = x;
+    e.h0 = ag::relu(proj_.forward(x));
+    e.h1 = sage1_.forward(in.inner, e.h0,
+                          positionsIn(in.inner.srcNodes, in.inner.dstNodes));
+    // h1 rows are inner.dstNodes == outer.srcNodes, in order.
+    e.out = sage2_.forward(in.outer, e.h1,
+                           positionsIn(in.outer.srcNodes, in.outer.dstNodes));
+    return e;
+}
+
+std::vector<Variable>
+PinSageEncoder::parameters() const
+{
+    std::vector<Variable> params = proj_.parameters();
+    for (const auto &p : sage1_.parameters())
+        params.push_back(p);
+    for (const auto &p : sage2_.parameters())
+        params.push_back(p);
+    return params;
+}
 
 PinSage::PinSage(PinSageDataset dataset) : dataset_(dataset)
 {
@@ -71,20 +160,9 @@ PinSage::setup(const WorkloadConfig &config)
                                  zero_frac);
     itemToUser_ = data_.graph.relationAdjList(data_.relItemUser);
     userToItem_ = data_.graph.relationAdjList(data_.relUserItem);
-    sampler_ = std::make_unique<RandomWalkSampler>(
-        itemToUser_, userToItem_, /*walks=*/8, /*walk_length=*/2,
-        /*top_t=*/6);
-
-    proj_ = std::make_unique<nn::Linear>(fdim, hidden_, *rng_);
-    sage1_ = std::make_unique<SageLayer>(hidden_, hidden_, *rng_);
-    sage2_ = std::make_unique<SageLayer>(hidden_, hidden_, *rng_);
-
-    std::vector<Variable> params = proj_->parameters();
-    for (const auto &p : sage1_->parameters())
-        params.push_back(p);
-    for (const auto &p : sage2_->parameters())
-        params.push_back(p);
-    optim_ = std::make_unique<nn::Adam>(std::move(params), 1e-3f);
+    encoder_ = std::make_unique<PinSageEncoder>(itemToUser_, userToItem_,
+                                                fdim, hidden_, *rng_);
+    optim_ = std::make_unique<nn::Adam>(encoder_->parameters(), 1e-3f);
     cursor_ = 0;
 }
 
@@ -123,76 +201,21 @@ PinSage::trainIteration()
     all_ids.insert(all_ids.end(), neg.begin(), neg.end());
     std::vector<int32_t> seeds = ops::sortedUnique(all_ids);
 
-    // Two-layer sampled computation graph, built outside-in.
-    SampledBlock outer = sampler_->sample(seeds, *rng_);
-    SampledBlock inner = sampler_->sample(outer.srcNodes, *rng_);
+    const PinSageEncoder::Inputs in =
+        encoder_->gather(seeds, data_.itemFeatures, *rng_);
 
-    // Block construction (DGL to_block): every block compacts its
-    // node space with a sorted unique and relabels both endpoint
-    // arrays with sorted key/value passes — the source of PSAGE's
-    // sorting time (20.7% on MVL in the paper's Fig. 2).
-    for (const SampledBlock *block : {&inner, &outer}) {
-        std::vector<int32_t> endpoint_ids;
-        endpoint_ids.reserve(block->neighbors.size() +
-                             block->dstNodes.size());
-        for (int32_t p : block->neighbors)
-            endpoint_ids.push_back(block->srcNodes[p]);
-        endpoint_ids.insert(endpoint_ids.end(), block->dstNodes.begin(),
-                            block->dstNodes.end());
-        ops::sortedUnique(endpoint_ids);
-
-        std::vector<int32_t> edge_order(block->neighbors.size());
-        for (size_t i = 0; i < edge_order.size(); ++i)
-            edge_order[i] = static_cast<int32_t>(i);
-        std::vector<int32_t> edge_keys = block->neighbors;
-        ops::sortKeyValue(edge_keys, edge_order);
-    }
-
-    // Host-side feature slicing + upload of the batch's features: the
-    // CPU-to-GPU copies whose sparsity Fig. 7 characterises.
-    const int64_t fdim = data_.itemFeatures.size(1);
-    Tensor raw = Tensor::zeros({static_cast<int64_t>(inner.srcNodes.size()), fdim});
-    for (size_t i = 0; i < inner.srcNodes.size(); ++i) {
-        const float *src =
-            data_.itemFeatures.data() +
-            static_cast<int64_t>(inner.srcNodes[i]) * fdim;
-        std::copy(src, src + fdim, raw.data() + i * fdim);
-    }
-    uploadInput(raw, "item_features");
-    uploadInput(inner.neighbors, "block_inner");
-    uploadInput(outer.neighbors, "block_outer");
-
-    // Feature preprocessing on device: standardise, l2-normalise and
-    // dropout the raw features — element-wise passes whose cost scales
-    // with the feature width (why PSAGE-NWP is element-wise-dominated
-    // at 10x the feature dimension, paper Fig. 2).
-    Tensor mean_shifted = ops::addScalar(raw, -0.01f);
-    Tensor squared = ops::mul(mean_shifted, mean_shifted);
-    Tensor norms = ops::reduceSumRows(squared);
-    Tensor inv = Tensor::zeros({norms.size(0)});
-    for (int64_t i = 0; i < norms.size(0); ++i)
-        inv(i) = 1.0f / std::sqrt(norms(i) + 1e-6f);
-    Tensor normalized = ops::mulRowsBy(mean_shifted, inv);
-    Tensor clamped = ops::relu(ops::addScalar(normalized, 4.0f));
+    // Clamp, rescale and dropout the normalised features: more
+    // element-wise passes over the full feature width.
+    Tensor clamped = ops::relu(ops::addScalar(in.features, 4.0f));
     Tensor rescaled = ops::addScalar(ops::scale(clamped, 0.25f), -1.0f);
     Tensor dropped = ops::dropout(rescaled, 0.1f, *rng_);
+    const PinSageEncoder::Embeddings h =
+        encoder_->encode(in, Variable(dropped));
 
-    Variable x(dropped);
-    Variable h0 = ag::relu(proj_->forward(x));
-
-    std::vector<int32_t> inner_dst =
-        positionsIn(inner.srcNodes, inner.dstNodes);
-    Variable h1 = sage1_->forward(inner, h0, inner_dst);
-
-    std::vector<int32_t> outer_dst =
-        positionsIn(outer.srcNodes, outer.dstNodes);
-    // h1 rows are inner.dstNodes == outer.srcNodes, in order.
-    Variable h2 = sage2_->forward(outer, h1, outer_dst);
-
-    // h2 rows follow `seeds`; pull out batch/pos/neg embeddings.
-    Variable eb = ag::indexSelectRows(h2, positionsIn(seeds, batch));
-    Variable ep = ag::indexSelectRows(h2, positionsIn(seeds, pos));
-    Variable en = ag::indexSelectRows(h2, positionsIn(seeds, neg));
+    // h.out rows follow `seeds`; pull out batch/pos/neg embeddings.
+    Variable eb = ag::indexSelectRows(h.out, positionsIn(seeds, batch));
+    Variable ep = ag::indexSelectRows(h.out, positionsIn(seeds, pos));
+    Variable en = ag::indexSelectRows(h.out, positionsIn(seeds, neg));
 
     const float dim_scale = static_cast<float>(hidden_);
     Variable pos_score =

@@ -7,7 +7,7 @@
 namespace gnnmark {
 
 void
-StateVisitor::optimizer(nn::Optimizer &opt)
+StateVisitor::optimizer(nn::Adam &opt)
 {
     // Parameter tensors first (fixed registration order), then the
     // optimiser's own slots and counters.

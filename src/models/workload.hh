@@ -22,7 +22,7 @@ namespace gnnmark {
 class Rng;
 
 namespace nn {
-class Optimizer;
+class Adam;
 } // namespace nn
 
 /**
@@ -49,7 +49,7 @@ class StateVisitor
     virtual void rng(Rng &r) = 0;
 
     /** An optimiser: its parameters, slots and step counter. */
-    void optimizer(nn::Optimizer &opt);
+    void optimizer(nn::Adam &opt);
 };
 
 /** Scale and sharding knobs shared by all workloads. */

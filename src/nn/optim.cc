@@ -30,42 +30,35 @@ emitUpdate(const char *name, const Tensor &param, int fp_per_elem,
 
 } // namespace
 
-Optimizer::Optimizer(std::vector<Variable> params)
-    : params_(std::move(params))
+Adam::Adam(std::vector<Variable> params, float lr, float beta1,
+           float beta2, float eps)
+    : params_(std::move(params)), lr_(lr), beta1_(beta1), beta2_(beta2),
+      eps_(eps)
 {
+    m_.reserve(params_.size());
+    v_.reserve(params_.size());
     for (const Variable &p : params_) {
         GNN_ASSERT(p.defined() && p.requiresGrad(),
                    "optimiser given a non-trainable parameter");
+        m_.push_back(Tensor::zeros(p.value().shape()));
+        v_.push_back(Tensor::zeros(p.value().shape()));
     }
 }
 
 void
-Optimizer::zeroGrad()
+Adam::zeroGrad()
 {
     for (Variable &p : params_)
         p.zeroGrad();
 }
 
 double
-Optimizer::parameterBytes() const
+Adam::parameterBytes() const
 {
     double bytes = 0;
     for (const Variable &p : params_)
         bytes += static_cast<double>(p.value().numel()) * 4.0;
     return bytes;
-}
-
-Adam::Adam(std::vector<Variable> params, float lr, float beta1,
-           float beta2, float eps)
-    : Optimizer(std::move(params)), lr_(lr), beta1_(beta1), beta2_(beta2),
-      eps_(eps)
-{
-    m_.reserve(params_.size());
-    v_.reserve(params_.size());
-    for (const Variable &p : params_) {
-        m_.push_back(Tensor::zeros(p.value().shape()));
-        v_.push_back(Tensor::zeros(p.value().shape()));
-    }
 }
 
 void
