@@ -114,13 +114,11 @@ main(int argc, char **argv)
 {
     const int kChurnRounds = 200;
     // The JSONL twin is diffed *exactly* against a committed baseline,
-    // so the gated configuration is pinned rather than env-overridable
-    // (GNNMARK_SCALE/GNNMARK_ITERS still shape the defaults the other
-    // ext benches use; here they would silently invalidate the gate).
+    // so the gated configuration is pinned.
     RunOptions opt;
     opt.scale = 0.25;
     opt.iterations = 4;
-    opt.seed = 2021; // the benches' seed, the paper's year
+    opt.seed = 2021; // the paper's year
 
     std::cout << "Host allocator behaviour: caching arena vs plain "
                  "heap calls...\n\n";

@@ -13,9 +13,8 @@
  * (one "serving" record per run, via reports::servingRecordJson) in
  * which every field derives from simulated time and seeded
  * randomness, so tools/bench_diff gates it exactly (tolerance 0)
- * against bench/baselines/ext_serving.jsonl. The gated configuration
- * is pinned — GNNMARK_SCALE/GNNMARK_ITERS are deliberately ignored
- * here, as they would silently invalidate the baseline.
+ * against bench/baselines/ext_serving.jsonl, so the gated
+ * configuration is pinned.
  */
 
 #include <fstream>

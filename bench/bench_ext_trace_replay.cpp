@@ -16,7 +16,6 @@
 
 #include "base/table.hh"
 #include "base/units.hh"
-#include "bench_common.hh"
 #include "core/trace_capture.hh"
 #include "trace/toolkit.hh"
 
@@ -55,7 +54,10 @@ main()
     const std::vector<std::string> workloads = {"STGCN", "DGCN", "GW",
                                                 "KGNNL", "ARGA"};
     const std::vector<double> l2_points_mib = {2, 4, 6, 12};
-    RunOptions opt = bench::benchOptions();
+    RunOptions opt;
+    opt.scale = 1.0;
+    opt.iterations = 6;
+    opt.seed = 2021; // the paper's year
 
     std::cout << "Trace-driven architecture sweeps (scale " << opt.scale
               << ", " << opt.iterations

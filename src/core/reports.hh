@@ -68,6 +68,32 @@ void printFig9Scaling(
     bool weak, std::ostream &os);
 
 /**
+ * What `gnnmark ablations` measured. Per suite workload, in suite
+ * order: one baseline run and each study's variant of it, which
+ * changes one knob. Then TLSTM at each cold instruction-fetch
+ * penalty, its baseline run among them.
+ */
+struct AblationProfiles
+{
+    std::vector<WorkloadProfile> baseline;
+    std::vector<WorkloadProfile> l1Bypass;   ///< l1BypassIrregular
+    std::vector<WorkloadProfile> fp16;       ///< elemBytes = 2
+    std::vector<WorkloadProfile> compressed; ///< h2dCompression
+    std::vector<WorkloadProfile> inference;  ///< inferenceOnly
+    std::vector<WorkloadProfile> a100;       ///< GpuConfig::a100()
+    /** (ifetchColdCycles, TLSTM profile), ascending. */
+    std::vector<std::pair<int, WorkloadProfile>> coldFetch;
+};
+
+/**
+ * The takeaway studies against the baseline runs: L1 bypass for
+ * irregular kernels (paper Sec. V-C), fp16 training (Sec. VII), H2D
+ * zero-value compression (Sec. V-D), training vs inference, V100 vs an
+ * A100-like part, and TLSTM's cold instruction-fetch penalty sweep.
+ */
+void printAblations(const AblationProfiles &runs, std::ostream &os);
+
+/**
  * Fault-tolerance report for one fault-injected DDP run: the itemised
  * recovery overhead of every fault plus the goodput summary.
  */
