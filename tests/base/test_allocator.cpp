@@ -206,6 +206,22 @@ TEST(DeviceAddrSpace, LiveMappingsDoNotOverlap)
         va.unmap(addr, bytes);
 }
 
+TEST(DeviceAddrSpace, ResetStartsOverAtTheArenaBase)
+{
+    DeviceAddrSpace &va = DeviceAddrSpace::instance();
+    va.unmap(va.map(4096), 4096);
+    va.reset();
+    EXPECT_EQ(va.stats().requests, 0u);
+    DeviceSpan s(4096);
+    EXPECT_EQ(s.addr(), uint64_t{1} << 46);
+}
+
+TEST(DeviceAddrSpaceDeath, ResetRefusesWhileAnythingIsMapped)
+{
+    DeviceSpan s(64);
+    EXPECT_DEATH(DeviceAddrSpace::instance().reset(), "still mapped");
+}
+
 TEST(DeviceSpan, MoveTransfersOwnership)
 {
     DeviceSpan a(512);
