@@ -38,19 +38,6 @@ constexpr int kReplicas = 3;
 constexpr int kMaxBatch = 8;
 constexpr double kDurationSec = 0.5;
 
-/** One replica straggling 6x across most of the arrival window. */
-FaultPlan
-stragglerPlan()
-{
-    FaultEvent e;
-    e.kind = FaultKind::Straggler;
-    e.timeSec = 0.15 * kDurationSec;
-    e.durationSec = 0.70 * kDurationSec;
-    e.replica = 1;
-    e.magnitude = 6.0;
-    return FaultPlan({e});
-}
-
 serve::ServingReport
 runPoint(const serve::BatchCostTable &table, int64_t catalog,
          uint64_t seed, double rate, double slo_sec, bool robust)
@@ -63,7 +50,7 @@ runPoint(const serve::BatchCostTable &table, int64_t catalog,
     opt.traffic.catalogItems = catalog;
     opt.replicas = kReplicas;
     opt.maxBatch = kMaxBatch;
-    opt.faults = stragglerPlan();
+    opt.faults = serve::scenarioPlan("straggler", kReplicas, kDurationSec);
     opt.faultScenario = "straggler";
     opt.hedgeEnabled = robust;
     opt.shedEnabled = robust;

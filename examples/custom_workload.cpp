@@ -26,17 +26,6 @@ class NodeClassifierGcn : public Workload
 {
   public:
     std::string name() const override { return "MY-GCN"; }
-    std::string modelName() const override { return "GCN"; }
-    std::string framework() const override { return "custom"; }
-    std::string domain() const override
-    {
-        return "Node classification";
-    }
-    std::string datasetName() const override
-    {
-        return "CiteSeer (synthetic)";
-    }
-    std::string graphType() const override { return "Homogeneous"; }
 
     void
     setup(const WorkloadConfig &config) override

@@ -33,17 +33,14 @@ configuredThreads()
 ThreadPool &
 ThreadPool::instance()
 {
-    static ThreadPool pool;
-    return pool;
+    // Leaked: exit() must not join workers, which a forked child
+    // (a death test) does not have.
+    static ThreadPool *pool = new ThreadPool();
+    return *pool;
 }
 
 ThreadPool::ThreadPool() : threads_(configuredThreads())
 {
-}
-
-ThreadPool::~ThreadPool()
-{
-    joinWorkers();
 }
 
 int

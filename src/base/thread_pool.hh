@@ -36,11 +36,13 @@ namespace gnnmark {
 class ThreadPool
 {
   public:
-    /** The process-wide pool (workers are spawned lazily). */
+    /**
+     * The process-wide pool (workers are spawned lazily). It is never
+     * destroyed, so exit() leaves its parked workers alone.
+     */
     static ThreadPool &instance();
 
-    ~ThreadPool();
-
+    ~ThreadPool() = delete;
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
 

@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "base/io.hh"
 #include "base/logging.hh"
 #include "base/rng.hh"
 #include "obs/metrics.hh"
@@ -11,12 +10,6 @@
 namespace gnnmark {
 
 namespace {
-
-/** On-disk layout version; bump on any format change. */
-constexpr uint32_t kFormatVersion = 1;
-
-/** File magic ("GNMKCKPT"). */
-constexpr char kMagic[8] = {'G', 'N', 'M', 'K', 'C', 'K', 'P', 'T'};
 
 /** Record tags inside the state image (checks traversal symmetry). */
 enum class Tag : uint8_t
@@ -205,73 +198,6 @@ restoreCheckpoint(Workload &workload, const Checkpoint &ckpt)
                "mismatch for workload %s",
                workload.name().c_str());
     return ckpt.step;
-}
-
-void
-writeCheckpointFile(const std::string &path, const Checkpoint &ckpt)
-{
-    GNN_SPAN("checkpoint.write_file");
-    ByteBuilder file;
-    file.bytes(kMagic, sizeof(kMagic));
-    file.u32(kFormatVersion);
-    file.u32(static_cast<uint32_t>(ckpt.workload.size()));
-    file.u64(ckpt.step);
-    file.u64(static_cast<uint64_t>(ckpt.state.size()));
-    file.u64(fnv1a(ckpt.state.data(), ckpt.state.size()));
-    file.bytes(ckpt.workload.data(), ckpt.workload.size());
-    file.bytes(ckpt.state.data(), ckpt.state.size());
-    writeFileBytes(path, file.buffer());
-}
-
-Checkpoint
-readCheckpointFile(const std::string &path)
-{
-    GNN_SPAN("checkpoint.read_file");
-    const std::vector<uint8_t> bytes = readFileBytes(path);
-    const std::string context = "checkpoint file '" + path + "'";
-    ByteCursor file(bytes.data(), bytes.size(), context);
-
-    char magic[sizeof(kMagic)];
-    file.bytes(magic, sizeof(magic));
-    if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-        throw IoError(IoError::Kind::BadMagic,
-                      context + ": not a GNNMark checkpoint");
-    }
-    const uint32_t version = file.u32();
-    if (version != kFormatVersion) {
-        throw IoError(IoError::Kind::BadVersion,
-                      context + ": format version " +
-                          std::to_string(version) +
-                          ", this build reads version " +
-                          std::to_string(kFormatVersion));
-    }
-    const uint32_t name_len = file.u32();
-    Checkpoint ckpt;
-    ckpt.step = file.u64();
-    const uint64_t state_size = file.u64();
-    const uint64_t checksum = file.u64();
-    if (name_len > file.remaining())
-        file.fail(IoError::Kind::ShortRead,
-                  "workload name overruns the file");
-    ckpt.workload.resize(name_len);
-    if (name_len > 0)
-        file.bytes(ckpt.workload.data(), name_len);
-    if (state_size > file.remaining())
-        file.fail(IoError::Kind::ShortRead,
-                  "state image overruns the file");
-    ckpt.state.resize(static_cast<size_t>(state_size));
-    if (state_size > 0)
-        file.bytes(ckpt.state.data(), ckpt.state.size());
-    if (!file.exhausted()) {
-        throw IoError(IoError::Kind::TrailingBytes,
-                      context + ": trailing bytes after the state image");
-    }
-    if (fnv1a(ckpt.state.data(), ckpt.state.size()) != checksum) {
-        throw IoError(IoError::Kind::Corrupt,
-                      context + ": checksum mismatch — the state image "
-                                "is corrupt");
-    }
-    return ckpt;
 }
 
 } // namespace gnnmark

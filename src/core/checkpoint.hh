@@ -1,18 +1,19 @@
 /**
  * @file
- * Durable checkpoint/resume for workload training state.
+ * In-memory checkpoint/resume for workload training state.
  *
  * A checkpoint captures everything a Workload mutates across
  * trainIteration() calls — parameter tensors, optimiser slots and step
  * counters, Rng stream state, batch cursors — as a tagged binary
  * image. Restoring the image into a freshly setup() workload resumes
  * the training stream bitwise-identically to an uninterrupted run.
+ * The fault engine keeps its checkpoints in memory and charges their
+ * size to simulated storage; nothing is written to disk.
  *
- * On disk the image is wrapped in a versioned header with an FNV-1a
- * checksum, so truncation, corruption and cross-workload restores are
- * detected before any state is touched. Restores copy into the
- * existing tensor storage (never reallocate), keeping simulated device
- * addresses stable for the GPU cache models.
+ * A restore refuses an image from another workload before touching
+ * any state, and copies into the existing tensor storage (never
+ * reallocates), keeping simulated device addresses stable for the
+ * GPU cache models.
  */
 
 #ifndef GNNMARK_CORE_CHECKPOINT_HH
@@ -26,7 +27,7 @@
 
 namespace gnnmark {
 
-/** An in-memory checkpoint image (also the on-disk payload). */
+/** An in-memory checkpoint image. */
 struct Checkpoint
 {
     std::string workload; ///< Workload::name() of the producer
@@ -51,19 +52,6 @@ Checkpoint captureCheckpoint(Workload &workload, uint64_t step);
  * malformed image; returns the checkpoint's step.
  */
 uint64_t restoreCheckpoint(Workload &workload, const Checkpoint &ckpt);
-
-/**
- * Write a checkpoint to `path` (versioned header + checksum); throws
- * IoError when the file cannot be created or fully written.
- */
-void writeCheckpointFile(const std::string &path, const Checkpoint &ckpt);
-
-/**
- * Read and validate a checkpoint file. Malformed input — wrong magic,
- * unknown version, truncation, checksum mismatch, trailing bytes —
- * throws a typed IoError (never asserts: the file is external input).
- */
-Checkpoint readCheckpointFile(const std::string &path);
 
 } // namespace gnnmark
 

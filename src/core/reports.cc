@@ -22,9 +22,11 @@ printTableOne(std::ostream &os)
     TablePrinter stats("Workload statistics at scale 1");
     stats.setHeader({"Workload", "Parameters", "Steps/epoch",
                      "DDP-capable", "Sampler DDP-safe"});
+    for (const TableOneRow &row : BenchmarkSuite::tableOne()) {
+        table.addRow({row.workload, row.model, row.framework, row.domain,
+                      row.dataset, row.graphType});
+    }
     for (const auto &wl : BenchmarkSuite::createAll()) {
-        table.addRow({wl->name(), wl->modelName(), wl->framework(),
-                      wl->domain(), wl->datasetName(), wl->graphType()});
         wl->setup(WorkloadConfig{});
         stats.addRow({wl->name(), formatBytes(wl->parameterBytes()),
                       strfmt("%lld", static_cast<long long>(

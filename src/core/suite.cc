@@ -11,13 +11,41 @@
 
 namespace gnnmark {
 
+const std::vector<TableOneRow> &
+BenchmarkSuite::tableOne()
+{
+    static const std::vector<TableOneRow> rows = {
+        {"PSAGE-MVL", "PinSAGE", "DGL", "Recommendation",
+         "MovieLens (synthetic)", "Heterogeneous"},
+        {"PSAGE-NWP", "PinSAGE", "DGL", "Recommendation",
+         "Nowplaying (synthetic)", "Heterogeneous"},
+        {"STGCN", "STGCN", "PyTorch", "Traffic forecasting",
+         "METR-LA (synthetic)", "Dynamic (spatio-temporal)"},
+        {"DGCN", "DeepGCN", "PyG", "Molecular property prediction",
+         "ogbg-mol (synthetic)", "Homogeneous (batched)"},
+        {"GW", "GraphWriter", "PyTorch", "Text generation",
+         "AGENDA (synthetic)", "Knowledge graph"},
+        {"KGNNL", "k-GNN", "PyG", "Protein classification",
+         "PROTEINS (synthetic)", "Homogeneous (batched)"},
+        {"KGNNH", "k-GNN", "PyG", "Protein classification",
+         "PROTEINS (synthetic)", "Homogeneous (batched)"},
+        {"ARGA", "ARGA", "PyG", "Node clustering", "Cora (synthetic)",
+         "Homogeneous"},
+        {"TLSTM", "Tree-LSTM", "DGL", "Sentiment classification",
+         "SST (synthetic)", "Tree (batched)"},
+    };
+    return rows;
+}
+
 const std::vector<std::string> &
 BenchmarkSuite::workloadNames()
 {
-    static const std::vector<std::string> names = {
-        "PSAGE-MVL", "PSAGE-NWP", "STGCN", "DGCN", "GW",
-        "KGNNL",     "KGNNH",     "ARGA",  "TLSTM",
-    };
+    static const std::vector<std::string> names = [] {
+        std::vector<std::string> out;
+        for (const TableOneRow &row : tableOne())
+            out.push_back(row.workload);
+        return out;
+    }();
     return names;
 }
 

@@ -15,10 +15,24 @@
 
 namespace gnnmark {
 
+/** One Table I row: what a suite workload reproduces. */
+struct TableOneRow
+{
+    std::string workload; ///< suite name, e.g. "PSAGE-MVL"
+    std::string model;
+    std::string framework;
+    std::string domain;
+    std::string dataset;
+    std::string graphType;
+};
+
 /** Factory for the suite's workloads. */
 class BenchmarkSuite
 {
   public:
+    /** The paper's Table I, one row per workload configuration. */
+    static const std::vector<TableOneRow> &tableOne();
+
     /**
      * Names of all workload configurations, in Table I order:
      * PSAGE-MVL, PSAGE-NWP, STGCN, DGCN, GW, KGNNL, KGNNH, ARGA,

@@ -16,9 +16,9 @@ measureTimeToTrain(Workload &workload, const TimeToTrainOptions &options)
     TimeToTrainResult res;
     res.name = workload.name();
 
-    GpuDevice device(options.deviceConfig, options.seed);
+    GpuDevice device(GpuConfig::v100(), kTimeToTrainSeed);
     WorkloadConfig cfg;
-    cfg.seed = options.seed;
+    cfg.seed = kTimeToTrainSeed;
     cfg.scale = options.scale;
     workload.setup(cfg);
 
@@ -32,8 +32,8 @@ measureTimeToTrain(Workload &workload, const TimeToTrainOptions &options)
             res.initialLoss = loss;
             target = smoothed * options.lossFraction;
         } else {
-            smoothed = options.smoothing * smoothed +
-                       (1.0 - options.smoothing) * loss;
+            smoothed = kLossSmoothing * smoothed +
+                       (1.0 - kLossSmoothing) * loss;
         }
         res.iterations = i + 1;
         res.finalLoss = static_cast<float>(smoothed);

@@ -11,24 +11,24 @@
 #include <string>
 
 #include "models/workload.hh"
-#include "sim/gpu_config.hh"
 
 namespace gnnmark {
 
-/** Options for a time-to-train run. */
+/** Dataset and device seed of a time-to-train run. */
+inline constexpr uint64_t kTimeToTrainSeed = 42;
+/** Exponential smoothing factor for the loss (0 = no smoothing). */
+inline constexpr double kLossSmoothing = 0.7;
+
+/** Options for a time-to-train run on a simulated V100. */
 struct TimeToTrainOptions
 {
-    uint64_t seed = 42;
     double scale = 1.0;
     /**
      * Convergence target: stop when the smoothed loss drops below
      * `lossFraction` of the initial smoothed loss.
      */
     double lossFraction = 0.85;
-    /** Exponential smoothing factor for the loss (0 = no smoothing). */
-    double smoothing = 0.7;
     int maxIterations = 400;
-    GpuConfig deviceConfig = GpuConfig::v100();
 };
 
 /** Result of one time-to-train measurement. */

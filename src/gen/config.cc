@@ -53,15 +53,6 @@ validateConfig(const GeneratorConfig &cfg)
         return strfmt("chunks must be >= 1, got %d", cfg.chunks);
     if (cfg.lookahead < 1)
         return strfmt("lookahead must be >= 1, got %d", cfg.lookahead);
-    if (cfg.family == Family::Rmat) {
-        const double d = 1.0 - cfg.rmatA - cfg.rmatB - cfg.rmatC;
-        if (cfg.rmatA <= 0 || cfg.rmatB <= 0 || cfg.rmatC <= 0 ||
-            d <= 0) {
-            return strfmt("rmat quadrant probabilities must be "
-                          "positive and sum below 1 (a=%g b=%g c=%g)",
-                          cfg.rmatA, cfg.rmatB, cfg.rmatC);
-        }
-    }
     if (cfg.family == Family::Hyperbolic &&
         (cfg.gamma <= 2.0 || cfg.gamma > 10.0)) {
         return strfmt("gamma must be in (2, 10], got %g", cfg.gamma);

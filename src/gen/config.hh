@@ -32,6 +32,15 @@ const char *familyName(Family family);
 /** Parse a family name; returns false on unknown input. */
 bool parseFamily(const std::string &name, Family &family);
 
+/** @{ R-MAT quadrant probabilities (d = 1 - a - b - c). */
+inline constexpr double kRmatA = 0.57;
+inline constexpr double kRmatB = 0.19;
+inline constexpr double kRmatC = 0.19;
+/** @} */
+static_assert(kRmatA > 0 && kRmatB > 0 && kRmatC > 0 &&
+                  1.0 - kRmatA - kRmatB - kRmatC > 0,
+              "every R-MAT quadrant needs positive mass");
+
 /**
  * One generated graph, fully described. Determinism contract: the
  * emitted edge sequence is a pure function of the *resolved* config —
@@ -71,12 +80,6 @@ struct GeneratorConfig
      * together with `chunks`.
      */
     int lookahead = 4;
-
-    /** @{ R-MAT quadrant probabilities (d = 1 - a - b - c). */
-    double rmatA = 0.57;
-    double rmatB = 0.19;
-    double rmatC = 0.19;
-    /** @} */
 
     /** Hyperbolic/scale-free target degree exponent (> 2). */
     double gamma = 2.8;

@@ -56,8 +56,8 @@ rmatUnit(const GeneratorConfig &cfg, int64_t unit, EdgeSink &sink)
     const int64_t lo = unit * kRmatUnitEdges;
     const int64_t hi = std::min(m, lo + kRmatUnitEdges);
     const int scale = rmatScale(cfg);
-    const double ab = cfg.rmatA + cfg.rmatB;
-    const double abc = ab + cfg.rmatC;
+    const double ab = kRmatA + kRmatB;
+    const double abc = ab + kRmatC;
     Rng rng = unitRng(cfg, kRmatTag, unit);
     for (int64_t e = lo; e < hi; ++e) {
         int64_t row = 0, col = 0;
@@ -65,7 +65,7 @@ rmatUnit(const GeneratorConfig &cfg, int64_t unit, EdgeSink &sink)
             const double u = rng.uniform();
             row <<= 1;
             col <<= 1;
-            if (u < cfg.rmatA) {
+            if (u < kRmatA) {
                 // top-left: no bits set
             } else if (u < ab) {
                 col |= 1;

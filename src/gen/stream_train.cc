@@ -5,7 +5,6 @@
 #include <memory>
 #include <vector>
 
-#include "base/logging.hh"
 #include "base/rng.hh"
 #include "gen/degree_stats.hh"
 #include "graph/batch.hh"
@@ -41,8 +40,6 @@ StreamTrainResult
 streamTrain(EdgeStream &stream, const StreamTrainOptions &opts,
             DegreeAccumulator *degrees)
 {
-    GNN_ASSERT(opts.fanout > 0 && opts.batchSize > 0 && opts.featDim > 0,
-               "streamTrain: bad options");
     StreamTrainResult result;
 
     std::unique_ptr<obs::WindowedSeries> edgeWin, lossWin;
@@ -56,11 +53,11 @@ streamTrain(EdgeStream &stream, const StreamTrainOptions &opts,
     // Ground-truth weights: the label of a minibatch row is exactly
     // linear in its aggregated features, so the linear model can fit.
     Rng true_rng = Rng(opts.seed).split(~uint64_t{0});
-    std::vector<double> true_w(static_cast<size_t>(opts.featDim));
+    std::vector<double> true_w(static_cast<size_t>(kStreamFeatDim));
     for (double &w : true_w)
         w = true_rng.uniform(-1.0f, 1.0f);
 
-    std::vector<double> model(static_cast<size_t>(opts.featDim), 0.0);
+    std::vector<double> model(static_cast<size_t>(kStreamFeatDim), 0.0);
     std::vector<float> src_feat;  // [srcNodes, featDim]
     std::vector<double> agg;      // [batch, featDim]
 
@@ -87,17 +84,17 @@ streamTrain(EdgeStream &stream, const StreamTrainOptions &opts,
         Rng rng = Rng(opts.seed).split(
             static_cast<uint64_t>(block.chunkIndex));
         const int64_t batch =
-            std::min<int64_t>(opts.batchSize, num_nodes);
+            std::min<int64_t>(kStreamBatchSize, num_nodes);
         std::vector<int32_t> seeds(static_cast<size_t>(batch));
         for (int32_t &s : seeds)
             s = static_cast<int32_t>(
                 rng.randint(static_cast<uint64_t>(num_nodes)));
 
-        NeighborSampler sampler(cg.graph, opts.fanout);
+        NeighborSampler sampler(cg.graph, kStreamFanout);
         const SampledBlock sampled = sampler.sample(seeds, rng);
 
         // Features for the sampled source frontier only.
-        const size_t f = static_cast<size_t>(opts.featDim);
+        const size_t f = static_cast<size_t>(kStreamFeatDim);
         src_feat.assign(sampled.srcNodes.size() * f, 0.0f);
         for (size_t i = 0; i < sampled.srcNodes.size(); ++i) {
             const int64_t global =
@@ -145,7 +142,7 @@ streamTrain(EdgeStream &stream, const StreamTrainOptions &opts,
         }
         loss /= static_cast<double>(batch);
         for (size_t k = 0; k < f; ++k)
-            model[k] -= opts.lr * grad[k] / static_cast<double>(batch);
+            model[k] -= kStreamLr * grad[k] / static_cast<double>(batch);
 
         if (result.batches == 0)
             result.firstLoss = loss;

@@ -23,12 +23,15 @@ namespace gen {
 
 class DegreeAccumulator;
 
+/** @{ The streamed trainer's fixed shape. */
+inline constexpr int kStreamFanout = 8;      ///< neighbours per seed
+inline constexpr int kStreamBatchSize = 256; ///< seeds per minibatch
+inline constexpr int kStreamFeatDim = 16;    ///< hash-derived features
+inline constexpr double kStreamLr = 0.05;    ///< SGD learning rate
+/** @} */
+
 struct StreamTrainOptions
 {
-    int fanout = 8;        ///< neighbours sampled per seed
-    int batchSize = 256;   ///< seeds per chunk minibatch
-    int featDim = 16;      ///< hash-derived feature width
-    double lr = 0.05;      ///< SGD learning rate
     uint64_t seed = 1234;  ///< sampling + label seed
     /**
      * Tumbling-window width, in chunks, for the edge-throughput and

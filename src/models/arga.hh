@@ -31,14 +31,6 @@ class Arga : public Workload
     Arga() = default;
 
     std::string name() const override { return "ARGA"; }
-    std::string modelName() const override { return "ARGA"; }
-    std::string framework() const override { return "PyG"; }
-    std::string domain() const override { return "Node clustering"; }
-    std::string datasetName() const override
-    {
-        return "Cora (synthetic)";
-    }
-    std::string graphType() const override { return "Homogeneous"; }
 
     void setup(const WorkloadConfig &config) override;
     float trainIteration() override;

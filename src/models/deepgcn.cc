@@ -73,10 +73,8 @@ DeepGcn::trainIteration()
 
     std::vector<SmallGraph> chosen;
     chosen.reserve(local_batch);
-    const int64_t start =
-        cursor_ + cfg_.rank * local_batch;
     for (int64_t i = 0; i < local_batch; ++i)
-        chosen.push_back(dataset_[(start + i) % n_graphs]);
+        chosen.push_back(dataset_[(cursor_ + i) % n_graphs]);
     cursor_ += batch_;
 
     GraphBatch batch = GraphBatch::build(chosen);

@@ -49,20 +49,6 @@ class DeepGcn : public Workload
     DeepGcn() = default;
 
     std::string name() const override { return "DGCN"; }
-    std::string modelName() const override { return "DeepGCN"; }
-    std::string framework() const override { return "PyG"; }
-    std::string domain() const override
-    {
-        return "Molecular property prediction";
-    }
-    std::string datasetName() const override
-    {
-        return "ogbg-mol (synthetic)";
-    }
-    std::string graphType() const override
-    {
-        return "Homogeneous (batched)";
-    }
 
     void setup(const WorkloadConfig &config) override;
     float trainIteration() override;

@@ -78,7 +78,7 @@ GraphWriter::trainIteration()
         static_cast<int64_t>(data_.targetTokens.size());
     const int64_t local_batch =
         std::max<int64_t>(1, batch_ / cfg_.worldSize);
-    const int64_t start = cursor_ + cfg_.rank * local_batch;
+    const int64_t start = cursor_;
     cursor_ += batch_;
 
     // The batch's knowledge subgraph: union of the samples' entity

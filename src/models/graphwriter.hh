@@ -47,14 +47,6 @@ class GraphWriter : public Workload
     GraphWriter() = default;
 
     std::string name() const override { return "GW"; }
-    std::string modelName() const override { return "GraphWriter"; }
-    std::string framework() const override { return "PyTorch"; }
-    std::string domain() const override { return "Text generation"; }
-    std::string datasetName() const override
-    {
-        return "AGENDA (synthetic)";
-    }
-    std::string graphType() const override { return "Knowledge graph"; }
 
     void setup(const WorkloadConfig &config) override;
     float trainIteration() override;

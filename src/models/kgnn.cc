@@ -165,7 +165,7 @@ KGnn::trainIteration()
     const int64_t local_batch =
         std::max<int64_t>(1, batch_ / cfg_.worldSize);
     const int64_t n_graphs = static_cast<int64_t>(dataset_.size());
-    const int64_t start = cursor_ + cfg_.rank * local_batch;
+    const int64_t start = cursor_;
     cursor_ += batch_;
 
     std::vector<SmallGraph> chosen;

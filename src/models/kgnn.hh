@@ -54,20 +54,6 @@ class KGnn : public Workload
     explicit KGnn(int k);
 
     std::string name() const override;
-    std::string modelName() const override { return "k-GNN"; }
-    std::string framework() const override { return "PyG"; }
-    std::string domain() const override
-    {
-        return "Protein classification";
-    }
-    std::string datasetName() const override
-    {
-        return "PROTEINS (synthetic)";
-    }
-    std::string graphType() const override
-    {
-        return "Homogeneous (batched)";
-    }
 
     void setup(const WorkloadConfig &config) override;
     float trainIteration() override;

@@ -133,13 +133,6 @@ PinSage::name() const
     return dataset_ == PinSageDataset::MVL ? "PSAGE-MVL" : "PSAGE-NWP";
 }
 
-std::string
-PinSage::datasetName() const
-{
-    return dataset_ == PinSageDataset::MVL ? "MovieLens (synthetic)"
-                                           : "Nowplaying (synthetic)";
-}
-
 void
 PinSage::setup(const WorkloadConfig &config)
 {

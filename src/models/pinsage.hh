@@ -97,11 +97,6 @@ class PinSage : public Workload
     explicit PinSage(PinSageDataset dataset);
 
     std::string name() const override;
-    std::string modelName() const override { return "PinSAGE"; }
-    std::string framework() const override { return "DGL"; }
-    std::string domain() const override { return "Recommendation"; }
-    std::string datasetName() const override;
-    std::string graphType() const override { return "Heterogeneous"; }
 
     void setup(const WorkloadConfig &config) override;
     float trainIteration() override;

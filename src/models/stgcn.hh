@@ -47,17 +47,6 @@ class Stgcn : public Workload
     Stgcn() = default;
 
     std::string name() const override { return "STGCN"; }
-    std::string modelName() const override { return "STGCN"; }
-    std::string framework() const override { return "PyTorch"; }
-    std::string domain() const override { return "Traffic forecasting"; }
-    std::string datasetName() const override
-    {
-        return "METR-LA (synthetic)";
-    }
-    std::string graphType() const override
-    {
-        return "Dynamic (spatio-temporal)";
-    }
 
     void setup(const WorkloadConfig &config) override;
     float trainIteration() override;

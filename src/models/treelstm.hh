@@ -30,14 +30,6 @@ class TreeLstm : public Workload
     TreeLstm() = default;
 
     std::string name() const override { return "TLSTM"; }
-    std::string modelName() const override { return "Tree-LSTM"; }
-    std::string framework() const override { return "DGL"; }
-    std::string domain() const override
-    {
-        return "Sentiment classification";
-    }
-    std::string datasetName() const override { return "SST (synthetic)"; }
-    std::string graphType() const override { return "Tree (batched)"; }
 
     void setup(const WorkloadConfig &config) override;
     float trainIteration() override;

@@ -58,8 +58,10 @@ struct WorkloadConfig
     uint64_t seed = 42;
     /** Dataset scale factor (1.0 = the suite's default sizes). */
     double scale = 1.0;
-    /** DDP sharding: this replica's rank and the world size. */
-    int rank = 0;
+    /**
+     * DDP sharding: the world size. Every replica is priced as rank
+     * 0, so the batch shard starts at the cursor.
+     */
     int worldSize = 1;
     /**
      * Forward-only mode (no backward pass, no optimiser step): used
@@ -77,14 +79,6 @@ class Workload
 
     /** Suite identifier, e.g. "PSAGE-MVL" (Table I row key). */
     virtual std::string name() const = 0;
-
-    /** @{ Table I metadata. */
-    virtual std::string modelName() const = 0;
-    virtual std::string framework() const = 0;
-    virtual std::string domain() const = 0;
-    virtual std::string datasetName() const = 0;
-    virtual std::string graphType() const = 0;
-    /** @} */
 
     /** Build datasets and model state; called once. */
     virtual void setup(const WorkloadConfig &config) = 0;

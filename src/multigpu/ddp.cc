@@ -35,20 +35,18 @@ syncCommCost(const Interconnect &interconnect, double bytes, int world)
     if (world <= 1)
         return 0;
     return interconnect.allReduceTime(bytes, world) +
-           bucketCount(bytes) *
-               interconnect.config().messageLatencySec +
+           bucketCount(bytes) * kMessageLatencySec +
            kDdpOverheadSec;
 }
 
 std::vector<double>
-overlapBucketSizes(double bytes, const DdpOptions &options)
+overlapBucketSizes(double bytes)
 {
     if (bytes <= 0)
         return {};
-    const double target =
-        bytes / static_cast<double>(std::max(1, options.targetBuckets));
-    const double size = std::min(
-        kBucketBytes, std::max(target, options.minBucketBytes));
+    const double target = bytes / static_cast<double>(kTargetBuckets);
+    const double size =
+        std::min(kBucketBytes, std::max(target, kMinBucketBytes));
     const int count =
         std::max(1, static_cast<int>(std::ceil(bytes / size)));
     return std::vector<double>(static_cast<size_t>(count),
@@ -57,17 +55,15 @@ overlapBucketSizes(double bytes, const DdpOptions &options)
 
 CommCost
 overlapCommCost(const Interconnect &interconnect, double bytes,
-                int world, const IterationTimeline &timeline,
-                const DdpOptions &options)
+                int world, const IterationTimeline &timeline)
 {
     CommCost out;
     if (world <= 1 || bytes <= 0)
         return out;
 
-    const double lat = interconnect.config().messageLatencySec;
+    const double lat = kMessageLatencySec;
     const double steps = 2.0 * (static_cast<double>(world) - 1.0);
-    const std::vector<double> sizes =
-        overlapBucketSizes(bytes, options);
+    const std::vector<double> sizes = overlapBucketSizes(bytes);
     const int count = static_cast<int>(sizes.size());
 
     // Optimizer kernels can only start once all gradients are both
@@ -130,7 +126,7 @@ pricePoint(const Interconnect &interconnect,
             double exposed = 0;
             for (const IterationTimeline &t : timelines) {
                 CommCost c = overlapCommCost(interconnect, parameter_bytes,
-                                             world, t, options);
+                                             world, t);
                 total += c.totalSec;
                 exposed += c.exposedSec;
             }
@@ -207,11 +203,7 @@ scalingFromTimelines(const Interconnect &interconnect,
 
 } // namespace ddp
 
-DdpTrainer::DdpTrainer(GpuConfig device_config,
-                       InterconnectConfig link_config,
-                       DdpOptions options)
-    : deviceConfig_(device_config), interconnect_(link_config),
-      options_(options)
+DdpTrainer::DdpTrainer(DdpOptions options) : options_(options)
 {
 }
 
@@ -226,12 +218,11 @@ DdpTrainer::measureImpl(Workload &workload, const WorkloadConfig &base,
     // batch: run with worldSize 1 for the compute, then charge the
     // world-sized communication.
     WorkloadConfig cfg = base;
-    cfg.rank = 0;
     cfg.worldSize = weak ? 1 : world;
 
-    GpuDevice device(deviceConfig_,
+    GpuDevice device(GpuConfig::v100(),
                      base.seed + (weak ? 100 + world : world));
-    TimelineCollector timelines(deviceConfig_.launchOverheadSec);
+    TimelineCollector timelines(device.config().launchOverheadSec);
     device.addObserver(&timelines);
     if (extraObserver_ != nullptr)
         device.addObserver(extraObserver_);
@@ -334,12 +325,11 @@ DdpTrainer::runEngine(Workload &workload, const WorkloadConfig &base,
     EngineOutcome out;
 
     WorkloadConfig cfg = base;
-    cfg.rank = 0;
     cfg.worldSize = world;
 
     // Both the ideal and the faulty pass seed the device identically,
     // so idealTimeSec and totalTimeSec share the same compute model.
-    GpuDevice device(deviceConfig_, base.seed + 1000 + world);
+    GpuDevice device(GpuConfig::v100(), base.seed + 1000 + world);
     if (extraObserver_ != nullptr)
         device.addObserver(extraObserver_);
     workload.setup(cfg);
@@ -387,8 +377,8 @@ DdpTrainer::runEngine(Workload &workload, const WorkloadConfig &base,
         have_ckpt = true;
     }
     auto ckptIoSec = [&]() {
-        return ckpt.sizeBytes() / options.checkpointBandwidth +
-               options.checkpointLatencySec;
+        return ckpt.sizeBytes() / kCheckpointBandwidth +
+               kCheckpointLatencySec;
     };
 
     int completed = 0;
@@ -434,10 +424,7 @@ DdpTrainer::runEngine(Workload &workload, const WorkloadConfig &base,
             comm = healthy;
             const double link = injector.linkFactor(t0);
             if (link < 1.0) {
-                InterconnectConfig slow_cfg = interconnect_.config();
-                slow_cfg.degradedHopFactor =
-                    std::min(slow_cfg.degradedHopFactor, link);
-                Interconnect slow(slow_cfg);
+                Interconnect slow(InterconnectConfig{link});
                 comm = ddp::syncCommCost(slow, bytes, alive_count);
                 for (size_t i = 0; i < events.size(); ++i) {
                     const FaultEvent &e = events[i];
@@ -523,10 +510,10 @@ DdpTrainer::runEngine(Workload &workload, const WorkloadConfig &base,
         const FaultEvent &e = events[crash];
         FaultRecord &rec = recordFor(crash);
 
-        double detection = options.allReduceTimeoutSec;
-        double backoff = options.backoffBaseSec;
-        for (int r = 0; r < options.maxRetries; ++r) {
-            detection += backoff + options.allReduceTimeoutSec;
+        double detection = kAllReduceTimeoutSec;
+        double backoff = kRetryBackoffBaseSec;
+        for (int r = 0; r < kMaxRetries; ++r) {
+            detection += backoff + kAllReduceTimeoutSec;
             backoff *= 2;
         }
 
@@ -554,7 +541,7 @@ DdpTrainer::runEngine(Workload &workload, const WorkloadConfig &base,
                 restoreCheckpoint(workload, ckpt);
             }
             completed = rollback_to;
-            reshard = options.commReinitSec;
+            reshard = kCommReinitSec;
             if (alive_count > 1) {
                 reshard += interconnect_.broadcastTime(
                     workload.parameterBytes(), alive_count);

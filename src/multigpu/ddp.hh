@@ -17,7 +17,6 @@
 
 #include "models/workload.hh"
 #include "sim/fault_injector.hh"
-#include "sim/gpu_config.hh"
 #include "sim/interconnect.hh"
 #include "sim/stream.hh"
 
@@ -52,16 +51,6 @@ struct DdpOptions
      * legacy fully-serialized cost model is reproduced bit-exactly.
      */
     bool overlapComm = true;
-    /**
-     * Overlap-path bucket sizing. At reproduction scale every
-     * workload's gradients fit a single 25 MB PyTorch bucket, whose
-     * one ready event would fire only when backward finishes — making
-     * overlap vacuous — so the comm stream drains finer buckets:
-     * roughly bytes/targetBuckets each, clamped to
-     * [minBucketBytes, 25 MB]. The synchronous path is unaffected.
-     */
-    int targetBuckets = 4;
-    double minBucketBytes = 16.0 * 1024;
 };
 
 /**
@@ -77,6 +66,18 @@ constexpr double kBucketBytes = 25.0 * 1024 * 1024;
 /** Fixed per-iteration DDP bookkeeping (hooks, bucket ready checks). */
 constexpr double kDdpOverheadSec = 40e-6;
 
+/**
+ * @{ Overlap-path bucket sizing. At reproduction scale every
+ * workload's gradients fit a single 25 MB PyTorch bucket, whose one
+ * ready event would fire only when backward finishes — making overlap
+ * vacuous — so the comm stream drains finer buckets: roughly
+ * bytes/kTargetBuckets each, clamped to [kMinBucketBytes, 25 MB]. The
+ * synchronous path is unaffected.
+ */
+constexpr int kTargetBuckets = 4;
+constexpr double kMinBucketBytes = 16.0 * 1024;
+/** @} */
+
 /** Number of legacy 25 MB gradient buckets covering `bytes`. */
 int bucketCount(double bytes);
 
@@ -88,9 +89,8 @@ int bucketCount(double bytes);
 double syncCommCost(const Interconnect &interconnect, double bytes,
                     int world);
 
-/** Equal-split overlap-path bucket layout (see DdpOptions). */
-std::vector<double> overlapBucketSizes(double bytes,
-                                       const DdpOptions &options);
+/** Equal-split overlap-path bucket layout (see kTargetBuckets). */
+std::vector<double> overlapBucketSizes(double bytes);
 
 /** Total/exposed split of one overlapped iteration's gradient sync. */
 struct CommCost
@@ -109,8 +109,7 @@ struct CommCost
  * degenerates to fully exposed.
  */
 CommCost overlapCommCost(const Interconnect &interconnect, double bytes,
-                         int world, const IterationTimeline &timeline,
-                         const DdpOptions &options);
+                         int world, const IterationTimeline &timeline);
 
 /**
  * Price one scaling point on `world` replicas from the measured
@@ -168,19 +167,22 @@ struct FaultRecoveryOptions
      * checkpoints, in which case a crash rolls back to iteration 0.
      */
     int checkpointInterval = 12;
-    /** All-reduce timeout that flags a dead/stuck replica. */
-    double allReduceTimeoutSec = 30e-3;
-    /** Failed-all-reduce retries before the world is shrunk. */
-    int maxRetries = 2;
-    /** First retry backoff; doubles per retry (exponential). */
-    double backoffBaseSec = 10e-3;
-    /** Bandwidth to stable checkpoint storage. */
-    double checkpointBandwidth = 4e9;
-    /** Fixed per-checkpoint-write (and read) latency. */
-    double checkpointLatencySec = 1e-3;
-    /** Process-group re-initialisation cost after a world change. */
-    double commReinitSec = 200e-3;
 };
+
+/** @{ Recovery costs of a fault-tolerant DDP run. */
+/** All-reduce timeout that flags a dead/stuck replica. */
+constexpr double kAllReduceTimeoutSec = 30e-3;
+/** Failed-all-reduce retries before the world is shrunk. */
+constexpr int kMaxRetries = 2;
+/** First retry backoff; doubles per retry (exponential). */
+constexpr double kRetryBackoffBaseSec = 10e-3;
+/** Bandwidth to stable checkpoint storage. */
+constexpr double kCheckpointBandwidth = 4e9;
+/** Fixed per-checkpoint-write (and read) latency. */
+constexpr double kCheckpointLatencySec = 1e-3;
+/** Process-group re-initialisation cost after a world change. */
+constexpr double kCommReinitSec = 200e-3;
+/** @} */
 
 /** Simulated-time accounting for one recovered fault. */
 struct FaultRecord
@@ -227,9 +229,8 @@ struct FaultToleranceResult
 class DdpTrainer
 {
   public:
-    DdpTrainer(GpuConfig device_config = GpuConfig::v100(),
-               InterconnectConfig link_config = InterconnectConfig{},
-               DdpOptions options = DdpOptions{});
+    /** Trains on simulated V100s over a healthy NVLink ring. */
+    explicit DdpTrainer(DdpOptions options = DdpOptions{});
 
     /**
      * Measure average time-per-epoch for `workload` on `world` GPUs.
@@ -295,8 +296,6 @@ class DdpTrainer
         extraObserver_ = observer;
     }
 
-    const DdpOptions &options() const { return options_; }
-
   private:
     struct EngineOutcome;
 
@@ -311,7 +310,6 @@ class DdpTrainer
                               const WorkloadConfig &base, int world,
                               int measured_iterations, bool weak);
 
-    GpuConfig deviceConfig_;
     Interconnect interconnect_;
     DdpOptions options_;
     KernelObserver *extraObserver_ = nullptr;

@@ -9,20 +9,19 @@ namespace gnnmark {
 namespace serve {
 
 double
-BackoffPolicy::delayForRetry(int retry) const
+backoffDelay(int retry)
 {
     GNN_ASSERT(retry >= 1, "retry index is 1-based, got %d", retry);
-    GNN_ASSERT(multiplier >= 1.0, "backoff multiplier must be >= 1");
     const double raw =
-        baseDelaySec * std::pow(multiplier, retry - 1);
-    return std::min(raw, maxDelaySec);
+        kBackoffBaseSec * std::pow(kBackoffMultiplier, retry - 1);
+    return std::min(raw, kBackoffMaxSec);
 }
 
 CircuitBreaker::State
 CircuitBreaker::state(double now)
 {
     if (state_ == State::Open &&
-        now >= opened_at_ + config_.cooldownSec) {
+        now >= opened_at_ + kBreakerCooldownSec) {
         state_ = State::HalfOpen;
         probe_streak_ = 0;
     }
@@ -37,7 +36,7 @@ CircuitBreaker::onSuccess(double now)
         timeout_streak_ = 0;
         break;
       case State::HalfOpen:
-        if (++probe_streak_ >= config_.halfOpenSuccesses) {
+        if (++probe_streak_ >= kBreakerProbeSuccesses) {
             state_ = State::Closed;
             timeout_streak_ = 0;
         }
@@ -55,7 +54,7 @@ CircuitBreaker::onTimeout(double now)
 {
     switch (state(now)) {
       case State::Closed:
-        if (++timeout_streak_ >= config_.openAfterTimeouts) {
+        if (++timeout_streak_ >= kBreakerOpenAfterTimeouts) {
             state_ = State::Open;
             opened_at_ = now;
             ++open_count_;

@@ -3,15 +3,16 @@
  * Pure robustness state machines, decoupled from the event loop so
  * they can be unit-tested against a hand-driven simulated clock:
  *
- *  - BackoffPolicy: capped exponential backoff for retries. Attempt
- *    n (1-based) retries after min(base * multiplier^(n-1), cap)
- *    seconds, up to maxAttempts total dispatches.
+ *  - Backoff: capped exponential backoff for retries. Retry n
+ *    (1-based) waits min(kBackoffBaseSec * kBackoffMultiplier^(n-1),
+ *    kBackoffMaxSec) seconds, up to kMaxAttempts total dispatches.
  *
  *  - CircuitBreaker: per-replica Closed -> Open -> HalfOpen cycle.
- *    openAfterTimeouts consecutive timeouts open the breaker; after
- *    cooldownSec it admits probe traffic (HalfOpen), and
- *    halfOpenSuccesses consecutive probe successes close it again. A
- *    probe timeout re-opens immediately and restarts the cooldown.
+ *    kBreakerOpenAfterTimeouts consecutive timeouts open the breaker;
+ *    after kBreakerCooldownSec it admits probe traffic (HalfOpen), and
+ *    kBreakerProbeSuccesses consecutive probe successes close it
+ *    again. A probe timeout re-opens immediately and restarts the
+ *    cooldown.
  *
  * Both run on explicit simulated time passed by the caller; neither
  * reads a wall clock, so behaviour is deterministic and replayable.
@@ -25,38 +26,39 @@
 namespace gnnmark {
 namespace serve {
 
-/** Capped exponential backoff schedule for request retries. */
-struct BackoffPolicy
+/** @{ Capped exponential backoff schedule for request retries. */
+/** Delay before the first retry. */
+inline constexpr double kBackoffBaseSec = 0.002;
+/** Growth factor per retry. */
+inline constexpr double kBackoffMultiplier = 2.0;
+static_assert(kBackoffMultiplier >= 1.0, "backoff must not shrink");
+/** Ceiling on any single delay. */
+inline constexpr double kBackoffMaxSec = 0.02;
+/** Total dispatch attempts (first try + retries). */
+inline constexpr int kMaxAttempts = 3;
+/** @} */
+
+/**
+ * Delay before retry number `retry` (1-based: 1 follows the first
+ * failure). Exponential in the retry index, capped.
+ */
+double backoffDelay(int retry);
+
+/** Whether a request on `attempts` dispatches may try again. */
+inline bool
+canRetry(int attempts)
 {
-    /** Delay before the first retry. */
-    double baseDelaySec = 0.002;
-    /** Growth factor per retry (>= 1). */
-    double multiplier = 2.0;
-    /** Ceiling on any single delay. */
-    double maxDelaySec = 0.02;
-    /** Total dispatch attempts (first try + retries). */
-    int maxAttempts = 3;
+    return attempts < kMaxAttempts;
+}
 
-    /**
-     * Delay before retry number `retry` (1-based: 1 follows the
-     * first failure). Exponential in the retry index, capped.
-     */
-    double delayForRetry(int retry) const;
-
-    /** Whether a request on `attempts` dispatches may try again. */
-    bool canRetry(int attempts) const { return attempts < maxAttempts; }
-};
-
-/** Circuit-breaker tuning. */
-struct BreakerConfig
-{
-    /** Consecutive timeouts that trip the breaker open. */
-    int openAfterTimeouts = 3;
-    /** Open hold time before probes are admitted. */
-    double cooldownSec = 0.05;
-    /** Consecutive probe successes that close it again. */
-    int halfOpenSuccesses = 2;
-};
+/** @{ Circuit-breaker tuning. */
+/** Consecutive timeouts that trip the breaker open. */
+inline constexpr int kBreakerOpenAfterTimeouts = 3;
+/** Open hold time before probes are admitted. */
+inline constexpr double kBreakerCooldownSec = 0.05;
+/** Consecutive probe successes that close it again. */
+inline constexpr int kBreakerProbeSuccesses = 2;
+/** @} */
 
 /**
  * One replica's circuit breaker. All transitions are driven by the
@@ -67,11 +69,6 @@ class CircuitBreaker
 {
   public:
     enum class State : uint8_t { Closed, Open, HalfOpen };
-
-    explicit CircuitBreaker(const BreakerConfig &config = {})
-        : config_(config)
-    {
-    }
 
     /** Current state at simulated time `now`. */
     State state(double now);
@@ -92,10 +89,9 @@ class CircuitBreaker
      * When probes become admissible again. Meaningful only while
      * Open (event-driven callers re-arm their dispatch check here).
      */
-    double probeTime() const { return opened_at_ + config_.cooldownSec; }
+    double probeTime() const { return opened_at_ + kBreakerCooldownSec; }
 
   private:
-    BreakerConfig config_;
     State state_ = State::Closed;
     /** Consecutive timeouts while Closed. */
     int timeout_streak_ = 0;

@@ -29,21 +29,39 @@ percentile(const std::vector<double> &sorted, double q)
 
 } // namespace
 
+FaultPlan
+scenarioPlan(const std::string &scenario, int replicas, double duration)
+{
+    std::vector<FaultEvent> events;
+    if (scenario == "straggler" || scenario == "mixed")
+        events.push_back({.kind = FaultKind::Straggler,
+                          .timeSec = 0.15 * duration,
+                          .replica = replicas > 1 ? 1 : 0,
+                          .durationSec = 0.70 * duration,
+                          .magnitude = 6.0});
+    if (scenario == "crash" || scenario == "mixed")
+        events.push_back({.kind = FaultKind::ReplicaCrash,
+                          .timeSec = 0.30 * duration,
+                          .replica = replicas - 1});
+    if (scenario == "mixed" && replicas > 2)
+        events.push_back({.kind = FaultKind::Straggler,
+                          .timeSec = 0.55 * duration,
+                          .durationSec = 0.20 * duration,
+                          .magnitude = 3.0});
+    return FaultPlan(std::move(events));
+}
+
 ServingSimulator::ServingSimulator(BatchCostTable table,
                                    ServeOptions options)
     : table_(std::move(table)), opt_(std::move(options)),
-      injector_(opt_.faults), cache_(opt_.cacheCapacity)
+      injector_(opt_.faults), cache_(kCacheCapacity)
 {
     GNN_ASSERT(table_.valid(), "serving needs a priced cost table");
     GNN_ASSERT(opt_.replicas >= 1, "serving needs >= 1 replica");
     GNN_ASSERT(opt_.maxBatch >= 1, "serving needs maxBatch >= 1");
-    GNN_ASSERT(opt_.hedgeFactor > 0 && opt_.timeoutFactor > 0,
-               "hedge/timeout factors must be positive");
     replicas_.resize(opt_.replicas);
-    for (int r = 0; r < opt_.replicas; ++r) {
-        replicas_[r].breaker = CircuitBreaker(opt_.breaker);
+    for (int r = 0; r < opt_.replicas; ++r)
         replicas_[r].stats.replica = r;
-    }
     if (opt_.windowSec > 0) {
         latencyWin_ = std::make_unique<obs::WindowedSeries>(opt_.windowSec);
         queueWin_ = std::make_unique<obs::WindowedSeries>(opt_.windowSec);
@@ -149,8 +167,8 @@ void
 ServingSimulator::retryOrDegrade(int64_t req, double now)
 {
     Request &r = requests_[req];
-    if (opt_.backoff.canRetry(r.attempts)) {
-        const double delay = opt_.backoff.delayForRetry(r.attempts);
+    if (canRetry(r.attempts)) {
+        const double delay = backoffDelay(r.attempts);
         // Deadline-aware retry: once the deadline cannot be met even
         // by an instant dispatch after the backoff, retrying only
         // feeds the overload — degrade instead. With shedding off
@@ -194,7 +212,7 @@ ServingSimulator::admit(int64_t req, double now)
                 const Batch &b = batches_[replicas_[i].activeBatch];
                 const double end = std::min(
                     b.doneSec,
-                    b.dispatchSec + opt_.timeoutFactor * b.expectedSec);
+                    b.dispatchSec + kTimeoutFactor * b.expectedSec);
                 backlog += std::max(0.0, end - now);
             }
         }
@@ -263,13 +281,9 @@ ServingSimulator::launchBatch(const std::vector<int64_t> &reqs,
 
     if (std::isfinite(b.doneSec))
         push(b.doneSec, EvType::BatchDone, b.id);
-    push(now + opt_.timeoutFactor * expected, EvType::BatchTimeout,
-         b.id);
-    if (opt_.hedgeEnabled && !hedge &&
-        opt_.hedgeFactor < opt_.timeoutFactor) {
-        push(now + opt_.hedgeFactor * expected, EvType::HedgeCheck,
-             b.id);
-    }
+    push(now + kTimeoutFactor * expected, EvType::BatchTimeout, b.id);
+    if (opt_.hedgeEnabled && !hedge)
+        push(now + kHedgeFactor * expected, EvType::HedgeCheck, b.id);
     ++dispatched_;
     batchSizeSum_ += size;
     batches_.push_back(b);
@@ -308,7 +322,7 @@ ServingSimulator::tryDispatch(double now)
         const double cost = table_.costSec(size);
         const Request &head = requests_[queue_.front()];
         const double forceAt = head.deadlineSec -
-                               (1.0 + opt_.batchSlackFactor) * cost;
+                               (1.0 + kBatchSlackFactor) * cost;
         if (size < opt_.maxBatch && now < forceAt) {
             // Hold for more arrivals; revisit at the forced time.
             push(forceAt, EvType::Dispatch, 0);

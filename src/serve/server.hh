@@ -14,16 +14,16 @@
  *    given the queue depth; otherwise it joins a central FIFO queue.
  *  - Batching: a batch forms when a replica is free, closing either
  *    at maxBatch or when the head request's deadline slack forces
- *    dispatch (head.deadline - cost - slack*cost).
+ *    dispatch (head.deadline - cost - kBatchSlackFactor*cost).
  *  - Replicas: each runs one batch at a time; service time is the
  *    table cost scaled by the injector's serviceFactor at dispatch.
  *    A crash before the scheduled end means the batch never
  *    completes and only its timeout fires.
- *  - Timeouts/retries: a batch times out after timeoutFactor * its
+ *  - Timeouts/retries: a batch times out after kTimeoutFactor * its
  *    expected cost; its requests retry with capped exponential
  *    backoff while attempts and deadline slack remain, then degrade
  *    (cache fallback) or are lost.
- *  - Hedging: a batch still running at hedgeFactor * expected cost
+ *  - Hedging: a batch still running at kHedgeFactor * expected cost
  *    gets a duplicate on a free replica; first completion wins and
  *    the loser's work is accounted as cancelled, never as a second
  *    answer.
@@ -58,6 +58,21 @@
 namespace gnnmark {
 namespace serve {
 
+/**
+ * Forced-dispatch slack, as a fraction of the batch cost: the batcher
+ * holds a partial batch until
+ * head.deadline - cost - kBatchSlackFactor * cost.
+ */
+inline constexpr double kBatchSlackFactor = 0.5;
+/** Batch timeout = kTimeoutFactor * expected batch cost. */
+inline constexpr double kTimeoutFactor = 4.0;
+/** Hedge a batch still running after kHedgeFactor * expected. */
+inline constexpr double kHedgeFactor = 2.0;
+static_assert(kHedgeFactor > 0 && kHedgeFactor < kTimeoutFactor,
+              "a hedge must launch before its primary times out");
+/** Fallback embedding cache entries. */
+inline constexpr size_t kCacheCapacity = 256;
+
 /** Full configuration of one serving run. */
 struct ServeOptions
 {
@@ -65,29 +80,12 @@ struct ServeOptions
     int replicas = 4;
     int maxBatch = 16;
 
-    /**
-     * Forced-dispatch slack, as a fraction of the batch cost: the
-     * batcher holds a partial batch until
-     * head.deadline - cost - batchSlackFactor * cost.
-     */
-    double batchSlackFactor = 0.5;
-    /** Batch timeout = timeoutFactor * expected batch cost. */
-    double timeoutFactor = 4.0;
-    /** Hedge a batch still running after hedgeFactor * expected. */
-    double hedgeFactor = 2.0;
-
-    BackoffPolicy backoff;
-    BreakerConfig breaker;
-
     /** @{ Robustness ablation switches. */
     bool hedgeEnabled = true;
     bool shedEnabled = true;
     bool fallbackEnabled = true;
     bool breakerEnabled = true;
     /** @} */
-
-    /** Fallback embedding cache entries. */
-    size_t cacheCapacity = 256;
 
     /** Fault schedule (empty plan = healthy run). */
     FaultPlan faults;
@@ -113,6 +111,17 @@ struct ServeOptions
      */
     int64_t traceSampleEvery = 0;
 };
+
+/**
+ * Built-in serving fault scenarios, scaled to the arrival horizon
+ * `duration`. "straggler" slows one replica 6x for most of the run,
+ * "crash" kills the last replica at 30%, "mixed" layers both plus a
+ * second, shorter straggler window — the overload story the
+ * robustness ablations are judged against. Any other name ("none")
+ * is a healthy run.
+ */
+FaultPlan scenarioPlan(const std::string &scenario, int replicas,
+                       double duration);
 
 /** Runs one serving simulation; see the file doc for the model. */
 class ServingSimulator

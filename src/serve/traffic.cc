@@ -45,20 +45,18 @@ void
 appendBursty(Rng &rng, const TrafficConfig &cfg,
              std::vector<double> &arrivals)
 {
-    const double f = cfg.burstOnFraction;
-    GNN_ASSERT(f > 0 && f < 1,
-               "burstOnFraction must be in (0, 1), got %f", f);
-    const double on_rate = cfg.burstFactor * cfg.ratePerSec;
+    const double f = kBurstOnFraction;
+    const double on_rate = kBurstFactor * cfg.ratePerSec;
     // Rebalance the OFF rate so the long-run mean stays ratePerSec;
     // a burst factor above 1/f would need a negative OFF rate, so
     // clamp at zero (silent troughs) and accept a hotter mean.
     const double off_rate = std::max(
-        0.0, cfg.ratePerSec * (1.0 - cfg.burstFactor * f) / (1.0 - f));
+        0.0, cfg.ratePerSec * (1.0 - kBurstFactor * f) / (1.0 - f));
     bool on = false; // start quiet: bursts interrupt a calm baseline
     double phase_begin = 0;
     while (phase_begin < cfg.durationSec) {
         const double mean_len =
-            on ? f * cfg.burstPeriodSec : (1.0 - f) * cfg.burstPeriodSec;
+            on ? f * kBurstPeriodSec : (1.0 - f) * kBurstPeriodSec;
         const double phase_end =
             phase_begin + expGap(rng, 1.0 / mean_len);
         const double rate = on ? on_rate : off_rate;
@@ -78,18 +76,15 @@ void
 appendDiurnal(Rng &rng, const TrafficConfig &cfg,
               std::vector<double> &arrivals)
 {
-    GNN_ASSERT(cfg.diurnalMinFactor >= 0 && cfg.diurnalMinFactor <= 1,
-               "diurnalMinFactor must be in [0, 1], got %f",
-               cfg.diurnalMinFactor);
     // ratePerSec is the *peak*; thin a homogeneous process at the
     // peak against the sinusoid (trough at t = 0, peak mid-period).
     const double peak = cfg.ratePerSec;
     auto rateAt = [&](double t) {
         const double phase =
-            2.0 * kPi * t / cfg.diurnalPeriodSec - 0.5 * kPi;
+            2.0 * kPi * t / kDiurnalPeriodSec - 0.5 * kPi;
         const double swing = 0.5 * (1.0 + std::sin(phase));
-        return peak * (cfg.diurnalMinFactor +
-                       (1.0 - cfg.diurnalMinFactor) * swing);
+        return peak * (kDiurnalMinFactor +
+                       (1.0 - kDiurnalMinFactor) * swing);
     };
     for (double t = expGap(rng, peak); t < cfg.durationSec;
          t += expGap(rng, peak)) {
@@ -162,7 +157,7 @@ generateTraffic(const TrafficConfig &config)
     std::vector<Request> out;
     out.reserve(arrivals.size());
     const PowerLawSampler popularity(config.catalogItems,
-                                     config.popularitySkew);
+                                     kPopularitySkew);
     for (double t : arrivals) {
         Request r;
         r.id = static_cast<int64_t>(out.size());

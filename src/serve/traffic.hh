@@ -9,13 +9,13 @@
  * Three arrival processes:
  *  - poisson: homogeneous Poisson at ratePerSec.
  *  - bursty:  Markov-modulated Poisson (exponential ON/OFF phases;
- *             ON bursts at burstFactor x the base rate, OFF rate is
+ *             ON bursts at kBurstFactor x the base rate, OFF rate is
  *             rebalanced so the long-run mean stays ratePerSec).
  *  - diurnal: sinusoidal rate (thinning against the peak), one
- *             "day" per diurnalPeriodSec.
+ *             "day" per kDiurnalPeriodSec.
  *
  * Item popularity follows an approximate power law (item =
- * floor(N * u^popularitySkew)), giving the head-heavy reuse real
+ * floor(N * u^kPopularitySkew)), giving the head-heavy reuse real
  * recommendation traffic shows — and the fallback cache a fighting
  * chance.
  */
@@ -61,20 +61,25 @@ struct TrafficConfig
 
     /** Item id space; queries hit [0, catalogItems). */
     int64_t catalogItems = 1000;
-    /** Power-law skew (>= 1); higher concentrates on the head. */
-    double popularitySkew = 3.0;
-
-    /** @{ Bursty (MMPP) knobs. */
-    double burstFactor = 4.0;     ///< ON rate multiplier
-    double burstOnFraction = 0.2; ///< long-run fraction of time ON
-    double burstPeriodSec = 1.0;  ///< mean ON+OFF cycle length
-    /** @} */
-
-    /** @{ Diurnal knobs. */
-    double diurnalPeriodSec = 4.0; ///< one synthetic "day"
-    double diurnalMinFactor = 0.25; ///< trough rate / peak rate
-    /** @} */
 };
+
+/** Popularity power-law skew (>= 1); higher concentrates on the head. */
+inline constexpr double kPopularitySkew = 3.0;
+
+/** @{ Bursty (MMPP) shape. */
+inline constexpr double kBurstFactor = 4.0;     ///< ON rate multiplier
+inline constexpr double kBurstOnFraction = 0.2; ///< long-run time ON
+inline constexpr double kBurstPeriodSec = 1.0;  ///< mean ON+OFF cycle
+/** @} */
+static_assert(kBurstOnFraction > 0 && kBurstOnFraction < 1,
+              "bursts need both an ON and an OFF phase");
+
+/** @{ Diurnal shape. */
+inline constexpr double kDiurnalPeriodSec = 4.0; ///< one synthetic "day"
+inline constexpr double kDiurnalMinFactor = 0.25; ///< trough / peak rate
+/** @} */
+static_assert(kDiurnalMinFactor >= 0 && kDiurnalMinFactor <= 1,
+              "the diurnal trough is a fraction of the peak");
 
 /**
  * Most requests one schedule may offer (ratePerSec x durationSec):

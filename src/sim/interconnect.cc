@@ -8,8 +8,6 @@ namespace gnnmark {
 
 Interconnect::Interconnect(InterconnectConfig config) : cfg_(config)
 {
-    GNN_ASSERT(cfg_.linksPerGpu > 0 && cfg_.perLinkBandwidth > 0,
-               "invalid interconnect configuration");
     GNN_ASSERT(cfg_.degradedHopFactor > 0 && cfg_.degradedHopFactor <= 1,
                "degraded hop factor must be in (0, 1], got %f",
                cfg_.degradedHopFactor);
@@ -19,7 +17,7 @@ double
 Interconnect::ringBandwidth() const
 {
     // A ring uses half the links in each direction.
-    return cfg_.perLinkBandwidth * cfg_.linksPerGpu / 2.0;
+    return kPerLinkBandwidth * kLinksPerGpu / 2.0;
 }
 
 double
@@ -32,7 +30,7 @@ Interconnect::allReduceTime(double bytes, int world) const
     // Every chunk crosses every hop, so the slowest hop gates the ring.
     return steps * (bytes / w) /
                (ringBandwidth() * cfg_.degradedHopFactor) +
-           steps * cfg_.messageLatencySec;
+           steps * kMessageLatencySec;
 }
 
 double
@@ -43,7 +41,7 @@ Interconnect::broadcastTime(double bytes, int world) const
     double hops = std::ceil(std::log2(static_cast<double>(world)));
     // The broadcast tree shares links with the degraded hop as well.
     return hops * (bytes / (ringBandwidth() * cfg_.degradedHopFactor) +
-                   cfg_.messageLatencySec);
+                   kMessageLatencySec);
 }
 
 } // namespace gnnmark

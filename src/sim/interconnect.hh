@@ -9,12 +9,16 @@
 
 namespace gnnmark {
 
-/** NVLink parameters. */
+/** @{ NVLink parameters. */
+inline constexpr int kLinksPerGpu = 6;
+/** Bytes/s per link per direction. */
+inline constexpr double kPerLinkBandwidth = 25e9;
+inline constexpr double kMessageLatencySec = 5e-6;
+/** @} */
+
+/** Link health. */
 struct InterconnectConfig
 {
-    int linksPerGpu = 6;
-    double perLinkBandwidth = 25e9; ///< bytes/s per link per direction
-    double messageLatencySec = 5e-6;
     /**
      * Fault model: remaining bandwidth fraction of the slowest ring
      * hop, in (0, 1]. A ring collective is a pipeline over every hop,
@@ -35,8 +39,6 @@ class Interconnect
 {
   public:
     explicit Interconnect(InterconnectConfig config = InterconnectConfig{});
-
-    const InterconnectConfig &config() const { return cfg_; }
 
     /** Ring all-reduce of `bytes` across `world` GPUs; 0 if world <= 1. */
     double allReduceTime(double bytes, int world) const;

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "base/logging.hh"
 #include "base/thread_pool.hh"
 
 using namespace gnnmark;
@@ -158,4 +159,18 @@ TEST(ThreadPool, FloatReduceBitwiseStableAcrossThreadCounts)
         ThreadCountGuard guard(threads);
         EXPECT_EQ(run(), ref) << "threads=" << threads;
     }
+}
+
+TEST(ThreadPoolDeath, FatalExitsCleanlyWhileWorkersAreParked)
+{
+    // Start the workers first, in this same case: the death-test
+    // child is forked without them, and its exit() must not try to
+    // join them.
+    ThreadCountGuard guard(4);
+    std::atomic<int> chunks{0};
+    parallel_for(0, 64, 1, [&](int64_t, int64_t) { ++chunks; });
+    ASSERT_EQ(chunks.load(), 64);
+    EXPECT_EXIT(GNN_FATAL("stopping with %d pool threads", 4),
+                ::testing::ExitedWithCode(1),
+                "fatal.*stopping with 4 pool threads");
 }

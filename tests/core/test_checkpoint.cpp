@@ -3,12 +3,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
-#include "base/io.hh"
-#include "common/file_corruption.hh"
 #include "core/checkpoint.hh"
 #include "core/suite.hh"
 #include "ops/exec_context.hh"
@@ -98,25 +95,6 @@ TEST(Checkpoint, EverySuiteWorkloadRoundTrips)
     }
 }
 
-TEST(Checkpoint, FileRoundTrip)
-{
-    auto wl = BenchmarkSuite::create("STGCN");
-    wl->setup(smallConfig());
-    GpuDevice dev;
-    train(*wl, dev, 2);
-    Checkpoint ckpt = captureCheckpoint(*wl, 2);
-
-    const std::string path =
-        ::testing::TempDir() + "gnnmark_ckpt_roundtrip.bin";
-    writeCheckpointFile(path, ckpt);
-    Checkpoint loaded = readCheckpointFile(path);
-    std::remove(path.c_str());
-
-    EXPECT_EQ(loaded.workload, ckpt.workload);
-    EXPECT_EQ(loaded.step, ckpt.step);
-    EXPECT_EQ(loaded.state, ckpt.state);
-}
-
 TEST(CheckpointDeath, WorkloadNameMismatchIsFatal)
 {
     auto a = BenchmarkSuite::create("STGCN");
@@ -127,78 +105,4 @@ TEST(CheckpointDeath, WorkloadNameMismatchIsFatal)
     b->setup(smallConfig());
     EXPECT_EXIT(restoreCheckpoint(*b, ckpt),
                 ::testing::ExitedWithCode(1), "KGNNL");
-}
-
-/** Writes one checkpoint file per test and cleans it up. */
-class CheckpointFile : public ::testing::Test
-{
-  protected:
-    void
-    SetUp() override
-    {
-        auto wl = BenchmarkSuite::create("STGCN");
-        wl->setup(smallConfig());
-        // One file per test: ctest -j runs these cases as concurrent
-        // processes, and a shared path lets one's TearDown delete
-        // another's input.
-        path_ = ::testing::TempDir() + "gnnmark_ckpt_io_" +
-                ::testing::UnitTest::GetInstance()
-                    ->current_test_info()
-                    ->name() +
-                ".bin";
-        writeCheckpointFile(path_, captureCheckpoint(*wl, 0));
-    }
-
-    void TearDown() override { std::remove(path_.c_str()); }
-
-    /** Read expecting a typed failure; returns the error's kind. */
-    IoError::Kind
-    readKind()
-    {
-        try {
-            readCheckpointFile(path_);
-        } catch (const IoError &e) {
-            return e.kind();
-        }
-        ADD_FAILURE() << "readCheckpointFile accepted a corrupt file";
-        return IoError::Kind::OpenFailed;
-    }
-
-    std::string path_;
-};
-
-TEST_F(CheckpointFile, CorruptedPayloadIsTypedError)
-{
-    test::flipByteAt(path_, -3);
-    EXPECT_EQ(readKind(), IoError::Kind::Corrupt);
-}
-
-TEST_F(CheckpointFile, TruncatedFileIsTypedError)
-{
-    test::truncateToFraction(path_, 0.5);
-    EXPECT_EQ(readKind(), IoError::Kind::ShortRead);
-}
-
-TEST_F(CheckpointFile, WrongMagicIsTypedError)
-{
-    test::flipByteAt(path_, 0);
-    EXPECT_EQ(readKind(), IoError::Kind::BadMagic);
-}
-
-TEST_F(CheckpointFile, FutureVersionIsTypedError)
-{
-    test::flipByteAt(path_, 8); // first byte of the version word
-    EXPECT_EQ(readKind(), IoError::Kind::BadVersion);
-}
-
-TEST_F(CheckpointFile, TrailingBytesAreTypedError)
-{
-    test::appendGarbage(path_, 7);
-    EXPECT_EQ(readKind(), IoError::Kind::TrailingBytes);
-}
-
-TEST_F(CheckpointFile, MissingFileIsTypedError)
-{
-    std::remove(path_.c_str());
-    EXPECT_EQ(readKind(), IoError::Kind::OpenFailed);
 }

@@ -58,15 +58,6 @@ TEST(GenConfig, RejectsBadChunking)
 TEST(GenConfig, RejectsBadFamilyKnobs)
 {
     GeneratorConfig cfg;
-    cfg.rmatA = 0.0;
-    EXPECT_NE(gen::validateConfig(cfg), "");
-    cfg = GeneratorConfig{};
-    cfg.rmatA = 0.5;
-    cfg.rmatB = 0.3;
-    cfg.rmatC = 0.3; // sum >= 1 leaves no mass for quadrant d
-    EXPECT_NE(gen::validateConfig(cfg), "");
-
-    cfg = GeneratorConfig{};
     cfg.family = Family::Hyperbolic;
     cfg.gamma = 2.0; // must be > 2
     EXPECT_NE(gen::validateConfig(cfg), "");

@@ -153,9 +153,8 @@ TEST(StreamTrain, HandlesTinyStreams)
     cfg.gridCols = 3;
     cfg.chunks = 8; // clamps to 3 row-units
     gen::ChunkedEdgeStream stream(cfg);
-    gen::StreamTrainOptions opts;
-    opts.batchSize = 4;
-    const gen::StreamTrainResult result = gen::streamTrain(stream, opts);
+    const gen::StreamTrainResult result =
+        gen::streamTrain(stream, gen::StreamTrainOptions{});
     EXPECT_EQ(result.chunks, 3);
     EXPECT_EQ(result.batches, 3);
     EXPECT_EQ(result.edgesConsumed, 12);

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/suite.hh"
@@ -35,11 +36,16 @@ TEST_P(WorkloadSweep, MetadataComplete)
 {
     auto wl = BenchmarkSuite::create(GetParam());
     EXPECT_EQ(wl->name(), GetParam());
-    EXPECT_FALSE(wl->modelName().empty());
-    EXPECT_FALSE(wl->framework().empty());
-    EXPECT_FALSE(wl->domain().empty());
-    EXPECT_FALSE(wl->datasetName().empty());
-    EXPECT_FALSE(wl->graphType().empty());
+    const std::vector<TableOneRow> &rows = BenchmarkSuite::tableOne();
+    const auto row = std::find_if(
+        rows.begin(), rows.end(),
+        [](const TableOneRow &r) { return r.workload == GetParam(); });
+    ASSERT_NE(row, rows.end());
+    EXPECT_FALSE(row->model.empty());
+    EXPECT_FALSE(row->framework.empty());
+    EXPECT_FALSE(row->domain.empty());
+    EXPECT_FALSE(row->dataset.empty());
+    EXPECT_FALSE(row->graphType.empty());
 }
 
 TEST_P(WorkloadSweep, TrainsAndEmitsKernels)

@@ -158,26 +158,33 @@ TEST(Ddp, ReplicationPathExceedsAllReduceLowerBound)
 
 TEST(Ddp, DegradedLinkSlowsCollectives)
 {
+    // One ring hop at a quarter of its bandwidth for the whole run.
     auto wl = BenchmarkSuite::create("DGCN");
-    InterconnectConfig slow;
-    slow.degradedHopFactor = 0.25;
-    DdpTrainer healthy(GpuConfig::v100(), InterconnectConfig{});
-    DdpTrainer degraded(GpuConfig::v100(), slow);
+    FaultEvent slow;
+    slow.kind = FaultKind::DegradedLink;
+    slow.magnitude = 0.25;
+    FaultRecoveryOptions opt;
+    opt.iterations = 2;
+    opt.checkpointInterval = 0;
+    DdpTrainer trainer;
 
-    ScalingResult h = healthy.measure(*wl, benchConfig(), 4, 2);
-    ScalingResult d = degraded.measure(*wl, benchConfig(), 4, 2);
-    EXPECT_GT(d.commTimeSec, h.commTimeSec);
-    // Compute is untouched by the link (small jitter from the
-    // host-address-sensitive cache model aside).
-    EXPECT_NEAR(d.computeTimeSec, h.computeTimeSec,
-                0.03 * h.computeTimeSec);
+    FaultToleranceResult d = trainer.runWithFaults(
+        *wl, benchConfig(), 4, FaultPlan({slow}), opt);
+    ASSERT_EQ(d.events.size(), 1u);
+    EXPECT_GT(d.events[0].slowdownSec, 0);
+    EXPECT_EQ(d.events[0].worldAfter, 4);
+    EXPECT_EQ(d.executedIterations, opt.iterations);
+    // The drag is all of the overhead: compute is untouched by the
+    // link (small jitter from the cache model aside).
+    EXPECT_NEAR(d.totalTimeSec - d.idealTimeSec,
+                d.events[0].slowdownSec, 0.03 * d.idealTimeSec);
 
     // A degraded hop gates the ring but not single-GPU training.
-    ScalingResult solo_h = healthy.measure(*wl, benchConfig(), 1, 2);
-    ScalingResult solo_d = degraded.measure(*wl, benchConfig(), 1, 2);
-    EXPECT_EQ(solo_d.commTimeSec, 0);
-    EXPECT_NEAR(solo_d.epochTimeSec, solo_h.epochTimeSec,
-                0.03 * solo_h.epochTimeSec);
+    FaultToleranceResult solo = trainer.runWithFaults(
+        *wl, benchConfig(), 1, FaultPlan({slow}), opt);
+    EXPECT_TRUE(solo.events.empty());
+    EXPECT_NEAR(solo.totalTimeSec, solo.idealTimeSec,
+                0.03 * solo.idealTimeSec);
 }
 
 // ---------------------------------------------------------------------
@@ -202,11 +209,9 @@ TEST(DdpBuckets, CountEdgesAtBucketBoundaries)
 
 TEST(DdpBuckets, OverlapSizesCoverBytesWithinBounds)
 {
-    DdpOptions opt;
     // Large gradients split to the 25 MB PyTorch cap.
     {
-        auto sizes = ddp::overlapBucketSizes(100.0 * ddp::kBucketBytes,
-                                             opt);
+        auto sizes = ddp::overlapBucketSizes(100.0 * ddp::kBucketBytes);
         double sum = 0;
         for (double s : sizes) {
             EXPECT_LE(s, ddp::kBucketBytes * (1 + 1e-12));
@@ -216,12 +221,12 @@ TEST(DdpBuckets, OverlapSizesCoverBytesWithinBounds)
     }
     // Small gradients respect the minimum bucket granularity.
     {
-        auto sizes = ddp::overlapBucketSizes(32.0 * 1024, opt);
+        auto sizes = ddp::overlapBucketSizes(32.0 * 1024);
         EXPECT_EQ(sizes.size(), 2u);
         for (double s : sizes)
-            EXPECT_GE(s, opt.minBucketBytes * 0.5);
+            EXPECT_GE(s, ddp::kMinBucketBytes * 0.5);
     }
-    EXPECT_TRUE(ddp::overlapBucketSizes(0, opt).empty());
+    EXPECT_TRUE(ddp::overlapBucketSizes(0).empty());
 }
 
 // ---------------------------------------------------------------------
@@ -250,11 +255,10 @@ TEST(DdpOverlap, ExposedNeverExceedsTotal)
 {
     Interconnect link{InterconnectConfig{}};
     const IterationTimeline t = syntheticTimeline();
-    DdpOptions opt;
     for (double bytes : {16e3, 1e6, 20e6, 200e6}) {
         for (int world : {2, 4, 8}) {
             ddp::CommCost c =
-                ddp::overlapCommCost(link, bytes, world, t, opt);
+                ddp::overlapCommCost(link, bytes, world, t);
             EXPECT_LE(c.exposedSec, c.totalSec + 1e-15)
                 << bytes << " bytes on " << world << " GPUs";
             EXPECT_GE(c.exposedSec, ddp::kDdpOverheadSec);
@@ -265,8 +269,8 @@ TEST(DdpOverlap, ExposedNeverExceedsTotal)
 TEST(DdpOverlap, WorldOneIsFree)
 {
     Interconnect link{InterconnectConfig{}};
-    ddp::CommCost c = ddp::overlapCommCost(
-        link, 20e6, 1, syntheticTimeline(), DdpOptions{});
+    ddp::CommCost c =
+        ddp::overlapCommCost(link, 20e6, 1, syntheticTimeline());
     EXPECT_EQ(c.totalSec, 0);
     EXPECT_EQ(c.exposedSec, 0);
 }
@@ -280,11 +284,11 @@ TEST(DdpOverlap, EarlyBucketsHideBehindBackward)
     Interconnect link{InterconnectConfig{}};
     const int world = 2;
     const double bytes = 64.0 * 1024;
-    ddp::CommCost c = ddp::overlapCommCost(
-        link, bytes, world, syntheticTimeline(), DdpOptions{});
+    ddp::CommCost c =
+        ddp::overlapCommCost(link, bytes, world, syntheticTimeline());
     EXPECT_LT(c.exposedSec, c.totalSec);
 
-    const double lat = link.config().messageLatencySec;
+    const double lat = kMessageLatencySec;
     const double steps = 2.0 * (world - 1);
     const double last_bucket =
         std::max(0.0, link.allReduceTime(bytes / 4, world) -
@@ -305,8 +309,7 @@ TEST(DdpOverlap, NoBackwardWindowIsFullyExposed)
     t.kernelCount = 50;
     t.launchOverheadSec = 1e-6;
     Interconnect link{InterconnectConfig{}};
-    ddp::CommCost c =
-        ddp::overlapCommCost(link, 20e6, 4, t, DdpOptions{});
+    ddp::CommCost c = ddp::overlapCommCost(link, 20e6, 4, t);
     EXPECT_DOUBLE_EQ(c.exposedSec, c.totalSec);
 }
 
@@ -333,7 +336,7 @@ TEST(DdpOverlap, OverlapOffReproducesLegacyModelBitwise)
     DdpOptions off;
     off.overlapComm = false;
     auto wl = BenchmarkSuite::create("DGCN");
-    DdpTrainer trainer(GpuConfig::v100(), InterconnectConfig{}, off);
+    DdpTrainer trainer(off);
     const int world = 4;
     ScalingResult r = trainer.measure(*wl, benchConfig(), world, 2);
 
@@ -341,7 +344,7 @@ TEST(DdpOverlap, OverlapOffReproducesLegacyModelBitwise)
     const double bytes = wl->parameterBytes();
     const double legacy_iter =
         link.allReduceTime(bytes, world) +
-        ddp::bucketCount(bytes) * link.config().messageLatencySec +
+        ddp::bucketCount(bytes) * kMessageLatencySec +
         ddp::kDdpOverheadSec;
     const double iters =
         static_cast<double>(wl->iterationsPerEpoch());
@@ -384,7 +387,7 @@ TEST(DdpOverlap, WeakScalingChargesReplicationPenalty)
     off.overlapComm = false;
     auto wl = BenchmarkSuite::create("PSAGE-MVL");
     ASSERT_FALSE(wl->samplerDdpCompatible());
-    DdpTrainer trainer(GpuConfig::v100(), InterconnectConfig{}, off);
+    DdpTrainer trainer(off);
     const int world = 4;
     ScalingResult r = trainer.measureWeak(*wl, benchConfig(), world, 2);
 

@@ -109,17 +109,14 @@ TEST(FaultRecovery, DetectionFollowsTimeoutAndBackoff)
 {
     auto wl = BenchmarkSuite::create("KGNNL");
     DdpTrainer trainer;
-    FaultRecoveryOptions opt = quickOptions();
-    opt.allReduceTimeoutSec = 7e-3;
-    opt.maxRetries = 3;
-    opt.backoffBaseSec = 2e-3;
     FaultToleranceResult r = trainer.runWithFaults(
-        *wl, smallConfig(), 2, FaultPlan({crashAt(0.0, 1)}), opt);
+        *wl, smallConfig(), 2, FaultPlan({crashAt(0.0, 1)}),
+        quickOptions());
 
     ASSERT_EQ(r.events.size(), 1u);
-    // timeout + 3 retries of (backoff*2^k + timeout):
-    // 7 + (2+7) + (4+7) + (8+7) = 42 ms.
-    EXPECT_NEAR(r.events[0].detectionSec, 42e-3, 1e-12);
+    // timeout + kMaxRetries retries of (backoff*2^k + timeout):
+    // 30 + (10+30) + (20+30) = 120 ms.
+    EXPECT_NEAR(r.events[0].detectionSec, 120e-3, 1e-12);
 }
 
 TEST(FaultRecovery, RollbackReplaysFromLastCheckpoint)

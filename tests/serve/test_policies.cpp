@@ -12,42 +12,40 @@ using namespace gnnmark::serve;
 
 TEST(BackoffPolicy, ExponentialUntilCapped)
 {
-    BackoffPolicy p;
-    p.baseDelaySec = 0.002;
-    p.multiplier = 2.0;
-    p.maxDelaySec = 0.02;
-    EXPECT_DOUBLE_EQ(p.delayForRetry(1), 0.002);
-    EXPECT_DOUBLE_EQ(p.delayForRetry(2), 0.004);
-    EXPECT_DOUBLE_EQ(p.delayForRetry(3), 0.008);
-    EXPECT_DOUBLE_EQ(p.delayForRetry(4), 0.016);
-    EXPECT_DOUBLE_EQ(p.delayForRetry(5), 0.02); // hits the cap
-    EXPECT_DOUBLE_EQ(p.delayForRetry(50), 0.02);
-}
-
-TEST(BackoffPolicy, UnitMultiplierStaysFlat)
-{
-    BackoffPolicy p;
-    p.baseDelaySec = 0.005;
-    p.multiplier = 1.0;
-    p.maxDelaySec = 1.0;
-    EXPECT_DOUBLE_EQ(p.delayForRetry(1), 0.005);
-    EXPECT_DOUBLE_EQ(p.delayForRetry(9), 0.005);
+    static_assert(kBackoffBaseSec == 0.002 && kBackoffMultiplier == 2.0 &&
+                  kBackoffMaxSec == 0.02);
+    EXPECT_DOUBLE_EQ(backoffDelay(1), 0.002);
+    EXPECT_DOUBLE_EQ(backoffDelay(2), 0.004);
+    EXPECT_DOUBLE_EQ(backoffDelay(3), 0.008);
+    EXPECT_DOUBLE_EQ(backoffDelay(4), 0.016);
+    EXPECT_DOUBLE_EQ(backoffDelay(5), 0.02); // hits the cap
+    EXPECT_DOUBLE_EQ(backoffDelay(50), 0.02);
 }
 
 TEST(BackoffPolicy, CanRetryCountsTotalDispatches)
 {
-    BackoffPolicy p;
-    p.maxAttempts = 3;
-    EXPECT_TRUE(p.canRetry(1));  // first try failed
-    EXPECT_TRUE(p.canRetry(2));  // one retry failed
-    EXPECT_FALSE(p.canRetry(3)); // budget exhausted
+    static_assert(kMaxAttempts == 3);
+    EXPECT_TRUE(canRetry(1));  // first try failed
+    EXPECT_TRUE(canRetry(2));  // one retry failed
+    EXPECT_FALSE(canRetry(3)); // budget exhausted
 }
+
+namespace {
+
+/** Trip a closed breaker open at `now` with consecutive timeouts. */
+void
+tripOpen(CircuitBreaker &b, double now)
+{
+    for (int i = kBreakerOpenAfterTimeouts - 1; i >= 0; --i)
+        b.onTimeout(now - 0.001 * i);
+}
+
+} // namespace
 
 TEST(CircuitBreaker, OpensOnConsecutiveTimeoutsOnly)
 {
-    BreakerConfig cfg;
-    cfg.openAfterTimeouts = 3;
-    CircuitBreaker b(cfg);
+    static_assert(kBreakerOpenAfterTimeouts == 3);
+    CircuitBreaker b;
     b.onTimeout(0.1);
     b.onTimeout(0.2);
     // A success interleaved resets the streak.
@@ -64,12 +62,10 @@ TEST(CircuitBreaker, OpensOnConsecutiveTimeoutsOnly)
 
 TEST(CircuitBreaker, CooldownAdmitsProbesThenCloses)
 {
-    BreakerConfig cfg;
-    cfg.openAfterTimeouts = 1;
-    cfg.cooldownSec = 0.05;
-    cfg.halfOpenSuccesses = 2;
-    CircuitBreaker b(cfg);
-    b.onTimeout(1.0);
+    static_assert(kBreakerCooldownSec == 0.05 &&
+                  kBreakerProbeSuccesses == 2);
+    CircuitBreaker b;
+    tripOpen(b, 1.0);
     EXPECT_EQ(b.state(1.04), CircuitBreaker::State::Open);
     EXPECT_DOUBLE_EQ(b.probeTime(), 1.05);
     // Cooldown elapsed: half-open admits probe traffic.
@@ -84,12 +80,8 @@ TEST(CircuitBreaker, CooldownAdmitsProbesThenCloses)
 
 TEST(CircuitBreaker, ProbeTimeoutReopensAndRestartsCooldown)
 {
-    BreakerConfig cfg;
-    cfg.openAfterTimeouts = 1;
-    cfg.cooldownSec = 0.05;
-    cfg.halfOpenSuccesses = 2;
-    CircuitBreaker b(cfg);
-    b.onTimeout(1.0);
+    CircuitBreaker b;
+    tripOpen(b, 1.0);
     ASSERT_EQ(b.state(1.06), CircuitBreaker::State::HalfOpen);
     b.onSuccess(1.06); // one probe passed...
     b.onTimeout(1.07); // ...but the next one failed

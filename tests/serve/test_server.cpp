@@ -106,16 +106,15 @@ TEST(ServingSimulator, ReportIsByteIdenticalAcrossRuns)
 TEST(ServingSimulator, HedgeWinsWithoutDoubleCounting)
 {
     // One request, replica 0 straggling 50x from t=0: the primary
-    // lands on the slow replica, the hedge fires on replica 1 and
-    // wins, and the answer is counted exactly once.
+    // lands on the slow replica, the hedge fires on replica 1 at
+    // kHedgeFactor x its cost and wins before kTimeoutFactor x, and
+    // the answer is counted exactly once.
     ServeOptions opt = baseOptions();
     opt.traffic.ratePerSec = 10; // a lone arrival in a short window
     opt.traffic.durationSec = 0.15;
     opt.traffic.sloSec = 0.05;
     opt.traffic.seed = 3;
     opt.maxBatch = 1;
-    opt.timeoutFactor = 60.0; // keep the slow primary from timing out
-    opt.hedgeFactor = 2.0;
     opt.breakerEnabled = false;
     opt.faults = FaultPlan({straggler(0, 0.0, 10.0, 50.0)});
     const ServingReport rep =

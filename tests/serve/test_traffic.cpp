@@ -90,9 +90,8 @@ TEST(Traffic, BurstySchedulesStaySortedAndInWindow)
 {
     TrafficConfig cfg = baseConfig();
     cfg.process = ArrivalProcess::Bursty;
-    // Many short ON/OFF cycles so the realized mean concentrates.
-    cfg.burstPeriodSec = 0.1;
-    cfg.durationSec = 2.0;
+    // Many ON/OFF cycles so the realized mean concentrates.
+    cfg.durationSec = 20 * kBurstPeriodSec;
     const std::vector<Request> reqs = generateTraffic(cfg);
     EXPECT_FALSE(reqs.empty());
     checkSchedule(reqs, cfg);
@@ -106,8 +105,7 @@ TEST(Traffic, DiurnalThinsBelowThePeak)
 {
     TrafficConfig cfg = baseConfig();
     cfg.process = ArrivalProcess::Diurnal;
-    cfg.durationSec = 4.0;
-    cfg.diurnalPeriodSec = 4.0;
+    cfg.durationSec = kDiurnalPeriodSec;
     const std::vector<Request> reqs = generateTraffic(cfg);
     EXPECT_FALSE(reqs.empty());
     checkSchedule(reqs, cfg);
@@ -127,7 +125,7 @@ TEST(Traffic, PopularityConcentratesOnTheHead)
 {
     TrafficConfig cfg = baseConfig();
     cfg.durationSec = 2.0;
-    cfg.popularitySkew = 3.0;
+    static_assert(kPopularitySkew == 3.0);
     const std::vector<Request> reqs = generateTraffic(cfg);
     size_t head = 0;
     for (const Request &r : reqs)

@@ -28,14 +28,12 @@ TEST(Interconnect, AllReduceMonotoneInBytes)
 
 TEST(Interconnect, AllReduceRingFormula)
 {
-    InterconnectConfig cfg;
-    cfg.linksPerGpu = 6;
-    cfg.perLinkBandwidth = 25e9;
-    cfg.messageLatencySec = 0.0;
-    Interconnect ic(cfg);
-    // Ring bandwidth = 75 GB/s; 4 GPUs: 2*(3/4) payload traversals.
+    Interconnect ic;
+    // Ring bandwidth = 6 links x 25 GB/s / 2 = 75 GB/s; 4 GPUs:
+    // 2*(3/4) payload traversals plus 2*(4-1) latency steps.
     double bytes = 75e9;
-    EXPECT_NEAR(ic.allReduceTime(bytes, 4), 1.5, 1e-9);
+    EXPECT_NEAR(ic.allReduceTime(bytes, 4), 1.5 + 6 * kMessageLatencySec,
+                1e-9);
 }
 
 TEST(Interconnect, LatencyTermsDominateSmallMessages)
@@ -48,11 +46,11 @@ TEST(Interconnect, LatencyTermsDominateSmallMessages)
 
 TEST(Interconnect, BroadcastLogHops)
 {
-    InterconnectConfig cfg;
-    cfg.messageLatencySec = 0.0;
-    Interconnect ic(cfg);
+    Interconnect ic;
     double two = ic.broadcastTime(75e9, 2);
     double four = ic.broadcastTime(75e9, 4);
+    // One hop per doubling, each a payload pass plus one latency.
+    EXPECT_NEAR(two, 1.0 + kMessageLatencySec, 1e-9);
     EXPECT_NEAR(four / two, 2.0, 1e-9);
 }
 

@@ -7,7 +7,7 @@ if(NOT DEFINED GNNMARK_BIN)
 endif()
 
 # expect_titles(<title list> <gnnmark args>...): the run exits 0 and
-# its stdout holds every title.
+# its stdout holds every title. The stdout is left in `last_out`.
 function(expect_titles titles)
     list(JOIN ARGN " " args)
     execute_process(
@@ -26,9 +26,52 @@ function(expect_titles titles)
                 "gnnmark ${args}: '${title}' missing from its output")
         endif()
     endforeach()
+    set(last_out "${out}" PARENT_SCOPE)
 endfunction()
 
 expect_titles("Table I:;Workload statistics at scale 1" list)
+
+# Table I holds exactly these nine rows, in this order, cell by cell:
+# the printer pads cells with two or more spaces, which become "|"
+# here.
+set(table_one
+    "PSAGE-MVL|PinSAGE|DGL|Recommendation|MovieLens (synthetic)|\
+Heterogeneous"
+    "PSAGE-NWP|PinSAGE|DGL|Recommendation|Nowplaying (synthetic)|\
+Heterogeneous"
+    "STGCN|STGCN|PyTorch|Traffic forecasting|METR-LA (synthetic)|\
+Dynamic (spatio-temporal)"
+    "DGCN|DeepGCN|PyG|Molecular property prediction|\
+ogbg-mol (synthetic)|Homogeneous (batched)"
+    "GW|GraphWriter|PyTorch|Text generation|AGENDA (synthetic)|\
+Knowledge graph"
+    "KGNNL|k-GNN|PyG|Protein classification|PROTEINS (synthetic)|\
+Homogeneous (batched)"
+    "KGNNH|k-GNN|PyG|Protein classification|PROTEINS (synthetic)|\
+Homogeneous (batched)"
+    "ARGA|ARGA|PyG|Node clustering|Cora (synthetic)|Homogeneous"
+    "TLSTM|Tree-LSTM|DGL|Sentiment classification|SST (synthetic)|\
+Tree (batched)")
+string(FIND "${last_out}" "Table I:" begin)
+string(SUBSTRING "${last_out}" ${begin} -1 table)
+string(FIND "${table}" "\n\n" end)
+string(SUBSTRING "${table}" 0 ${end} table)
+string(REPLACE "\n" ";" lines "${table}")
+# The title, the header and the rule come before the rows.
+list(SUBLIST lines 3 -1 rows)
+list(LENGTH rows count)
+if(NOT count EQUAL 9)
+    message(FATAL_ERROR "gnnmark list: Table I has ${count} rows, not 9")
+endif()
+foreach(expected row IN ZIP_LISTS table_one rows)
+    string(STRIP "${row}" row)
+    string(REGEX REPLACE "  +" "|" row "${row}")
+    if(NOT row STREQUAL expected)
+        message(FATAL_ERROR
+            "gnnmark list: Table I row '${row}', expected '${expected}'")
+    endif()
+endforeach()
+
 expect_titles("Fig. 2:;Fig. 3:;Fig. 4:;Fig. 5:;Fig. 6:;Fig. 7:;Fig. 8:"
     characterize --scale 0.05 --iters 1)
 expect_titles("L1 bypass for irregular operators;fp16 training vs fp32;\

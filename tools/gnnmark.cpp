@@ -307,8 +307,7 @@ sweepWorld(const cli::Command &cmd, const std::vector<double> &points,
                  trace.header.workload.c_str());
         }
         curve = ddp::scalingFromTimelines(
-            Interconnect{InterconnectConfig{}}, replay.iterations,
-            replay.epochTimeSec,
+            Interconnect{}, replay.iterations, replay.epochTimeSec,
             static_cast<double>(replay.iterationsPerEpoch),
             replay.parameterBytes, compatible, worlds, ddp_options);
     } else {
@@ -317,8 +316,7 @@ sweepWorld(const cli::Command &cmd, const std::vector<double> &points,
         auto wl = BenchmarkSuite::create(workload);
         WorkloadConfig base;
         base.scale = opt.scale;
-        DdpTrainer trainer(GpuConfig::v100(), InterconnectConfig{},
-                           ddp_options);
+        DdpTrainer trainer(ddp_options);
         curve = trainer.scalingCurve(*wl, base, worlds, opt.iterations);
     }
 
@@ -616,8 +614,7 @@ cmdScaling(cli::Command &cmd)
                Flag{"--weak", "", "weak instead of strong scaling"}(weak),
                kOverlap(ddp_options.overlapComm), out.jsonFlag,
                out.telemetryFlag});
-    DdpTrainer trainer(GpuConfig::v100(), InterconnectConfig{},
-                       ddp_options);
+    DdpTrainer trainer(ddp_options);
     std::unique_ptr<obs::TelemetrySink> telemetry = out.openTelemetry();
     std::ostream &progress = out.progress();
     std::vector<std::pair<std::string, std::vector<ScalingResult>>>
@@ -672,36 +669,6 @@ cmdTimeToTrain(cli::Command &cmd)
     }
     table.print(std::cout);
     return 0;
-}
-
-/**
- * Built-in serving fault scenarios, scaled to the arrival horizon.
- * "straggler" slows one replica 6x for most of the run, "crash" kills
- * the last replica at 30%, "mixed" layers both plus a second, shorter
- * straggler window — the overload story the robustness ablations are
- * judged against. "none" is a healthy run.
- */
-FaultPlan
-serveScenarioPlan(const std::string &scenario, int replicas,
-                  double duration)
-{
-    std::vector<FaultEvent> events;
-    if (scenario == "straggler" || scenario == "mixed")
-        events.push_back({.kind = FaultKind::Straggler,
-                          .timeSec = 0.15 * duration,
-                          .replica = replicas > 1 ? 1 : 0,
-                          .durationSec = 0.70 * duration,
-                          .magnitude = 6.0});
-    if (scenario == "crash" || scenario == "mixed")
-        events.push_back({.kind = FaultKind::ReplicaCrash,
-                          .timeSec = 0.30 * duration,
-                          .replica = replicas - 1});
-    if (scenario == "mixed" && replicas > 2)
-        events.push_back({.kind = FaultKind::Straggler,
-                          .timeSec = 0.55 * duration,
-                          .durationSec = 0.20 * duration,
-                          .magnitude = 3.0});
-    return FaultPlan(std::move(events));
 }
 
 int
@@ -780,8 +747,8 @@ cmdServe(cli::Command &cmd)
         opt.faults = loadFaultPlan(plan_path);
         opt.faultScenario = "plan";
     } else {
-        opt.faults = serveScenarioPlan(opt.faultScenario, opt.replicas,
-                                       opt.traffic.durationSec);
+        opt.faults = serve::scenarioPlan(opt.faultScenario, opt.replicas,
+                                         opt.traffic.durationSec);
     }
     if (!save_plan_path.empty()) {
         saveFaultPlan(save_plan_path, opt.faults);
