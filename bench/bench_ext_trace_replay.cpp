@@ -79,8 +79,8 @@ main()
             recordWorkloadTrace(name, opt, &live);
         const double record_sec = seconds(begin);
 
-        const bool exact = replayMatchesLive(
-            live, toWorkloadProfile(trace::replayTrace(trace)));
+        const bool exact =
+            replayMatchesLive(live, trace::replayTrace(trace));
         all_exact = all_exact && exact;
 
         const uint64_t encoded = trace::serializeTrace(trace).size();

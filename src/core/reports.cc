@@ -664,7 +664,7 @@ printServing(const serve::ServingReport &rep, std::ostream &os)
             TablePrinter alerts("SLO burn-rate alerts");
             alerts.setHeader({"Rule", "Severity", "From (ms)",
                               "To (ms)", "Peak burn", "Err %"});
-            for (const serve::ServingAlert &a : rep.alerts) {
+            for (const obs::SloAlert &a : rep.alerts) {
                 alerts.addRow({a.rule, a.severity,
                                fixed(a.startSec * 1e3, 0),
                                fixed(a.endSec * 1e3, 0),
@@ -707,33 +707,33 @@ printGen(const gen::GenReport &rep, std::ostream &os)
                    strfmt("%.3g", rep.edgesPerSec)});
     stream.print(os);
 
-    if (rep.hasDegrees) {
+    if (const std::optional<gen::DegreeStats> &d = rep.degrees) {
         TablePrinter deg("Degree distribution");
         deg.setHeader({"Tracked", "Stride", "Min", "Max", "Mean",
                        "Modal", "Modal %", "Distinct", "LogLog slope"});
-        deg.addRow({strfmt("%lld", (long long)rep.degreeVertices),
-                    strfmt("%lld", (long long)rep.degreeSampleStride),
-                    strfmt("%lld", (long long)rep.minDegree),
-                    strfmt("%lld", (long long)rep.maxDegree),
-                    fixed(rep.meanDegree, 2),
-                    strfmt("%lld", (long long)rep.modalDegree),
-                    fixed(rep.modalFraction * 100.0, 1),
-                    strfmt("%lld", (long long)rep.distinctDegrees),
-                    rep.slopeValid ? fixed(rep.powerLawSlope, 3)
-                                   : std::string("n/a")});
+        deg.addRow({strfmt("%lld", (long long)d->vertices),
+                    strfmt("%lld", (long long)d->sampleStride),
+                    strfmt("%lld", (long long)d->minDegree),
+                    strfmt("%lld", (long long)d->maxDegree),
+                    fixed(d->meanDegree, 2),
+                    strfmt("%lld", (long long)d->modalDegree),
+                    fixed(d->modalFraction * 100.0, 1),
+                    strfmt("%lld", (long long)d->distinctDegrees),
+                    d->slopeValid ? fixed(d->powerLawSlope, 3)
+                                  : std::string("n/a")});
         deg.print(os);
     }
 
-    if (rep.trained) {
+    if (const std::optional<gen::StreamTrainResult> &t = rep.training) {
         TablePrinter train("Streamed training");
         train.setHeader({"Batches", "Edges consumed", "First loss",
                          "Last loss", "Peak res (MiB)"});
         train.addRow(
-            {strfmt("%lld", (long long)rep.trainBatches),
-             strfmt("%lld", (long long)rep.trainEdgesConsumed),
-             strfmt("%.4g", rep.trainFirstLoss),
-             strfmt("%.4g", rep.trainLastLoss),
-             fixed(rep.trainPeakResidentBytes / (1024.0 * 1024.0), 2)});
+            {strfmt("%lld", (long long)t->batches),
+             strfmt("%lld", (long long)t->edgesConsumed),
+             strfmt("%.4g", t->firstLoss),
+             strfmt("%.4g", t->lastLoss),
+             fixed(t->peakResidentBytes / (1024.0 * 1024.0), 2)});
         train.print(os);
 
         if (rep.trainWindowChunks > 0) {

@@ -339,7 +339,7 @@ servingBody(obs::JsonWriter &w, const serve::ServingReport &rep)
         }
         w.endArray();
         w.key("alerts").beginArray();
-        for (const serve::ServingAlert &a : rep.alerts) {
+        for (const obs::SloAlert &a : rep.alerts) {
             w.beginObject();
             w.key("rule").value(a.rule);
             w.key("severity").value(a.severity);
@@ -409,28 +409,28 @@ genBody(obs::JsonWriter &w, const gen::GenReport &rep)
     w.key("resident_budget_bytes").value(rep.residentBudgetBytes);
     w.endObject();
 
-    if (rep.hasDegrees) {
+    if (const std::optional<gen::DegreeStats> &d = rep.degrees) {
         w.key("degrees").beginObject();
-        w.key("tracked").value(rep.degreeVertices);
-        w.key("stride").value(rep.degreeSampleStride);
-        w.key("min").value(rep.minDegree);
-        w.key("max").value(rep.maxDegree);
-        w.key("mean").value(rep.meanDegree);
-        w.key("modal_degree").value(rep.modalDegree);
-        w.key("modal_fraction").value(rep.modalFraction);
-        w.key("distinct").value(rep.distinctDegrees);
-        w.key("slope_valid").value(rep.slopeValid);
-        w.key("loglog_slope").value(rep.powerLawSlope);
+        w.key("tracked").value(d->vertices);
+        w.key("stride").value(d->sampleStride);
+        w.key("min").value(d->minDegree);
+        w.key("max").value(d->maxDegree);
+        w.key("mean").value(d->meanDegree);
+        w.key("modal_degree").value(d->modalDegree);
+        w.key("modal_fraction").value(d->modalFraction);
+        w.key("distinct").value(d->distinctDegrees);
+        w.key("slope_valid").value(d->slopeValid);
+        w.key("loglog_slope").value(d->powerLawSlope);
         w.endObject();
     }
 
-    if (rep.trained) {
+    if (const std::optional<gen::StreamTrainResult> &t = rep.training) {
         w.key("training").beginObject();
-        w.key("batches").value(rep.trainBatches);
-        w.key("edges_consumed").value(rep.trainEdgesConsumed);
-        w.key("first_loss").value(rep.trainFirstLoss);
-        w.key("last_loss").value(rep.trainLastLoss);
-        w.key("peak_resident_bytes").value(rep.trainPeakResidentBytes);
+        w.key("batches").value(t->batches);
+        w.key("edges_consumed").value(t->edgesConsumed);
+        w.key("first_loss").value(t->firstLoss);
+        w.key("last_loss").value(t->lastLoss);
+        w.key("peak_resident_bytes").value(t->peakResidentBytes);
         if (rep.trainWindowChunks > 0) {
             w.key("window_chunks").value(rep.trainWindowChunks);
             w.key("windows").beginArray();
@@ -497,7 +497,7 @@ servingRecordJson(const std::string &label,
 std::string
 sloAlertRecordJson(const std::string &label,
                    const serve::ServingReport &report,
-                   const serve::ServingAlert &alert)
+                   const obs::SloAlert &alert)
 {
     obs::JsonWriter w;
     w.beginObject();

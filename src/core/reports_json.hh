@@ -78,7 +78,7 @@ std::string servingRecordJson(const std::string &label,
  */
 std::string sloAlertRecordJson(const std::string &label,
                                const serve::ServingReport &report,
-                               const serve::ServingAlert &alert);
+                               const obs::SloAlert &alert);
 
 /**
  * Generation document (--json twin of printGen): config echo, edge

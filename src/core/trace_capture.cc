@@ -34,18 +34,4 @@ recordWorkloadTrace(const std::string &workload_name,
     return recorder.finish(std::move(header));
 }
 
-WorkloadProfile
-toWorkloadProfile(const trace::ReplayResult &result)
-{
-    WorkloadProfile profile;
-    profile.name = result.workload;
-    profile.profiler = result.profiler;
-    profile.losses = result.losses;
-    profile.wallTimeSec = result.wallTimeSec;
-    profile.epochTimeSec = result.epochTimeSec;
-    profile.iterationsPerEpoch = result.iterationsPerEpoch;
-    profile.parameterBytes = result.parameterBytes;
-    return profile;
-}
-
 } // namespace gnnmark

@@ -17,34 +17,10 @@
 #include <vector>
 
 #include "gen/edge_stream.hh"
+#include "gen/report.hh"
 
 namespace gnnmark {
 namespace gen {
-
-/** Shape summary of a generated degree distribution. */
-struct DegreeStats
-{
-    int64_t vertices = 0;        ///< vertices tracked (post-stride)
-    int64_t sampleStride = 1;    ///< 1 = exact; k = every k-th vertex
-    int64_t endpointsCounted = 0;
-    int64_t minDegree = 0;
-    int64_t maxDegree = 0;
-    double meanDegree = 0.0;
-    /**
-     * Least-squares slope of log(count) vs log(degree) over the
-     * degree histogram (degrees >= 1). Scale-free families come out
-     * clearly negative (≈ -(gamma-1) for the power-law weights);
-     * regular families have too few distinct degrees for a fit and
-     * report 0.
-     */
-    double powerLawSlope = 0.0;
-    bool slopeValid = false;
-    /** Fraction of tracked vertices at the modal degree. */
-    double modalFraction = 0.0;
-    int64_t modalDegree = 0;
-    /** Count of distinct degree values observed. */
-    int64_t distinctDegrees = 0;
-};
 
 class DegreeAccumulator
 {

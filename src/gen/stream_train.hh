@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "gen/edge_stream.hh"
-#include "obs/window.hh"
+#include "gen/report.hh"
 
 namespace gnnmark {
 namespace gen {
@@ -40,29 +40,6 @@ struct StreamTrainOptions
      * many threads generate it, so the series is deterministic.
      */
     int64_t windowChunks = 0;
-};
-
-struct StreamTrainResult
-{
-    int64_t batches = 0;       ///< minibatches trained
-    int64_t edgesConsumed = 0; ///< edges pulled off the stream
-    int64_t chunks = 0;        ///< chunk blocks consumed
-    double firstLoss = 0.0;    ///< MSE of the first minibatch
-    double lastLoss = 0.0;     ///< MSE of the final minibatch
-    /**
-     * Peak bytes resident in the training loop itself: the current
-     * block, its compact subgraph, minibatch features, and the
-     * optional degree accumulator. The stream's own lookahead window
-     * is reported separately by ChunkedEdgeStream.
-     */
-    int64_t peakResidentBytes = 0;
-
-    /** @{ Windowed series (empty unless opts.windowChunks > 0):
-     *  per-window edges consumed and minibatch loss, indexed by
-     *  chunk-ordinal windows. */
-    std::vector<obs::WindowStats> edgeWindows;
-    std::vector<obs::WindowStats> lossWindows;
-    /** @} */
 };
 
 /**

@@ -74,7 +74,11 @@ overlapCommCost(const Interconnect &interconnect, double bytes,
         ? timeline.wallAtKernelTime(timeline.backwardEndKernelSec)
         : timeline.wallAtKernelTime(timeline.kernelSec);
 
-    SimStream comm("ddp.comm");
+    // One in-order comm stream: a bucket starts when it is ready or when
+    // the previous bucket ends, whichever is later; `cursor` is the end
+    // of the last bucket and `occupancy` the stream's busy time.
+    double cursor = 0;
+    double occupancy = 0;
     for (int i = 0; i < count; ++i) {
         const double ready = timeline.bucketReadySec(i, count);
         // Bandwidth share of this bucket's ring pass, via the same
@@ -90,15 +94,13 @@ overlapCommCost(const Interconnect &interconnect, double bytes,
             // still hide behind backward.
             cost += steps * lat;
         }
-        comm.enqueue("allreduce.bucket", ready, cost);
+        const double start = std::max(ready, cursor);
+        cursor = start + cost;
+        occupancy += cursor - start;
     }
-
-    double occupancy = 0;
-    for (const StreamOp &op : comm.ops())
-        occupancy += op.endSec - op.startSec;
     out.totalSec = occupancy + kDdpOverheadSec;
-    out.exposedSec = std::max(0.0, comm.cursorSec() - bwd_finish) +
-                     kDdpOverheadSec;
+    out.exposedSec =
+        std::max(0.0, cursor - bwd_finish) + kDdpOverheadSec;
     return out;
 }
 
@@ -298,19 +300,7 @@ DdpTrainer::scalingCurve(Workload &workload, const WorkloadConfig &base,
     return out;
 }
 
-/** Accumulators for one fault-injected engine run. */
-struct DdpTrainer::EngineOutcome
-{
-    double totalTimeSec = 0;
-    double checkpointTimeSec = 0;
-    double recoveryTimeSec = 0;
-    int executedIterations = 0;
-    int replayedIterations = 0;
-    int worldEnd = 0;
-    std::vector<FaultRecord> events;
-};
-
-DdpTrainer::EngineOutcome
+FaultToleranceResult
 DdpTrainer::runEngine(Workload &workload, const WorkloadConfig &base,
                       int world, const FaultInjector &injector,
                       const FaultRecoveryOptions &options,
@@ -322,7 +312,10 @@ DdpTrainer::runEngine(Workload &workload, const WorkloadConfig &base,
     GNN_ASSERT(options.checkpointInterval >= 0,
                "checkpoint interval must be >= 0");
 
-    EngineOutcome out;
+    FaultToleranceResult out;
+    out.workload = workload.name();
+    out.worldStart = world;
+    out.targetIterations = options.iterations;
 
     WorkloadConfig cfg = base;
     cfg.worldSize = world;
@@ -576,26 +569,14 @@ DdpTrainer::runWithFaults(Workload &workload, const WorkloadConfig &base,
 {
     // Fault-free, checkpoint-free pass first: same device seed and
     // initial workload state, so the two clocks are comparable.
-    EngineOutcome ideal = runEngine(workload, base, world,
-                                    FaultInjector{}, options, false);
-    EngineOutcome faulty = runEngine(workload, base, world,
-                                     FaultInjector(plan), options, true);
-
-    FaultToleranceResult res;
-    res.workload = workload.name();
-    res.worldStart = world;
-    res.worldEnd = faulty.worldEnd;
-    res.targetIterations = options.iterations;
-    res.executedIterations = faulty.executedIterations;
-    res.replayedIterations = faulty.replayedIterations;
+    const FaultToleranceResult ideal = runEngine(
+        workload, base, world, FaultInjector{}, options, false);
+    FaultToleranceResult res = runEngine(workload, base, world,
+                                         FaultInjector(plan), options, true);
     res.idealTimeSec = ideal.totalTimeSec;
-    res.totalTimeSec = faulty.totalTimeSec;
-    res.checkpointTimeSec = faulty.checkpointTimeSec;
-    res.recoveryTimeSec = faulty.recoveryTimeSec;
-    res.goodput = faulty.totalTimeSec > 0
-                      ? ideal.totalTimeSec / faulty.totalTimeSec
+    res.goodput = res.totalTimeSec > 0
+                      ? ideal.totalTimeSec / res.totalTimeSec
                       : 0;
-    res.events = std::move(faulty.events);
     return res;
 }
 

@@ -297,13 +297,16 @@ class DdpTrainer
     }
 
   private:
-    struct EngineOutcome;
-
-    EngineOutcome runEngine(Workload &workload,
-                            const WorkloadConfig &base, int world,
-                            const FaultInjector &injector,
-                            const FaultRecoveryOptions &options,
-                            bool with_checkpoints);
+    /**
+     * One engine pass under `injector`: every field of the result
+     * except idealTimeSec and goodput, which runWithFaults() fills
+     * from a second, fault-free pass.
+     */
+    FaultToleranceResult runEngine(Workload &workload,
+                                   const WorkloadConfig &base, int world,
+                                   const FaultInjector &injector,
+                                   const FaultRecoveryOptions &options,
+                                   bool with_checkpoints);
 
     /** Shared body of measure()/measureWeak(); see their docs. */
     ScalingResult measureImpl(Workload &workload,

@@ -1,9 +1,10 @@
 /**
  * @file
- * Pure-data serving run report. Deliberately header-only with no
- * dependencies beyond <string>/<vector>/<cstdint>, so the core report
- * printers and JSON writers can consume it without linking the serve
- * library (core sits below serve in the layering).
+ * Pure-data serving run report. Header-only, and it includes nothing
+ * of serve that needs linking, so core's report printers and JSON
+ * writers read it without linking the serve library (neither library
+ * links the other). Its alerts are the burn-rate monitor's own
+ * obs::SloAlert records.
  *
  * Every field derives from simulated time and seeded randomness, so a
  * report — and its JSON rendering — is byte-identical across
@@ -16,6 +17,8 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "obs/slo.hh"
 
 namespace gnnmark {
 namespace serve {
@@ -79,19 +82,6 @@ struct ServingWindow
     double burnRate = 0;
     /** Cumulative fraction of the error budget spent. */
     double budgetConsumed = 0;
-};
-
-/** A burn-rate alert interval (consecutive firing windows). */
-struct ServingAlert
-{
-    std::string rule;
-    std::string severity;
-    int64_t startWindow = 0;
-    int64_t endWindow = 0; ///< inclusive
-    double startSec = 0;
-    double endSec = 0;
-    double peakBurn = 0;
-    double errorFraction = 0;
 };
 
 /** Aggregate results of one serving simulation. */
@@ -165,7 +155,7 @@ struct ServingReport
     /** Total error budget consumed over the run. */
     double budgetConsumed = 0;
     std::vector<ServingWindow> windows;
-    std::vector<ServingAlert> alerts;
+    std::vector<obs::SloAlert> alerts; ///< burn-rate alert intervals
     /** @} */
 
     /** @{ Request tracing (sampleEvery == 0 when disabled). */

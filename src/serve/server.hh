@@ -199,17 +199,6 @@ class ServingSimulator
         double enqueueSec = 0;
     };
 
-    /** Per-arrival-window outcome tallies (windowed runs only). */
-    struct WindowCounts
-    {
-        int64_t offered = 0;
-        int64_t sloMet = 0;
-        int64_t full = 0;
-        int64_t fallback = 0;
-        int64_t shed = 0;
-        int64_t lost = 0;
-    };
-
     struct Replica
     {
         bool busy = false;
@@ -268,7 +257,8 @@ class ServingSimulator
     /** @{ Windowed observability (null when windowSec == 0). */
     std::unique_ptr<obs::WindowedSeries> latencyWin_; ///< resolve time, ms
     std::unique_ptr<obs::WindowedSeries> queueWin_;   ///< arrival depth
-    std::map<int64_t, WindowCounts> winCounts_;       ///< by arrival window
+    /** Outcome counts by arrival window; only those fields are set. */
+    std::map<int64_t, ServingWindow> winCounts_;
     /** @} */
 
     /** Request-scoped tracer (null when traceSampleEvery == 0). */

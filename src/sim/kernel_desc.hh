@@ -19,14 +19,11 @@
 namespace gnnmark {
 
 /**
- * One kernel launch.
- *
- * `trace` is called by the device for the warps it chooses to simulate
- * in detail; it must be a pure function of the global warp id (same id,
- * same trace) so sampling is deterministic. Global warp ids enumerate
- * warps block-major: warp w of block b has id b * warpsPerBlock + w.
+ * What a kernel launch is, apart from how its warps are generated:
+ * identity, geometry, code shape and memory footprint. A recorded
+ * trace stores exactly this part of each launch (trace::LaunchEvent).
  */
-struct KernelDesc
+struct KernelShape
 {
     std::string name;   ///< stable kernel identity (used for sampling)
     OpClass opClass = OpClass::Other;
@@ -56,20 +53,6 @@ struct KernelDesc
     /** Irregular-access kernels may skip L1 under the bypass ablation. */
     bool irregular = false;
 
-    /** Per-warp trace generator (see class comment). */
-    std::function<void(int64_t warp_id, WarpTraceSink &sink)> trace;
-
-    /**
-     * Replay-mode alternative to `trace`: returns a pre-recorded warp
-     * trace instead of generating one through a WarpTraceSink. Takes
-     * precedence over `trace` when set; used by the trace replayer
-     * (src/trace) to feed captured streams back through the
-     * cache/pipeline models. Must be a pure function of the warp id,
-     * like `trace`, and the returned reference must stay valid for
-     * the duration of the launch (the device borrows it — no copy).
-     */
-    std::function<const WarpTrace &(int64_t warp_id)> replay;
-
     /**
      * (address, bytes) spans the full grid *writes*. The detailed sim
      * only replays a sample of warps, so the device installs these
@@ -87,6 +70,31 @@ struct KernelDesc
     std::vector<std::pair<uint64_t, uint64_t>> inputRanges;
 
     int64_t totalWarps() const { return blocks * warpsPerBlock; }
+};
+
+/**
+ * One kernel launch.
+ *
+ * `trace` is called by the device for the warps it chooses to simulate
+ * in detail; it must be a pure function of the global warp id (same id,
+ * same trace) so sampling is deterministic. Global warp ids enumerate
+ * warps block-major: warp w of block b has id b * warpsPerBlock + w.
+ */
+struct KernelDesc : KernelShape
+{
+    /** Per-warp trace generator (see class comment). */
+    std::function<void(int64_t warp_id, WarpTraceSink &sink)> trace;
+
+    /**
+     * Replay-mode alternative to `trace`: returns a pre-recorded warp
+     * trace instead of generating one through a WarpTraceSink. Takes
+     * precedence over `trace` when set; used by the trace replayer
+     * (src/trace) to feed captured streams back through the
+     * cache/pipeline models. Must be a pure function of the warp id,
+     * like `trace`, and the returned reference must stay valid for
+     * the duration of the launch (the device borrows it — no copy).
+     */
+    std::function<const WarpTrace &(int64_t warp_id)> replay;
 };
 
 } // namespace gnnmark

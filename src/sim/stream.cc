@@ -1,28 +1,10 @@
 #include "sim/stream.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "base/logging.hh"
 
 namespace gnnmark {
-
-SimStream::SimStream(std::string name) : name_(std::move(name)) {}
-
-const StreamOp &
-SimStream::enqueue(const std::string &op_name, double ready_sec,
-                   double duration_sec)
-{
-    GNN_ASSERT(duration_sec >= 0, "negative op duration");
-    StreamOp op;
-    op.name = op_name;
-    op.readySec = ready_sec;
-    op.startSec = std::max(ready_sec, cursor_);
-    op.endSec = op.startSec + duration_sec;
-    cursor_ = op.endSec;
-    ops_.push_back(std::move(op));
-    return ops_.back();
-}
 
 double
 IterationTimeline::wallSec() const

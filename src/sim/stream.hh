@@ -1,67 +1,23 @@
 /**
  * @file
- * Stream/event timing model for asynchronous device work.
+ * Per-iteration kernel timelines for the DDP overlap model.
  *
- * A SimStream is an in-order queue of timed operations: each op
- * becomes *ready* when its dependency is satisfied (a gradient bucket
- * filling, a kernel finishing) and *starts* when the stream's cursor
- * reaches it, CUDA-stream style.
- *
- * TimelineCollector is the compute-side feeder: it observes a
- * GpuDevice's kernel/transfer records plus the phase marks the
- * driving layers insert (iteration begin, backward begin/end) and
- * segments the launch stream into per-iteration IterationTimelines —
- * the input the DDP overlap model prices gradient buckets against.
+ * TimelineCollector observes a GpuDevice's kernel/transfer records
+ * plus the phase marks the driving layers insert (iteration begin,
+ * backward begin/end) and segments the launch stream into
+ * per-iteration IterationTimelines — the input the DDP overlap model
+ * (ddp::overlapCommCost) prices gradient buckets against.
  */
 
 #ifndef GNNMARK_SIM_STREAM_HH
 #define GNNMARK_SIM_STREAM_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "sim/kernel_record.hh"
 
 namespace gnnmark {
-
-/** One asynchronous operation scheduled on a SimStream. */
-struct StreamOp
-{
-    std::string name;
-    double readySec = 0; ///< earliest legal start (dependency ready)
-    double startSec = 0; ///< max(readySec, stream cursor at enqueue)
-    double endSec = 0;   ///< startSec + duration
-};
-
-/**
- * An in-order queue of timed async operations. Ops run back-to-back
- * but never before their ready time; the cursor is the completion
- * time of the last scheduled op.
- */
-class SimStream
-{
-  public:
-    explicit SimStream(std::string name = "stream");
-
-    /**
-     * Schedule an op that needs `duration_sec` of stream time and may
-     * not start before `ready_sec`. Returns the scheduled record.
-     */
-    const StreamOp &enqueue(const std::string &op_name,
-                            double ready_sec, double duration_sec);
-
-    /** Completion time of the last scheduled op (0 if idle). */
-    double cursorSec() const { return cursor_; }
-
-    const std::string &name() const { return name_; }
-    const std::vector<StreamOp> &ops() const { return ops_; }
-
-  private:
-    std::string name_;
-    double cursor_ = 0;
-    std::vector<StreamOp> ops_;
-};
 
 /**
  * Kernel-timeline segmentation of one measured training iteration,

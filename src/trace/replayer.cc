@@ -33,7 +33,7 @@ replayTrace(const RecordedTrace &trace, const GpuConfig &config,
     GNN_SPAN("trace.replay");
     GpuDevice device(config, trace.header.seed);
     ReplayResult result;
-    result.workload = trace.header.workload;
+    result.name = trace.header.workload;
     device.addObserver(&result.profiler);
     TimelineCollector timelines(config.launchOverheadSec);
     device.addObserver(&timelines);
@@ -58,16 +58,7 @@ replayTrace(const RecordedTrace &trace, const GpuConfig &config,
                     archive.pool[it->second] = &warp.trace;
             }
 
-            desc.name = launch->name;
-            desc.opClass = launch->opClass;
-            desc.blocks = launch->blocks;
-            desc.warpsPerBlock = launch->warpsPerBlock;
-            desc.codeBytes = launch->codeBytes;
-            desc.aluIlp = launch->aluIlp;
-            desc.loadDepFraction = launch->loadDepFraction;
-            desc.irregular = launch->irregular;
-            desc.outputRanges = launch->outputRanges;
-            desc.inputRanges = launch->inputRanges;
+            static_cast<KernelShape &>(desc) = *launch;
 
             // Pure function of the warp id (required by the device):
             // exact recorded warp first, then the kernel's archive by
@@ -138,7 +129,6 @@ replayTrace(const RecordedTrace &trace, const GpuConfig &config,
     result.wallTimeSec = device.wallTimeSec();
     result.iterationsPerEpoch = trace.header.iterationsPerEpoch;
     result.parameterBytes = trace.header.parameterBytes;
-    result.kernelLaunches = device.kernelCount();
     if (trace.header.iterations > 0) {
         result.epochTimeSec =
             result.wallTimeSec / trace.header.iterations *

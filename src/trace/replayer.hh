@@ -18,10 +18,9 @@
 #ifndef GNNMARK_TRACE_REPLAYER_HH
 #define GNNMARK_TRACE_REPLAYER_HH
 
-#include <string>
 #include <vector>
 
-#include "profiler/profiler.hh"
+#include "profiler/workload_profile.hh"
 #include "sim/gpu_config.hh"
 #include "sim/stream.hh"
 #include "trace/trace.hh"
@@ -29,17 +28,14 @@
 namespace gnnmark {
 namespace trace {
 
-/** Everything a characterization report needs, rebuilt from a trace. */
-struct ReplayResult
+/**
+ * A characterization profile rebuilt from a trace: losses, epoch
+ * geometry and parameter bytes come from the header, everything else
+ * from replaying the stream. Pass it wherever a WorkloadProfile is
+ * read.
+ */
+struct ReplayResult : WorkloadProfile
 {
-    std::string workload;
-    Profiler profiler;
-    std::vector<float> losses; ///< carried over from the header
-    double wallTimeSec = 0;
-    double epochTimeSec = 0;
-    int64_t iterationsPerEpoch = 0;
-    double parameterBytes = 0;
-    int64_t kernelLaunches = 0; ///< device launches after the reset
     /**
      * Per-iteration kernel timelines with backward windows, rebuilt
      * from the recorded phase markers (empty for traces recorded

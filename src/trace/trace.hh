@@ -23,12 +23,11 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <variant>
 #include <vector>
 
 #include "sim/gpu_config.hh"
-#include "sim/op_class.hh"
+#include "sim/kernel_desc.hh"
 #include "sim/trace_hook.hh"
 #include "sim/warp_trace.hh"
 
@@ -57,19 +56,9 @@ struct TracedWarp
     WarpTrace trace;
 };
 
-/** One kernel launch (KernelDesc minus the generator closures). */
-struct LaunchEvent
+/** One kernel launch: its shape plus the warps simulated in detail. */
+struct LaunchEvent : KernelShape
 {
-    std::string name;
-    OpClass opClass = OpClass::Other;
-    int64_t blocks = 1;
-    int warpsPerBlock = 4;
-    int codeBytes = 4096;
-    double aluIlp = 0.0;
-    double loadDepFraction = 0.0;
-    bool irregular = false;
-    std::vector<std::pair<uint64_t, uint64_t>> outputRanges;
-    std::vector<std::pair<uint64_t, uint64_t>> inputRanges;
     std::vector<TracedWarp> warps; ///< empty for sampled-replay launches
 };
 

@@ -11,16 +11,7 @@ TraceRecorder::onLaunch(const KernelDesc &desc,
                         std::vector<std::pair<int64_t, WarpTrace>> traced)
 {
     LaunchEvent launch;
-    launch.name = desc.name;
-    launch.opClass = desc.opClass;
-    launch.blocks = desc.blocks;
-    launch.warpsPerBlock = desc.warpsPerBlock;
-    launch.codeBytes = desc.codeBytes;
-    launch.aluIlp = desc.aluIlp;
-    launch.loadDepFraction = desc.loadDepFraction;
-    launch.irregular = desc.irregular;
-    launch.outputRanges = desc.outputRanges;
-    launch.inputRanges = desc.inputRanges;
+    static_cast<KernelShape &>(launch) = desc;
     launch.warps.reserve(traced.size());
     for (auto &[warp_id, warp_trace] : traced)
         launch.warps.push_back(

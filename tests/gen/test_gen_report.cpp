@@ -36,22 +36,22 @@ sampleReport()
     rep.residentBudgetBytes = 5 << 20;
     rep.wallSec = 0.25;
     rep.edgesPerSec = 4.0 * 80289;
-    rep.hasDegrees = true;
-    rep.degreeVertices = 20000;
-    rep.minDegree = 1;
-    rep.maxDegree = 1432;
-    rep.meanDegree = 8.03;
-    rep.powerLawSlope = -1.73;
-    rep.slopeValid = true;
-    rep.modalFraction = 0.162;
-    rep.modalDegree = 4;
-    rep.distinctDegrees = 135;
-    rep.trained = true;
-    rep.trainBatches = 5;
-    rep.trainEdgesConsumed = 80289;
-    rep.trainFirstLoss = 1.363;
-    rep.trainLastLoss = 1.313;
-    rep.trainPeakResidentBytes = 1 << 19;
+    gen::DegreeStats &degrees = rep.degrees.emplace();
+    degrees.vertices = 20000;
+    degrees.minDegree = 1;
+    degrees.maxDegree = 1432;
+    degrees.meanDegree = 8.03;
+    degrees.powerLawSlope = -1.73;
+    degrees.slopeValid = true;
+    degrees.modalFraction = 0.162;
+    degrees.modalDegree = 4;
+    degrees.distinctDegrees = 135;
+    gen::StreamTrainResult &training = rep.training.emplace();
+    training.batches = 5;
+    training.edgesConsumed = 80289;
+    training.firstLoss = 1.363;
+    training.lastLoss = 1.313;
+    training.peakResidentBytes = 1 << 19;
     return rep;
 }
 
@@ -103,8 +103,8 @@ TEST(GenReportJson, DocumentIsByteStable)
 TEST(GenReportJson, OptionalBlocksAppearOnDemand)
 {
     gen::GenReport rep = sampleReport();
-    rep.hasDegrees = false;
-    rep.trained = false;
+    rep.degrees.reset();
+    rep.training.reset();
     const std::string json = reports::genJson(rep);
     EXPECT_EQ(json.find("degrees"), std::string::npos);
     EXPECT_EQ(json.find("training"), std::string::npos);

@@ -1,6 +1,5 @@
-/** @file Stream/event timing model: SimStream scheduling semantics,
- *  IterationTimeline wall-clock mapping, and TimelineCollector's
- *  phase-mark segmentation of a kernel stream. */
+/** @file Kernel timelines: IterationTimeline wall-clock mapping and
+ *  TimelineCollector's phase-mark segmentation of a kernel stream. */
 
 #include <gtest/gtest.h>
 
@@ -29,28 +28,6 @@ transfer(double time_sec)
 }
 
 } // namespace
-
-TEST(SimStream, OpsRunBackToBack)
-{
-    SimStream s("comm");
-    const StreamOp &a = s.enqueue("a", 0.0, 2.0);
-    EXPECT_EQ(a.startSec, 0.0);
-    EXPECT_EQ(a.endSec, 2.0);
-    // Ready at t=1 but the stream is busy until t=2.
-    const StreamOp &b = s.enqueue("b", 1.0, 3.0);
-    EXPECT_EQ(b.startSec, 2.0);
-    EXPECT_EQ(b.endSec, 5.0);
-    EXPECT_EQ(s.cursorSec(), 5.0);
-}
-
-TEST(SimStream, ReadyTimeDelaysStart)
-{
-    SimStream s;
-    s.enqueue("a", 0.0, 1.0);
-    const StreamOp &late = s.enqueue("late", 10.0, 1.0);
-    EXPECT_EQ(late.startSec, 10.0);
-    EXPECT_EQ(late.endSec, 11.0);
-}
 
 TEST(IterationTimeline, WallClockMapsTransferPrologueAndKernels)
 {

@@ -104,8 +104,7 @@ TEST_P(TraceReplayFidelity, ReplayMatchesLiveRunExactly)
         recordWorkloadTrace(GetParam(), smallRun(), &live);
     ASSERT_FALSE(trace.events.empty());
 
-    const WorkloadProfile replayed =
-        toWorkloadProfile(trace::replayTrace(trace));
+    const trace::ReplayResult replayed = trace::replayTrace(trace);
     EXPECT_EQ(replayed.name, live.name);
     expectProfilesIdentical(live, replayed);
 }
@@ -121,8 +120,7 @@ TEST_P(TraceReplayFidelity, SerializedReplayMatchesToo)
     const trace::RecordedTrace loaded =
         trace::parseTrace(bytes, "in-memory trace");
 
-    expectProfilesIdentical(
-        live, toWorkloadProfile(trace::replayTrace(loaded)));
+    expectProfilesIdentical(live, trace::replayTrace(loaded));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -146,8 +144,7 @@ TEST_P(TraceReplayReports, PrintedReportsAreBitwiseIdentical)
     WorkloadProfile live;
     const trace::RecordedTrace trace =
         recordWorkloadTrace(GetParam(), smallRun(), &live);
-    const WorkloadProfile replayed =
-        toWorkloadProfile(trace::replayTrace(trace));
+    const trace::ReplayResult replayed = trace::replayTrace(trace);
     EXPECT_EQ(renderReports(live), renderReports(replayed));
 }
 
@@ -165,10 +162,8 @@ TEST(TraceReplay, ReplayIsRepeatable)
 {
     const trace::RecordedTrace trace =
         recordWorkloadTrace("STGCN", smallRun());
-    const WorkloadProfile a =
-        toWorkloadProfile(trace::replayTrace(trace));
-    const WorkloadProfile b =
-        toWorkloadProfile(trace::replayTrace(trace));
+    const trace::ReplayResult a = trace::replayTrace(trace);
+    const trace::ReplayResult b = trace::replayTrace(trace);
     expectProfilesIdentical(a, b);
 }
 
@@ -199,7 +194,7 @@ TEST(TraceReplay, SmCountSweepStillRuns)
     GpuConfig fewer = trace.header.config;
     fewer.numSms = 40;
     const trace::ReplayResult result = trace::replayTrace(trace, fewer);
-    EXPECT_GT(result.kernelLaunches, 0);
+    EXPECT_GT(result.profiler.totalLaunches(), 0);
     EXPECT_GT(result.wallTimeSec, 0);
 }
 
@@ -300,11 +295,9 @@ TEST(TraceReplay, EnablingObservabilityDoesNotPerturbTheReport)
         recordWorkloadTrace("STGCN", smallRun());
     obs::SpanTracer &tracer = obs::SpanTracer::instance();
     tracer.setEnabled(false);
-    const std::string off =
-        renderReports(toWorkloadProfile(trace::replayTrace(trace)));
+    const std::string off = renderReports(trace::replayTrace(trace));
     tracer.setEnabled(true);
-    const std::string on =
-        renderReports(toWorkloadProfile(trace::replayTrace(trace)));
+    const std::string on = renderReports(trace::replayTrace(trace));
     tracer.setEnabled(false);
     tracer.clear();
     EXPECT_EQ(off, on);
