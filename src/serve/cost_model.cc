@@ -6,6 +6,7 @@
 #include "base/rng.hh"
 #include "models/ego_net.hh"
 #include "ops/exec_context.hh"
+#include "serve/traffic.hh"
 #include "sim/gpu_device.hh"
 
 namespace gnnmark {
@@ -40,7 +41,8 @@ BatchCostTable
 priceBatchCosts(EgoNetBatchModel &model, GpuDevice &device,
                 int maxBatch, uint64_t seed)
 {
-    GNN_ASSERT(maxBatch >= 1, "maxBatch must be >= 1, got %d",
+    GNN_ASSERT(maxBatch >= 1 && maxBatch <= kMaxBatchSize,
+               "maxBatch must be in [1, %d], got %d", kMaxBatchSize,
                maxBatch);
     Rng rng(seed ^ 0x434f5354u); // "COST"
 

@@ -47,7 +47,8 @@ struct BatchCostTable
 };
 
 /**
- * Price anchor batch sizes {1, 2, 4, ..., >= maxBatch} by running
+ * Price anchor batch sizes {1, 2, 4, ..., maxBatch} (maxBatch at most
+ * kMaxBatchSize) by running
  * `model` under `device` and measuring wall-time deltas. Each anchor
  * runs once to warm the device's per-kernel sampling caches and once
  * for the measurement. Costs are clamped non-decreasing in batch

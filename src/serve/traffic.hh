@@ -88,6 +88,15 @@ static_assert(kDiurnalMinFactor >= 0 && kDiurnalMinFactor <= 1,
 inline constexpr double kMaxOfferedRequests = 1e7;
 
 /**
+ * @{ Largest replica pool and batching cap one run may ask for:
+ * ServingSimulator keeps state per replica, and priceBatchCosts()
+ * runs every power-of-two batch size up to the cap.
+ */
+inline constexpr int kMaxReplicas = 1024;
+inline constexpr int kMaxBatchSize = 4096;
+/** @} */
+
+/**
  * Generate the full arrival schedule: requests sorted by arrival
  * time, ids dense in arrival order. Deterministic in the config,
  * which may offer at most kMaxOfferedRequests.

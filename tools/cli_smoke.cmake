@@ -35,6 +35,8 @@ expect_exit(2 serve --arrival sometimes)    # unknown arrival process
 expect_exit(2 serve --faults meteor)        # unknown fault scenario
 expect_exit(2 serve --hedge maybe)          # on|off toggles only
 expect_exit(2 serve --replicas 0)
+expect_exit(2 serve --replicas 2000000000)  # above serve::kMaxReplicas
+expect_exit(2 serve --batch-max 1073741825) # above serve::kMaxBatchSize
 expect_exit(1 serve --plan no-such.plan)    # IoError, not a crash
 expect_exit(1 faults STGCN --plan no-such.plan)
 expect_exit(2 gen)                          # gen requires --family
