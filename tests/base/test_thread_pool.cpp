@@ -10,25 +10,11 @@
 
 #include "base/logging.hh"
 #include "base/thread_pool.hh"
+#include "common/thread_count_guard.hh"
 
 using namespace gnnmark;
 
 namespace {
-
-/** Scoped thread-count override that restores the previous value. */
-class ThreadCountGuard
-{
-  public:
-    explicit ThreadCountGuard(int n)
-        : prev_(ThreadPool::instance().threadCount())
-    {
-        ThreadPool::instance().setThreadCount(n);
-    }
-    ~ThreadCountGuard() { ThreadPool::instance().setThreadCount(prev_); }
-
-  private:
-    int prev_;
-};
 
 /** Chunk boundaries seen by one parallel_for run, sorted by begin. */
 std::vector<std::pair<int64_t, int64_t>>
@@ -48,13 +34,13 @@ observedChunks(int64_t begin, int64_t end, int64_t grain)
 
 TEST(ThreadPool, SetThreadCountIsRespected)
 {
-    ThreadCountGuard guard(3);
+    test::ThreadCountGuard guard(3);
     EXPECT_EQ(ThreadPool::instance().threadCount(), 3);
 }
 
 TEST(ThreadPool, EmptyRangeRunsNothing)
 {
-    ThreadCountGuard guard(4);
+    test::ThreadCountGuard guard(4);
     std::atomic<int> calls{0};
     parallel_for(5, 5, 1, [&](int64_t, int64_t) { ++calls; });
     parallel_for(7, 3, 1, [&](int64_t, int64_t) { ++calls; });
@@ -64,7 +50,7 @@ TEST(ThreadPool, EmptyRangeRunsNothing)
 TEST(ThreadPool, CoversEveryIndexExactlyOnce)
 {
     for (int threads : {1, 2, 8}) {
-        ThreadCountGuard guard(threads);
+        test::ThreadCountGuard guard(threads);
         const int64_t n = 1000;
         std::vector<std::atomic<int>> hits(n);
         for (auto &h : hits)
@@ -82,11 +68,11 @@ TEST(ThreadPool, ChunkBoundariesIndependentOfThreadCount)
 {
     std::vector<std::pair<int64_t, int64_t>> ref;
     {
-        ThreadCountGuard guard(1);
+        test::ThreadCountGuard guard(1);
         ref = observedChunks(3, 250, 16);
     }
     for (int threads : {2, 8}) {
-        ThreadCountGuard guard(threads);
+        test::ThreadCountGuard guard(threads);
         EXPECT_EQ(observedChunks(3, 250, 16), ref)
             << "threads=" << threads;
     }
@@ -100,7 +86,7 @@ TEST(ThreadPool, ChunkBoundariesIndependentOfThreadCount)
 
 TEST(ThreadPool, NestedParallelForFallsBackToSerial)
 {
-    ThreadCountGuard guard(4);
+    test::ThreadCountGuard guard(4);
     std::atomic<int64_t> total{0};
     parallel_for(0, 8, 1, [&](int64_t, int64_t) {
         // Inner loop must not deadlock on the (busy) outer pool.
@@ -118,7 +104,7 @@ TEST(ThreadPool, ReduceMatchesSerialSum)
     const int64_t expect =
         std::accumulate(v.begin(), v.end(), int64_t{0});
     for (int threads : {1, 2, 8}) {
-        ThreadCountGuard guard(threads);
+        test::ThreadCountGuard guard(threads);
         int64_t sum = parallel_reduce(
             0, static_cast<int64_t>(v.size()), 64, int64_t{0},
             [&](int64_t b, int64_t e) {
@@ -152,11 +138,11 @@ TEST(ThreadPool, FloatReduceBitwiseStableAcrossThreadCounts)
     };
     float ref;
     {
-        ThreadCountGuard guard(1);
+        test::ThreadCountGuard guard(1);
         ref = run();
     }
     for (int threads : {2, 8}) {
-        ThreadCountGuard guard(threads);
+        test::ThreadCountGuard guard(threads);
         EXPECT_EQ(run(), ref) << "threads=" << threads;
     }
 }
@@ -166,7 +152,7 @@ TEST(ThreadPoolDeath, FatalExitsCleanlyWhileWorkersAreParked)
     // Start the workers first, in this same case: the death-test
     // child is forked without them, and its exit() must not try to
     // join them.
-    ThreadCountGuard guard(4);
+    test::ThreadCountGuard guard(4);
     std::atomic<int> chunks{0};
     parallel_for(0, 64, 1, [&](int64_t, int64_t) { ++chunks; });
     ASSERT_EQ(chunks.load(), 64);

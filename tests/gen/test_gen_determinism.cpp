@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "base/thread_pool.hh"
+#include "common/thread_count_guard.hh"
 #include "gen/config.hh"
 #include "gen/degree_stats.hh"
 #include "gen/edge_stream.hh"
@@ -57,21 +58,6 @@ smallConfig(Family family)
     return cfg;
 }
 
-/** RAII thread-count override for the shared pool. */
-class ThreadCountGuard
-{
-  public:
-    explicit ThreadCountGuard(int threads)
-        : saved_(ThreadPool::instance().threadCount())
-    {
-        ThreadPool::instance().setThreadCount(threads);
-    }
-    ~ThreadCountGuard() { ThreadPool::instance().setThreadCount(saved_); }
-
-  private:
-    int saved_;
-};
-
 class GenFamilySweep : public ::testing::TestWithParam<Family>
 {
 };
@@ -83,12 +69,12 @@ TEST_P(GenFamilySweep, IdenticalEdgesAcrossThreadsAndChunks)
     const GeneratorConfig cfg = smallConfig(GetParam());
     EdgeList baseline;
     {
-        ThreadCountGuard guard(1);
+        test::ThreadCountGuard guard(1);
         baseline = collect(cfg, 1);
     }
     ASSERT_FALSE(baseline.empty());
     for (int threads : {1, 4, 16}) {
-        ThreadCountGuard guard(threads);
+        test::ThreadCountGuard guard(threads);
         for (int chunks : {1, 8, 64}) {
             const EdgeList got = collect(cfg, chunks);
             ASSERT_EQ(got.size(), baseline.size())

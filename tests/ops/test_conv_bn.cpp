@@ -10,6 +10,7 @@
 
 #include "base/rng.hh"
 #include "base/thread_pool.hh"
+#include "common/thread_count_guard.hh"
 #include "ops/batchnorm.hh"
 #include "ops/conv2d.hh"
 #include "ops/dispatch.hh"
@@ -40,21 +41,6 @@ numericConvGrad(Tensor &pert, const Tensor &input, const Tensor &weight,
     *slot = saved;
     return static_cast<float>((plus - minus) / (2 * eps));
 }
-
-/** Scoped thread-count override that restores the previous value. */
-class ThreadCountGuard
-{
-  public:
-    explicit ThreadCountGuard(int n)
-        : prev_(ThreadPool::instance().threadCount())
-    {
-        ThreadPool::instance().setThreadCount(n);
-    }
-    ~ThreadCountGuard() { ThreadPool::instance().setThreadCount(prev_); }
-
-  private:
-    int prev_;
-};
 
 /** Every output of one batch-norm forward and backward pass. */
 struct BatchNormOutputs
@@ -416,7 +402,7 @@ TEST(Conv2d, BitwiseMatchesScalarLoopReference)
     const int64_t tiled_before =
         ops::Dispatch::instance().stats().gemmTiled;
     for (const int threads : {1, 4}) {
-        ThreadCountGuard guard(threads);
+        test::ThreadCountGuard guard(threads);
         Rng rng(30);
         for (const auto &f : filters) {
             for (const int64_t k : {1, 5, 24, 72}) {
@@ -532,7 +518,7 @@ TEST(BatchNorm, BitwiseMatchesColumnLoopReference)
     };
     const float eps = 1e-5f;
     for (const int threads : {1, 4}) {
-        ThreadCountGuard guard(threads);
+        test::ThreadCountGuard guard(threads);
         Rng rng(28);
         for (const auto &s : shapes) {
             const int64_t n = s.n, f = s.f;

@@ -14,6 +14,7 @@
 
 #include "base/rng.hh"
 #include "base/thread_pool.hh"
+#include "common/thread_count_guard.hh"
 #include "core/suite.hh"
 #include "ops/exec_context.hh"
 #include "ops/gemm.hh"
@@ -23,21 +24,6 @@
 using namespace gnnmark;
 
 namespace {
-
-/** Scoped thread-count override that restores the previous value. */
-class ThreadCountGuard
-{
-  public:
-    explicit ThreadCountGuard(int n)
-        : prev_(ThreadPool::instance().threadCount())
-    {
-        ThreadPool::instance().setThreadCount(n);
-    }
-    ~ThreadCountGuard() { ThreadPool::instance().setThreadCount(prev_); }
-
-  private:
-    int prev_;
-};
 
 /** Observer that keeps every kernel record it sees. */
 class Recorder : public KernelObserver
@@ -163,11 +149,11 @@ TEST(Determinism, GemmBitwiseStableAcrossThreadCounts)
     Tensor c1, c8;
     Recorder r1, r8;
     {
-        ThreadCountGuard guard(1);
+        test::ThreadCountGuard guard(1);
         run(c1, r1);
     }
     {
-        ThreadCountGuard guard(8);
+        test::ThreadCountGuard guard(8);
         run(c8, r8);
     }
     EXPECT_TRUE(bitwiseEqual(c1, c8));
@@ -190,11 +176,11 @@ TEST(Determinism, SpmmBitwiseStableAcrossThreadCounts)
     Tensor c1, c8;
     Recorder r1, r8;
     {
-        ThreadCountGuard guard(1);
+        test::ThreadCountGuard guard(1);
         run(c1, r1);
     }
     {
-        ThreadCountGuard guard(8);
+        test::ThreadCountGuard guard(8);
         run(c8, r8);
     }
     EXPECT_TRUE(bitwiseEqual(c1, c8));
@@ -207,7 +193,7 @@ TEST(Determinism, TrainIterationStableAcrossThreadCounts)
     // if the pool keeps its contract — the same loss bits and the same
     // sequence of kernels doing the same instruction-level work.
     auto run = [](int threads, Recorder &rec) {
-        ThreadCountGuard guard(threads);
+        test::ThreadCountGuard guard(threads);
         WorkloadConfig cfg;
         cfg.seed = 1234;
         cfg.scale = 0.25;
