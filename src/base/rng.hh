@@ -11,6 +11,7 @@
 #define GNNMARK_BASE_RNG_HH
 
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -49,11 +50,31 @@ class Rng
     /** Construct from a seed; the same seed yields the same stream. */
     explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
-    /** Next raw 64-bit value. */
-    uint64_t next();
+    /**
+     * Next raw 64-bit value. Inline, like uniform() and bernoulli():
+     * the warp pipeline draws once per ALU, shared-memory, load and
+     * atomic op it issues.
+     */
+    uint64_t
+    next()
+    {
+        const uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+        const uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = std::rotl(s_[3], 45);
+        return result;
+    }
 
     /** Uniform double in [0, 1). */
-    double uniform();
+    double
+    uniform()
+    {
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Uniform float in [lo, hi). */
     float uniform(float lo, float hi);
@@ -71,7 +92,7 @@ class Rng
     double normal(double mean, double stddev);
 
     /** Bernoulli trial with probability p of returning true. */
-    bool bernoulli(double p);
+    bool bernoulli(double p) { return uniform() < p; }
 
     /** Sample from a (unnormalised) discrete weight vector. */
     size_t discrete(const std::vector<double> &weights);

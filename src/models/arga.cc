@@ -12,7 +12,7 @@ Arga::setup(const WorkloadConfig &config)
     rng_.emplace(config.seed ^ 0x41524741u); // "ARGA"
 
     // A scaled Cora: 2708 nodes, 1433 one-hot features at scale 1.
-    data_ = gen::cora(*rng_, 0.45 * config.scale);
+    data_ = gen::cora(*rng_, 0.45 * checkedScale(config.scale));
     adj_ = data_.graph.gcnNormAdjacency();
     adjT_ = adj_;
 

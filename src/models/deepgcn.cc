@@ -41,7 +41,7 @@ DeepGcn::setup(const WorkloadConfig &config)
 {
     cfg_ = config;
     rng_.emplace(config.seed ^ 0x4447434eu); // "DGCN"
-    const double s = config.scale;
+    const double s = checkedScale(config.scale);
 
     const int count = std::max(64, static_cast<int>(512 * s));
     dataset_ = gen::molecules(*rng_, count, 10, 24, featDim_);

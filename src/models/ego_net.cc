@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "base/logging.hh"
+#include "models/workload.hh"
 #include "ops/reduce.hh"
 #include "ops/sort.hh"
 #include "ops/var_ops.hh"
@@ -12,6 +13,7 @@ namespace gnnmark {
 EgoNetBatchModel::EgoNetBatchModel(double scale, uint64_t seed)
 {
     rng_.emplace(seed ^ 0x45474f4eu); // "EGON"
+    scale = checkedScale(scale);
 
     // PSAGE-MVL-shaped catalogue: narrow item features, moderate
     // sparsity — the recommendation corpus the queries hit.

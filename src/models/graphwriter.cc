@@ -40,7 +40,7 @@ GraphWriter::setup(const WorkloadConfig &config)
 {
     cfg_ = config;
     rng_.emplace(config.seed ^ 0x47575254u); // "GWRT"
-    const double s = config.scale;
+    const double s = checkedScale(config.scale);
 
     const int64_t entities = std::max<int64_t>(64, 600 * s);
     const int samples = std::max(16, static_cast<int>(256 * s));

@@ -125,7 +125,7 @@ KGnn::setup(const WorkloadConfig &config)
 {
     cfg_ = config;
     rng_.emplace(config.seed ^ 0x4b474e4eu); // "KGNN"
-    const double s = config.scale;
+    const double s = checkedScale(config.scale);
 
     const int count = std::max(48, static_cast<int>(384 * s));
     dataset_ = gen::proteins(*rng_, count);

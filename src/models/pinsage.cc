@@ -138,7 +138,7 @@ PinSage::setup(const WorkloadConfig &config)
 {
     cfg_ = config;
     rng_.emplace(config.seed ^ 0x50534147u); // "PSAG"
-    const double s = config.scale;
+    const double s = checkedScale(config.scale);
 
     // MVL: narrow, moderately sparse features. NWP: 10x wider and
     // denser (the paper's 22% vs 11% zero fractions).

@@ -69,7 +69,7 @@ Stgcn::setup(const WorkloadConfig &config)
 {
     cfg_ = config;
     rng_.emplace(config.seed ^ 0x53544743u); // "STGC"
-    const double s = config.scale;
+    const double s = checkedScale(config.scale);
 
     const int64_t sensors = std::max<int64_t>(32, 207 * s);
     const int64_t steps = std::max<int64_t>(64, 600 * s);

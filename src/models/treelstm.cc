@@ -11,7 +11,7 @@ TreeLstm::setup(const WorkloadConfig &config)
 {
     cfg_ = config;
     rng_.emplace(config.seed ^ 0x544c5354u); // "TLST"
-    const double s = config.scale;
+    const double s = checkedScale(config.scale);
 
     const int count = std::max(64, static_cast<int>(768 * s));
     dataset_ = gen::sentimentTrees(*rng_, count, static_cast<int>(vocab_),

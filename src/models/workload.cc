@@ -1,10 +1,19 @@
 #include "models/workload.hh"
 
 #include "base/allocator.hh"
+#include "base/logging.hh"
 #include "nn/optim.hh"
 #include "ops/exec_context.hh"
 
 namespace gnnmark {
+
+double
+checkedScale(double scale)
+{
+    GNN_ASSERT(scale > 0 && scale <= kMaxScale,
+               "dataset scale %g is outside (0, %g]", scale, kMaxScale);
+    return scale;
+}
 
 void
 StateVisitor::optimizer(nn::Adam &opt)

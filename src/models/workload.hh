@@ -52,11 +52,25 @@ class StateVisitor
     void optimizer(nn::Adam &opt);
 };
 
+/**
+ * Largest dataset scale factor a workload accepts. Workloads size
+ * their datasets as int(base * scale), with bases up to 20,000; at 16
+ * every size stays far below INT_MAX, where the cast would be
+ * undefined. No doc, test or bench runs above 1.
+ */
+inline constexpr double kMaxScale = 16.0;
+
+/** `scale`, asserted to lie in (0, kMaxScale]. */
+double checkedScale(double scale);
+
 /** Scale and sharding knobs shared by all workloads. */
 struct WorkloadConfig
 {
     uint64_t seed = 42;
-    /** Dataset scale factor (1.0 = the suite's default sizes). */
+    /**
+     * Dataset scale factor (1.0 = the suite's default sizes), at most
+     * kMaxScale.
+     */
     double scale = 1.0;
     /**
      * DDP sharding: the world size. Every replica is priced as rank

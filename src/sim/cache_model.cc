@@ -22,6 +22,7 @@ CacheModel::CacheModel(uint64_t size_bytes, int assoc, int line_bytes)
     GNN_ASSERT(numSets_ > 0, "cache must have at least one set");
     if (std::has_single_bit(numSets_))
         setMask_ = numSets_ - 1;
+    setMod_ = FastMod(numSets_);
     tags_.assign(numSets_ * assoc_, kInvalidTag);
     lastUse_.assign(numSets_ * assoc_, 0);
 }

@@ -12,6 +12,8 @@
 #include <utility>
 #include <vector>
 
+#include "base/fast_mod.hh"
+
 namespace gnnmark {
 
 /**
@@ -109,14 +111,14 @@ class CacheModel
   private:
     /**
      * Reduce a line index to its set. Power-of-two set counts (every
-     * L1/L0I/L1I geometry, most L2 points) take the mask path; the
-     * general modulo produces the same index when they coincide, so
-     * the choice never changes behaviour — only the cost of the
-     * per-access hardware divide.
+     * L1/L1I geometry, most L2 points) take the mask path, the others
+     * (the default 3,072-set L2, the 48-set L0I) a precomputed
+     * remainder; both equal line % numSets_, so the choice never
+     * changes behaviour, only the cost of a hardware divide.
      */
     uint64_t setIndex(uint64_t line) const
     {
-        return setMask_ != 0 ? (line & setMask_) : (line % numSets_);
+        return setMask_ != 0 ? (line & setMask_) : setMod_(line);
     }
 
     /**
@@ -249,6 +251,7 @@ class CacheModel
     int lineShift_;
     uint64_t numSets_;
     uint64_t setMask_ = 0; ///< numSets_ - 1 when pow2, else 0 (modulo)
+    FastMod setMod_{1};    ///< line % numSets_
     std::vector<uint64_t> tags_;    // numSets_ * assoc_
     std::vector<uint64_t> lastUse_; // numSets_ * assoc_
     uint64_t clock_ = 0;

@@ -61,6 +61,17 @@ validateConfig(const GpuConfig &cfg)
     return "";
 }
 
+bool
+sameButDataCaches(const GpuConfig &a, const GpuConfig &b)
+{
+    GpuConfig b_as_a = b;
+    b_as_a.l1SizeBytes = a.l1SizeBytes;
+    b_as_a.l1Assoc = a.l1Assoc;
+    b_as_a.l2SizeBytes = a.l2SizeBytes;
+    b_as_a.l2Assoc = a.l2Assoc;
+    return a == b_as_a;
+}
+
 GpuConfig
 GpuConfig::v100()
 {

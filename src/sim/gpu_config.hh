@@ -91,7 +91,17 @@ struct GpuConfig
 
     /** Clock frequency in Hz. */
     double clockHz() const { return clockGhz * 1e9; }
+
+    bool operator==(const GpuConfig &) const = default;
 };
+
+/**
+ * True when `a` and `b` differ at most in data-cache geometry: L1 and
+ * L2 size and ways. Devices built from such configs time every launch
+ * alike up to their cache lookups, so one issue loop can drive all of
+ * them (GpuDevice::launchGroup).
+ */
+bool sameButDataCaches(const GpuConfig &a, const GpuConfig &b);
 
 /** Ways of the per-SM L1 I-cache, which has no GpuConfig field. */
 inline constexpr int kL1IAssoc = 4;

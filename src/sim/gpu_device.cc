@@ -65,17 +65,20 @@ GpuDevice::computeGeometry(const KernelDesc &desc) const
     return geo;
 }
 
-KernelRecord
+void
 GpuDevice::simulateDetailed(
-    const KernelDesc &desc, const Geometry &geo, SampleState &state,
-    std::vector<std::pair<int64_t, WarpTrace>> *captured)
+    std::span<GpuDevice *const> group, const KernelDesc &desc,
+    const Geometry &geo, std::span<SampleState *const> states,
+    std::vector<std::pair<int64_t, WarpTrace>> *captured,
+    std::vector<KernelRecord> &records)
 {
     GNN_ASSERT(desc.trace != nullptr || desc.replay != nullptr,
                "kernel '%s' has no trace generator", desc.name.c_str());
+    GpuDevice &lead = *group[0];
+    const GpuConfig &cfg = lead.cfg_;
 
-    KernelRecord rec;
     double sim_warps = 0;
-    double cycles_per_wave = 0;
+    std::vector<double> cycles_per_wave(group.size(), 0.0);
 
     // Generated traces are owned here; replayed traces are borrowed
     // from the recording. Reserve up front so pointers into `generated`
@@ -86,7 +89,8 @@ GpuDevice::simulateDetailed(
                           desc.warpsPerBlock);
     }
 
-    for (int s = 0; s < cfg_.simSmCount; ++s) {
+    std::vector<MemberCaches> members(group.size());
+    for (int s = 0; s < cfg.simSmCount; ++s) {
         // Blocks are distributed to SMs round-robin; simulate the first
         // resident wave of SM `s`.
         std::vector<const WarpTrace *> traces;
@@ -94,7 +98,7 @@ GpuDevice::simulateDetailed(
         {
             GNN_SPAN("sim.trace_gen");
             for (int rb = 0; rb < geo.residentBlocks; ++rb) {
-                int64_t block = s + static_cast<int64_t>(rb) * cfg_.numSms;
+                int64_t block = s + static_cast<int64_t>(rb) * cfg.numSms;
                 if (block >= desc.blocks)
                     break;
                 for (int w = 0; w < desc.warpsPerBlock; ++w) {
@@ -105,8 +109,8 @@ GpuDevice::simulateDetailed(
                     } else {
                         generated.emplace_back();
                         WarpTraceSink sink(generated.back(),
-                                           cfg_.maxTraceInstrs,
-                                           cfg_.cacheLineBytes);
+                                           cfg.maxTraceInstrs,
+                                           cfg.cacheLineBytes);
                         desc.trace(warp_id, sink);
                         trace = &generated.back();
                     }
@@ -121,35 +125,45 @@ GpuDevice::simulateDetailed(
 
         // Volta invalidates the (non-coherent) L1 at kernel
         // boundaries; only the L2 persists across launches.
-        l1s_[s].flush();
-        WaveResult wave;
+        for (size_t i = 0; i < group.size(); ++i) {
+            group[i]->l1s_[s].flush();
+            members[i] = {&group[i]->l1s_[s], &group[i]->l2_};
+        }
+        std::vector<WaveResult> waves;
         {
             GNN_SPAN("sim.pipeline");
-            WarpPipeline pipeline(cfg_, l1s_[s], l2_, rng_);
-            wave = pipeline.run(traces, desc);
+            WarpPipeline pipeline(cfg, members, lead.rng_);
+            waves = pipeline.runGroup(traces, desc);
         }
+        for (size_t i = 1; i < group.size(); ++i)
+            group[i]->rng_ = lead.rng_;
 
         sim_warps += static_cast<double>(traces.size());
-        cycles_per_wave += wave.cycles;
-        rec += wave;
+        for (size_t i = 0; i < group.size(); ++i) {
+            cycles_per_wave[i] += waves[i].cycles;
+            records[i] += waves[i];
+        }
     }
     GNN_ASSERT(sim_warps > 0, "kernel '%s' produced no simulated warps",
                desc.name.c_str());
-    cycles_per_wave /= cfg_.simSmCount;
 
-    // Scale sampled counters to the full grid.
-    rec *= static_cast<double>(geo.totalWarps) / sim_warps;
-    rec.cycles = cycles_per_wave * static_cast<double>(geo.waves);
-    rec.detailed = true;
+    for (size_t i = 0; i < group.size(); ++i) {
+        KernelRecord &rec = records[i];
+        SampleState &state = *states[i];
+        cycles_per_wave[i] /= cfg.simSmCount;
 
-    // Update the per-name running averages used for replay.
-    SimCounters per_warp = rec;
-    per_warp /= static_cast<double>(geo.totalWarps);
-    state.perWarp += per_warp;
-    state.cyclesPerWave += cycles_per_wave;
-    ++state.detailedRuns;
+        // Scale sampled counters to the full grid.
+        rec *= static_cast<double>(geo.totalWarps) / sim_warps;
+        rec.cycles = cycles_per_wave[i] * static_cast<double>(geo.waves);
+        rec.detailed = true;
 
-    return rec;
+        // Update the per-name running averages used for replay.
+        SimCounters per_warp = rec;
+        per_warp /= static_cast<double>(geo.totalWarps);
+        state.perWarp += per_warp;
+        state.cyclesPerWave += cycles_per_wave[i];
+        ++state.detailedRuns;
+    }
 }
 
 KernelRecord
@@ -187,76 +201,104 @@ GpuDevice::finishRecord(KernelRecord &record, const Geometry &geo)
     record.ipc = record.cycles > 0 ? per_sm_instrs / record.cycles : 0;
 }
 
-KernelRecord
-GpuDevice::launch(const KernelDesc &desc)
+std::vector<KernelRecord>
+GpuDevice::launchGroup(std::span<GpuDevice *const> group,
+                       const KernelDesc &desc)
 {
     GNN_SPAN("sim.launch");
-    Geometry geo = computeGeometry(desc);
-    SampleState &state = samples_[desc.name];
+    GNN_ASSERT(!group.empty(), "launch on an empty group");
+    GpuDevice &lead = *group[0];
+    const Geometry geo = lead.computeGeometry(desc);
 
-    KernelRecord rec;
-    std::vector<std::pair<int64_t, WarpTrace>> captured;
-    if (state.detailedRuns < cfg_.detailSampleLimit) {
-        rec = simulateDetailed(desc, geo, state,
-                               hook_ != nullptr ? &captured : nullptr);
-    } else {
-        rec = replayFromSample(geo, state);
+    std::vector<SampleState *> states(group.size());
+    for (size_t i = 0; i < group.size(); ++i) {
+        GpuDevice &d = *group[i];
+        states[i] = &d.samples_[desc.name];
+        if (i == 0)
+            continue;
+        GNN_ASSERT(sameButDataCaches(lead.cfg_, d.cfg_) &&
+                       d.hook_ == nullptr &&
+                       states[i]->invocations == states[0]->invocations &&
+                       states[i]->detailedRuns == states[0]->detailedRuns &&
+                       d.rng_.state() == lead.rng_.state(),
+                   "device %zu of a lockstep group left the step at "
+                   "kernel '%s'",
+                   i, desc.name.c_str());
     }
-    rec.name = desc.name;
-    rec.opClass = desc.opClass;
-    rec.invocation = state.invocations++;
-    finishRecord(rec, geo);
 
-    // Install the kernel's full data footprint into the L2 (the
-    // sampled warps covered only a slice of it): the write-allocate
-    // output spans first, then the grid-wide read spans with whatever
-    // is left of the line budget. The install is deferred: the next
-    // detailed launch's pipeline folds in only the sets it reads.
-    {
-        GNN_SPAN("sim.l2_install");
-        int64_t line_budget = 32768;
-        for (const auto *ranges : {&desc.outputRanges, &desc.inputRanges}) {
-            for (const auto &[addr, bytes] : *ranges) {
-                if (line_budget <= 0)
-                    break;
-                line_budget -= l2_.deferLines(addr, bytes, line_budget);
+    std::vector<KernelRecord> records(group.size());
+    std::vector<std::pair<int64_t, WarpTrace>> captured;
+    if (states[0]->detailedRuns < lead.cfg_.detailSampleLimit) {
+        simulateDetailed(group, desc, geo, states,
+                         lead.hook_ != nullptr ? &captured : nullptr,
+                         records);
+    } else {
+        for (size_t i = 0; i < group.size(); ++i)
+            records[i] = replayFromSample(geo, *states[i]);
+    }
+
+    for (size_t i = 0; i < group.size(); ++i) {
+        GpuDevice &d = *group[i];
+        KernelRecord &rec = records[i];
+        rec.name = desc.name;
+        rec.opClass = desc.opClass;
+        rec.invocation = states[i]->invocations++;
+        d.finishRecord(rec, geo);
+
+        // Install the kernel's full data footprint into the L2 (the
+        // sampled warps covered only a slice of it): the write-allocate
+        // output spans first, then the grid-wide read spans with
+        // whatever is left of the line budget. The install is deferred:
+        // the next detailed launch's pipeline folds in only the sets it
+        // reads.
+        {
+            GNN_SPAN("sim.l2_install");
+            int64_t line_budget = 32768;
+            for (const auto *ranges :
+                 {&desc.outputRanges, &desc.inputRanges}) {
+                for (const auto &[addr, bytes] : *ranges) {
+                    if (line_budget <= 0)
+                        break;
+                    line_budget -= d.l2_.deferLines(addr, bytes, line_budget);
+                }
             }
         }
+
+        d.kernelTime_ += rec.timeSec;
+        ++d.kernelCount_;
+
+        // Sim feed for the metrics registry. Kernel emission never
+        // leaves the launching thread, so these are deterministic (see
+        // metrics.hh).
+        {
+            static obs::Counter launches("sim.kernel_launches");
+            static obs::Counter cycles("sim.kernel_cycles");
+            static obs::Counter l1_hits("sim.l1_hits");
+            static obs::Counter l1_accesses("sim.l1_accesses");
+            static obs::Counter l2_hits("sim.l2_hits");
+            static obs::Counter l2_accesses("sim.l2_accesses");
+            static obs::Counter dram_bytes("sim.dram_bytes");
+            static obs::Counter stall_cycles("sim.stall_cycles");
+            static obs::Histogram kernel_us("sim.kernel_time_us");
+            launches.add();
+            cycles.add(rec.cycles);
+            l1_hits.add(rec.l1Hits);
+            l1_accesses.add(rec.l1Accesses);
+            l2_hits.add(rec.l2Hits);
+            l2_accesses.add(rec.l2Accesses);
+            dram_bytes.add(rec.dramBytes);
+            double stalls = 0;
+            for (double sc : rec.stallCycles)
+                stalls += sc;
+            stall_cycles.add(stalls);
+            kernel_us.observe(rec.timeSec * 1e6);
+        }
+
+        d.notify(rec);
     }
-
-    kernelTime_ += rec.timeSec;
-    ++kernelCount_;
-
-    // Sim feed for the metrics registry. Kernel emission never leaves
-    // the launching thread, so these are deterministic (see metrics.hh).
-    {
-        static obs::Counter launches("sim.kernel_launches");
-        static obs::Counter cycles("sim.kernel_cycles");
-        static obs::Counter l1_hits("sim.l1_hits");
-        static obs::Counter l1_accesses("sim.l1_accesses");
-        static obs::Counter l2_hits("sim.l2_hits");
-        static obs::Counter l2_accesses("sim.l2_accesses");
-        static obs::Counter dram_bytes("sim.dram_bytes");
-        static obs::Counter stall_cycles("sim.stall_cycles");
-        static obs::Histogram kernel_us("sim.kernel_time_us");
-        launches.add();
-        cycles.add(rec.cycles);
-        l1_hits.add(rec.l1Hits);
-        l1_accesses.add(rec.l1Accesses);
-        l2_hits.add(rec.l2Hits);
-        l2_accesses.add(rec.l2Accesses);
-        dram_bytes.add(rec.dramBytes);
-        double stalls = 0;
-        for (double sc : rec.stallCycles)
-            stalls += sc;
-        stall_cycles.add(stalls);
-        kernel_us.observe(rec.timeSec * 1e6);
-    }
-
-    notify(rec);
-    if (hook_ != nullptr)
-        hook_->onLaunch(desc, std::move(captured));
-    return rec;
+    if (lead.hook_ != nullptr)
+        lead.hook_->onLaunch(desc, std::move(captured));
+    return records;
 }
 
 TransferRecord

@@ -22,8 +22,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "base/allocator.hh"
@@ -46,7 +48,25 @@ class GpuDevice
     const GpuConfig &config() const { return cfg_; }
 
     /** Execute a kernel; returns the (possibly sampled) metrics. */
-    KernelRecord launch(const KernelDesc &desc);
+    KernelRecord
+    launch(const KernelDesc &desc)
+    {
+        GpuDevice *self = this;
+        return std::move(launchGroup({&self, 1}, desc)[0]);
+    }
+
+    /**
+     * Execute a kernel on every device of a lockstep group, records in
+     * group order. The devices' configs may differ only in data-cache
+     * geometry (sameButDataCaches), and they must have seen the same
+     * launches and marks since construction, with no trace hook unless
+     * the group holds one device. They then share geometry, sampling
+     * state and RNG state, so each detailed wave runs one WarpPipeline
+     * issue loop for the whole group, and each device's record is
+     * bitwise the one its own launch() would return.
+     */
+    static std::vector<KernelRecord>
+    launchGroup(std::span<GpuDevice *const> group, const KernelDesc &desc);
 
     /**
      * @{ Timed, sparsity-instrumented host-to-device copies.
@@ -156,11 +176,14 @@ class GpuDevice
     };
 
     Geometry computeGeometry(const KernelDesc &desc) const;
-    KernelRecord simulateDetailed(
-        const KernelDesc &desc, const Geometry &geo, SampleState &state,
-        std::vector<std::pair<int64_t, WarpTrace>> *captured);
-    KernelRecord replayFromSample(const Geometry &geo,
-                                  const SampleState &state);
+    /** Detailed waves for the group; fills `records`, one per device. */
+    static void simulateDetailed(
+        std::span<GpuDevice *const> group, const KernelDesc &desc,
+        const Geometry &geo, std::span<SampleState *const> states,
+        std::vector<std::pair<int64_t, WarpTrace>> *captured,
+        std::vector<KernelRecord> &records);
+    static KernelRecord replayFromSample(const Geometry &geo,
+                                         const SampleState &state);
     void finishRecord(KernelRecord &record, const Geometry &geo);
     TransferRecord recordTransfer(double bytes, double zero_fraction,
                                   const std::string &tag);

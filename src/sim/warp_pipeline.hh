@@ -13,6 +13,7 @@
 
 #include <vector>
 
+#include "base/logging.hh"
 #include "base/rng.hh"
 #include "sim/cache_model.hh"
 #include "sim/gpu_config.hh"
@@ -33,27 +34,72 @@ struct WaveResult : SimCounters
     double issued = 0;  ///< warp instructions issued (full counts)
 };
 
+/** The data caches one group member's memory ops look up. */
+struct MemberCaches
+{
+    CacheModel *l1; ///< the simulated SM's L1
+    CacheModel *l2; ///< the device L2
+};
+
 /**
- * Pipeline simulator bound to one SM's L1 and the device L2.
+ * Pipeline simulator for one wave, run for a lockstep group of members
+ * whose configs differ only in data-cache geometry.
  *
- * The caches persist across kernels (owned by the device); the L0
- * I-cache is rebuilt per run() since each kernel has different code.
+ * The members see the same warps under the same timing parameters, so
+ * one issue loop serves them all; each looks every memory line up in
+ * its own L1 and L2 and keeps its own cache counters. Their issue gaps
+ * can differ only where a gap waits on a worst-line latency: a Load
+ * whose dependency draw came up true, or such an Atomic. There the
+ * loop splits, copying its state (warp pcs, wake heap, ready FIFO,
+ * clock, I-caches, RNG, the cycle's remaining issuers), and each part
+ * goes on with the members that computed its gap. Every op draws the
+ * RNG a fixed number of times whichever part issues it, so all parts
+ * end the wave on the same RNG state; the counters the members share
+ * are integer-valued until extrapolation, so a sum split across parts
+ * equals the unsplit one. Each member's result is bitwise its solo
+ * run's.
+ *
+ * The data caches persist across kernels (owned by the devices); the
+ * L0/L1 I-caches are rebuilt per run() since each kernel has different
+ * code.
  */
 class WarpPipeline
 {
   public:
-    WarpPipeline(const GpuConfig &config, CacheModel &l1, CacheModel &l2,
+    /**
+     * @param members The group, at least one; its caches are borrowed.
+     * @param rng     The dependency-draw stream every member's device
+     *                holds at the same state; run() advances it.
+     */
+    WarpPipeline(const GpuConfig &config, std::vector<MemberCaches> members,
                  Rng &rng);
 
+    /** A group of one. */
+    WarpPipeline(const GpuConfig &config, CacheModel &l1, CacheModel &l2,
+                 Rng &rng)
+        : WarpPipeline(config, {{&l1, &l2}}, rng)
+    {
+    }
+
     /**
-     * Simulate one wave.
+     * Simulate one wave for every member, results in member order.
      * @param warps Recorded traces of the resident warps (borrowed;
      *              pointers let the replay path feed stored traces
      *              without copying them).
      * @param desc  The launch (for code size, ILP, bypass hints).
      */
-    WaveResult run(const std::vector<const WarpTrace *> &warps,
-                   const KernelDesc &desc);
+    std::vector<WaveResult>
+    runGroup(const std::vector<const WarpTrace *> &warps,
+             const KernelDesc &desc);
+
+    /** Simulate one wave for a group of one. */
+    WaveResult
+    run(const std::vector<const WarpTrace *> &warps, const KernelDesc &desc)
+    {
+        GNN_ASSERT(members_.size() == 1, "run() on a group of %zu",
+                   members_.size());
+        return runGroup(warps, desc)[0];
+    }
 
     /** Convenience overload over owned traces (tests, ad-hoc waves). */
     WaveResult
@@ -68,8 +114,7 @@ class WarpPipeline
 
   private:
     const GpuConfig &cfg_;
-    CacheModel &l1_;
-    CacheModel &l2_;
+    std::vector<MemberCaches> members_;
     Rng &rng_;
 };
 

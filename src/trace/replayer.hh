@@ -58,15 +58,22 @@ ReplayResult replayTrace(const RecordedTrace &trace);
 
 /**
  * One replay per config, results in config order — the what-if sweep
- * primitive. Points replay concurrently on the process thread pool
- * (each owns its device; the trace is shared read-only), which is
- * where the bulk of the sweep speedup over live re-training comes
- * from: a live run serialises on the tensor math, a sweep of replays
- * saturates the cores with cache-model work.
+ * primitive. Configs that differ only in data-cache geometry (L1 and
+ * L2 size and ways) replay in lockstep: one device per point walks the
+ * stream in step, and each detailed wave runs one issue loop for all
+ * of them, splitting only where their issue gaps differ (see
+ * WarpPipeline), so a group costs about one replay plus its members'
+ * cache lookups. Each such class of configs splits into at most
+ * ThreadPool::threadCount() contiguous groups, and the groups run
+ * concurrently on the pool (each owns its devices; the trace is shared
+ * read-only): with a thread per point, every point replays alone as
+ * replayTrace would. Either way each result, and what observers[i]
+ * receives for point i, is bitwise replayTrace(trace, configs[i],
+ * observers[i]).
  */
 std::vector<ReplayResult>
-sweepTrace(const RecordedTrace &trace,
-           const std::vector<GpuConfig> &configs);
+sweepTrace(const RecordedTrace &trace, const std::vector<GpuConfig> &configs,
+           const std::vector<std::vector<KernelObserver *>> &observers = {});
 
 } // namespace trace
 } // namespace gnnmark

@@ -14,13 +14,16 @@
  *  replayed on its own config must hash like the recording, and
  *  replays at a 4 MiB L2 (2,048 sets, the power-of-two set path the
  *  default 3,072-set L2 never takes), a 12 MiB L2 (6,144 sets) and a
- *  64 KiB L1 must hash to committed constants. */
+ *  64 KiB L1 must hash to committed constants. The sweep case hashes
+ *  the same four points from one lockstep sweepTrace call, which must
+ *  give the replay case's constants at any pool size. */
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cinttypes>
 #include <string>
+#include <vector>
 
 #include "base/string_utils.hh"
 #include "core/characterization.hh"
@@ -28,6 +31,7 @@
 #include "trace/reader.hh"
 #include "trace/replayer.hh"
 #include "trace/writer.hh"
+#include "common/thread_count_guard.hh"
 
 using namespace gnnmark;
 
@@ -225,4 +229,36 @@ TEST(GoldenDigest, DGCN_Replay)
     const uint64_t at_l1 = replayDigest(trace, l1);
     EXPECT_EQ(at_l1, 0x5df6dcead762447eull)
         << "replay at L1 = 64 KiB computed digest " << hex(at_l1);
+}
+
+TEST(GoldenDigest, DGCN_Sweep)
+{
+    // DGCN_Replay's four points from one sweepTrace call, with a digest
+    // per point: they must hash to DGCN_Replay's constants whether the
+    // pool runs them as one lockstep group (1 thread: three L2/L1
+    // variants of the recording config) or one group per point.
+    const trace::RecordedTrace trace = trace::parseTrace(
+        trace::serializeTrace(
+            recordWorkloadTrace("DGCN", goldenOptions(nullptr))),
+        "in-memory DGCN trace");
+    std::vector<GpuConfig> configs(4, trace.header.config);
+    configs[1].l2SizeBytes = 4 * MiB;
+    configs[2].l2SizeBytes = 12 * MiB;
+    configs[3].l1SizeBytes = 64 * KiB;
+    const uint64_t expected[] = {0x4e56c2fdf19c3265ull, 0xfedc33d5c833a0edull,
+                                 0x3bb9dedf0ac8497dull, 0x5df6dcead762447eull};
+
+    for (const int threads : {1, 4}) {
+        test::ThreadCountGuard pool(threads);
+        std::vector<Digest> digests(configs.size());
+        std::vector<std::vector<KernelObserver *>> observers;
+        for (Digest &digest : digests)
+            observers.push_back({&digest});
+        (void)trace::sweepTrace(trace, configs, observers);
+        for (size_t p = 0; p < configs.size(); ++p) {
+            EXPECT_EQ(digests[p].value(), expected[p])
+                << "point " << p << " at " << threads
+                << " threads computed digest " << hex(digests[p].value());
+        }
+    }
 }

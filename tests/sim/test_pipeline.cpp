@@ -225,3 +225,95 @@ TEST_F(PipelineFixture, L2SharedAcrossRuns)
         EXPECT_EQ(second.l2Hits, 300);
     }
 }
+
+namespace {
+
+/** A large and a one-line L2, each holding `line` or not. */
+struct SplitCaches
+{
+    CacheModel l1Big;
+    CacheModel l1Tiny;
+    CacheModel l2Big;
+    CacheModel l2Tiny;
+};
+
+SplitCaches
+primedCaches(const GpuConfig &cfg, uint64_t hot, uint64_t other)
+{
+    SplitCaches c{
+        CacheModel(cfg.l1SizeBytes, cfg.l1Assoc, cfg.cacheLineBytes),
+        CacheModel(cfg.l1SizeBytes, cfg.l1Assoc, cfg.cacheLineBytes),
+        CacheModel(cfg.l2SizeBytes, cfg.l2Assoc, cfg.cacheLineBytes),
+        CacheModel(cfg.cacheLineBytes, 1, cfg.cacheLineBytes)};
+    // Both L2s see `hot` then `other`: the one-line L2 keeps only
+    // `other`, the large one both.
+    for (CacheModel *l2 : {&c.l2Big, &c.l2Tiny}) {
+        l2->access(hot);
+        l2->access(other);
+    }
+    return c;
+}
+
+} // namespace
+
+/**
+ * A lockstep group of two members whose L2s differ: every load is
+ * dependent, and the first one hits in the large L2 but misses in the
+ * one-line L2, so the members' issue gaps differ and the loop splits.
+ * Each member must still equal its solo run on identically primed
+ * caches, RNG state included.
+ */
+TEST_F(PipelineFixture, GroupSplitsWhereGapsDifferAndMatchesSoloRuns)
+{
+    const uint64_t hot = 1 << 20;
+    const uint64_t other = 1 << 24;
+    std::vector<WarpTrace> warps(2);
+    {
+        WarpTraceSink sink(warps[0], cfg.maxTraceInstrs, cfg.cacheLineBytes);
+        sink.int32(3);
+        sink.loadCoalesced(hot, 4);
+        sink.fma(6);
+        sink.loadCoalesced(other + 4096, 4);
+        sink.fma(4);
+    }
+    {
+        WarpTraceSink sink(warps[1], cfg.maxTraceInstrs, cfg.cacheLineBytes);
+        sink.fma(5);
+        sink.loadCoalesced(other, 4);
+        sink.sfu(2);
+        sink.storeCoalesced(hot + 8192, 4);
+    }
+    KernelDesc desc;
+    desc.loadDepFraction = 1.0; // every load's dependency draw is true
+
+    SplitCaches group = primedCaches(cfg, hot, other);
+    Rng group_rng(7);
+    const std::vector<WaveResult> both =
+        WarpPipeline(cfg,
+                     {{&group.l1Big, &group.l2Big},
+                      {&group.l1Tiny, &group.l2Tiny}},
+                     group_rng)
+            .runGroup({&warps[0], &warps[1]}, desc);
+    ASSERT_EQ(both.size(), 2u);
+    // The miss in the one-line L2 makes that member's wave longer.
+    EXPECT_LT(both[0].cycles, both[1].cycles);
+    EXPECT_LT(both[0].dramBytes, both[1].dramBytes);
+
+    SplitCaches solo = primedCaches(cfg, hot, other);
+    Rng big_rng(7);
+    const WaveResult big =
+        WarpPipeline(cfg, solo.l1Big, solo.l2Big, big_rng).run(warps, desc);
+    Rng tiny_rng(7);
+    const WaveResult tiny =
+        WarpPipeline(cfg, solo.l1Tiny, solo.l2Tiny, tiny_rng)
+            .run(warps, desc);
+
+    for (const auto &[got, want] :
+         {std::pair{&both[0], &big}, std::pair{&both[1], &tiny}}) {
+        EXPECT_TRUE(static_cast<const SimCounters &>(*got) == *want);
+        EXPECT_EQ(got->cycles, want->cycles);
+        EXPECT_EQ(got->issued, want->issued);
+    }
+    EXPECT_TRUE(group_rng.state() == big_rng.state());
+    EXPECT_TRUE(group_rng.state() == tiny_rng.state());
+}

@@ -19,6 +19,7 @@
 #include "trace/reader.hh"
 #include "trace/replayer.hh"
 #include "trace/writer.hh"
+#include "common/thread_count_guard.hh"
 
 using namespace gnnmark;
 
@@ -125,6 +126,138 @@ TEST_P(TraceReplayFidelity, SerializedReplayMatchesToo)
 
 INSTANTIATE_TEST_SUITE_P(
     Suite, TraceReplayFidelity,
+    ::testing::ValuesIn(BenchmarkSuite::workloadNames()),
+    [](const auto &info) {
+        std::string name = info.param;
+        for (char &c : name)
+            if (c == '-')
+                c = '_';
+        return name;
+    });
+
+namespace {
+
+/** Every record a device emits, in order. */
+struct RecordLog : KernelObserver
+{
+    std::vector<KernelRecord> kernels;
+    std::vector<TransferRecord> transfers;
+
+    void onKernel(const KernelRecord &r) override { kernels.push_back(r); }
+    void
+    onTransfer(const TransferRecord &r) override
+    {
+        transfers.push_back(r);
+    }
+};
+
+/** Record by record, every field of `got` equals `want`'s. */
+void
+expectSameRecords(const RecordLog &want, const RecordLog &got,
+                  const std::string &where)
+{
+    ASSERT_EQ(got.kernels.size(), want.kernels.size()) << where;
+    for (size_t i = 0; i < want.kernels.size(); ++i) {
+        const KernelRecord &a = want.kernels[i];
+        const KernelRecord &b = got.kernels[i];
+        ASSERT_TRUE(static_cast<const SimCounters &>(a) == b &&
+                    a.name == b.name && a.opClass == b.opClass &&
+                    a.invocation == b.invocation &&
+                    a.detailed == b.detailed && a.timeSec == b.timeSec &&
+                    a.cycles == b.cycles && a.activeSms == b.activeSms &&
+                    a.ipc == b.ipc)
+            << where << ": kernel record " << i << " (" << a.name << ")";
+    }
+    ASSERT_EQ(got.transfers.size(), want.transfers.size()) << where;
+    for (size_t i = 0; i < want.transfers.size(); ++i) {
+        const TransferRecord &a = want.transfers[i];
+        const TransferRecord &b = got.transfers[i];
+        ASSERT_TRUE(a.tag == b.tag && a.bytes == b.bytes &&
+                    a.zeroFraction == b.zeroFraction &&
+                    a.timeSec == b.timeSec)
+            << where << ": transfer record " << i << " (" << a.tag << ")";
+    }
+}
+
+/**
+ * Sweeps around the recording config: five L2 sizes, four L1 sizes,
+ * and a list that mixes L1, L2 and associativity points with the
+ * recording config and an SM count (which never groups).
+ */
+std::vector<std::vector<GpuConfig>>
+lockstepSweeps(const GpuConfig &base)
+{
+    std::vector<GpuConfig> l2;
+    for (const uint64_t mib : {2, 3, 4, 6, 12}) {
+        l2.push_back(base);
+        l2.back().l2SizeBytes = mib * MiB;
+    }
+    std::vector<GpuConfig> l1;
+    for (const uint64_t kib : {32, 64, 128, 256}) {
+        l1.push_back(base);
+        l1.back().l1SizeBytes = kib * KiB;
+    }
+    GpuConfig fewer_sms = base;
+    fewer_sms.numSms = 40;
+    GpuConfig ways = base;
+    ways.l1Assoc = 8;
+    ways.l2Assoc = 8;
+    return {l2, l1, {l2[2], fewer_sms, l1[1], base, ways, l2[4]}};
+}
+
+} // namespace
+
+/**
+ * Lockstep sweeps against solo replays: every point of each sweep, at
+ * pool sizes 1 (one group per class of cache-only variants) and 4
+ * (groups of one or two), must emit exactly the records, in the same
+ * order, and the profile that replayTrace gives on its config.
+ */
+class TraceLockstepSweep : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(TraceLockstepSweep, EveryPointEqualsItsSoloReplay)
+{
+    RunOptions opt = smallRun();
+    opt.iterations = 1;
+    const trace::RecordedTrace trace = recordWorkloadTrace(GetParam(), opt);
+    for (const std::vector<GpuConfig> &configs :
+         lockstepSweeps(trace.header.config)) {
+        std::vector<RecordLog> solo_logs(configs.size());
+        std::vector<trace::ReplayResult> solo;
+        for (size_t p = 0; p < configs.size(); ++p)
+            solo.push_back(
+                trace::replayTrace(trace, configs[p], {&solo_logs[p]}));
+
+        for (const int threads : {1, 4}) {
+            test::ThreadCountGuard pool(threads);
+            std::vector<RecordLog> logs(configs.size());
+            std::vector<std::vector<KernelObserver *>> observers;
+            for (RecordLog &log : logs)
+                observers.push_back({&log});
+            const std::vector<trace::ReplayResult> swept =
+                trace::sweepTrace(trace, configs, observers);
+            ASSERT_EQ(swept.size(), configs.size());
+            for (size_t p = 0; p < configs.size(); ++p) {
+                const std::string where =
+                    "point " + std::to_string(p) + " of " +
+                    std::to_string(configs.size()) + " at " +
+                    std::to_string(threads) + " threads";
+                expectSameRecords(solo_logs[p], logs[p], where);
+                if (HasFatalFailure())
+                    return;
+                expectProfilesIdentical(solo[p], swept[p]);
+                EXPECT_EQ(solo[p].iterations.size(),
+                          swept[p].iterations.size())
+                    << where;
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Suite, TraceLockstepSweep,
     ::testing::ValuesIn(BenchmarkSuite::workloadNames()),
     [](const auto &info) {
         std::string name = info.param;

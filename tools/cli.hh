@@ -30,16 +30,23 @@ namespace cli {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/** Interval a numeric flag accepts, open or closed at both ends. */
+/** Interval a numeric flag accepts, each end open or closed. */
 struct Range
 {
     double lo = -kInf;
     double hi = kInf;
-    bool open = false;
+    bool openLo = false;
+    bool openHi = false;
 };
 
-constexpr Range atLeast(double lo) { return {lo, kInf, false}; }
-constexpr Range above(double lo) { return {lo, kInf, true}; }
+constexpr Range atLeast(double lo) { return {lo, kInf, false, false}; }
+constexpr Range above(double lo) { return {lo, kInf, true, true}; }
+/** (lo, hi]. */
+constexpr Range
+aboveUpTo(double lo, double hi)
+{
+    return {lo, hi, true, false};
+}
 
 /** Convert all of `text` to a T in `range`; returns "" or the problem. */
 template <typename T>
@@ -51,8 +58,8 @@ parseNumber(const std::string &text, T &out, Range range = {})
     const auto [ptr, ec] = std::from_chars(text.data(), end, v);
     const double d = static_cast<double>(v);
     if (ec == std::errc() && ptr == end && std::isfinite(d) &&
-        (range.open ? d > range.lo && d < range.hi
-                    : d >= range.lo && d <= range.hi)) {
+        (range.openLo ? d > range.lo : d >= range.lo) &&
+        (range.openHi ? d < range.hi : d <= range.hi)) {
         out = v;
         return "";
     }
@@ -60,8 +67,8 @@ parseNumber(const std::string &text, T &out, Range range = {})
     problem << "'" << text << "' is not "
             << (std::is_integral_v<T> ? "an integer" : "a number");
     if (std::isfinite(range.lo) || std::isfinite(range.hi))
-        problem << " in " << (range.open ? "(" : "[") << range.lo << ", "
-                << range.hi << (range.open ? ")" : "]");
+        problem << " in " << (range.openLo ? "(" : "[") << range.lo << ", "
+                << range.hi << (range.openHi ? ")" : "]");
     return problem.str();
 }
 

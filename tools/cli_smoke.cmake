@@ -62,6 +62,18 @@ expect_exit(2 run STGCN --rps 5)
 expect_exit(2 list --rps 5)
 expect_exit(2 run STGCN extra)
 expect_exit(2 ablations --scale abc)
+# --scale stops at kMaxScale (16) in every verb that takes it: above it
+# the workloads' dataset sizes would overflow an int.
+expect_exit(2 run STGCN --scale 17)
+expect_exit(2 run STGCN --scale 1e6)
+expect_exit(2 characterize --scale 17)
+expect_exit(2 ablations --scale 17)
+expect_exit(2 scaling --scale 17)
+expect_exit(2 ttt --scale 17)
+expect_exit(2 faults STGCN --scale 17)
+expect_exit(2 serve --scale 17)
+expect_exit(2 trace record STGCN --scale 17)
+expect_exit(2 sweep STGCN --scale 17)
 expect_exit(2 ablations --iters 4)    # the baseline pins 4 iterations
 expect_exit(0 list)                   # healthy baseline
 
@@ -87,24 +99,30 @@ expect_exit(0 trace record STGCN --scale 0.25 --iters 2 --out ${trc})
 expect_exit(0 trace info ${trc})
 expect_exit(0 trace replay ${trc})
 expect_exit(0 trace diff ${trc} ${trc})
-# Sweep points replay concurrently, so the table must not depend on
-# the thread count.
-foreach(threads 1 4)
-    execute_process(
-        COMMAND ${CMAKE_COMMAND} -E env GNNMARK_THREADS=${threads}
-            ${GNNMARK_BIN} sweep --trace ${trc} --param l2 --points 2,6
-        RESULT_VARIABLE rv
-        OUTPUT_VARIABLE sweep_${threads}
-        ERROR_QUIET)
-    if(NOT rv EQUAL 0)
-        message(FATAL_ERROR "GNNMARK_THREADS=${threads} gnnmark sweep "
-            "--trace: expected exit 0, got '${rv}'")
+# Sweep points replay in lockstep groups, as many as the pool has
+# threads, so no table may depend on the thread count: L2 and L1
+# points group, SM counts never do.
+function(expect_same_sweep)
+    foreach(threads 1 4)
+        execute_process(
+            COMMAND ${CMAKE_COMMAND} -E env GNNMARK_THREADS=${threads}
+                ${GNNMARK_BIN} sweep --trace ${trc} ${ARGN}
+            RESULT_VARIABLE rv
+            OUTPUT_VARIABLE sweep_${threads}
+            ERROR_QUIET)
+        if(NOT rv EQUAL 0)
+            message(FATAL_ERROR "GNNMARK_THREADS=${threads} gnnmark sweep "
+                "--trace ${ARGN}: expected exit 0, got '${rv}'")
+        endif()
+    endforeach()
+    if(NOT sweep_1 STREQUAL sweep_4)
+        message(FATAL_ERROR "sweep --trace ${ARGN} differs between 1 and "
+            "4 threads:\n${sweep_1}\n--- vs ---\n${sweep_4}")
     endif()
-endforeach()
-if(NOT sweep_1 STREQUAL sweep_4)
-    message(FATAL_ERROR "sweep --trace differs between 1 and 4 threads:\n"
-        "${sweep_1}\n--- vs ---\n${sweep_4}")
-endif()
+endfunction()
+expect_same_sweep(--param l2 --points 2,6)
+expect_same_sweep(--param l1 --points 32,64,128)
+expect_same_sweep(--param sms --points 40,80)
 # Overrides the cache model cannot build exit 2 before any replay.
 expect_exit(2 trace replay ${trc} --l2 3.3)
 expect_exit(2 trace replay ${trc} --l1 0.01)

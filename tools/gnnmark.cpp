@@ -60,7 +60,8 @@ namespace {
 using cli::Flag;
 
 /** @{ Flags several verbs share; kFlag(field) binds one to a field. */
-const Flag kScale{"--scale", "S", "dataset scale factor", cli::above(0)};
+const Flag kScale{"--scale", "S", "dataset scale factor",
+                  cli::aboveUpTo(0, kMaxScale)};
 const Flag kIters{"--iters", "N", "measured iterations", cli::atLeast(1)};
 const Flag kInference{"--inference", "", "forward passes only"};
 const Flag kMemstats{"--memstats", "", "append allocator stats"};
@@ -224,7 +225,7 @@ const std::map<std::string, std::string> kSweepDefaults = {
 };
 
 /** GPU overrides: positive, and small enough to convert without overflow. */
-const cli::Range kGpuValueRange{0, 1e9, true};
+const cli::Range kGpuValueRange{0, 1e9, true, true};
 
 /** Parse "2,4,6,12"-style sweep points; exits 2 on a bad one. */
 std::vector<double>
