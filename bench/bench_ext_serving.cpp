@@ -56,7 +56,6 @@ runPoint(const serve::BatchCostTable &table, int64_t catalog,
     opt.shedEnabled = robust;
     opt.fallbackEnabled = robust;
     opt.breakerEnabled = robust;
-    opt.mirrorMetrics = false; // keep the global registry quiet
     return serve::ServingSimulator(table, opt).run();
 }
 

@@ -54,10 +54,11 @@ struct RunOptions
     KernelObserver *extraObserver = nullptr;
 
     /**
-     * Optional telemetry sink: when set, the runner resets the metrics
-     * registry at run start and appends one "iteration" JSONL record
-     * per measured step (loss, simulated time, kernel count, a full
-     * metrics snapshot). Not owned. Record schema in obs/telemetry.hh.
+     * Optional telemetry sink: when set, the runner appends one
+     * "iteration" JSONL record per measured step (loss, simulated
+     * time, kernel count, and metrics: the run's gauges plus the sim
+     * counters and histograms its own device has summed since setup).
+     * Not owned. Record schema in obs/telemetry.hh.
      */
     obs::TelemetrySink *telemetry = nullptr;
 

@@ -4,7 +4,6 @@
 
 #include "base/logging.hh"
 #include "base/rng.hh"
-#include "obs/metrics.hh"
 #include "obs/span.hh"
 
 namespace gnnmark {
@@ -164,8 +163,6 @@ Checkpoint
 captureCheckpoint(Workload &workload, uint64_t step)
 {
     GNN_SPAN("checkpoint.capture");
-    static obs::Counter captures("checkpoint.captures");
-    captures.add();
     GNN_ASSERT(workload.supportsCheckpoint(),
                "workload %s does not support checkpointing",
                workload.name().c_str());
@@ -181,8 +178,6 @@ uint64_t
 restoreCheckpoint(Workload &workload, const Checkpoint &ckpt)
 {
     GNN_SPAN("checkpoint.restore");
-    static obs::Counter restores("checkpoint.restores");
-    restores.add();
     GNN_ASSERT(workload.supportsCheckpoint(),
                "workload %s does not support checkpointing",
                workload.name().c_str());

@@ -475,8 +475,9 @@ genRecordJson(const std::string &label, const gen::GenReport &report)
     w.key("label").value(label);
     genBody(w, report);
     w.key("threads").value(report.threads);
-    w.key("wall_sec").value(report.wallSec);
-    w.key("edges_per_sec").value(report.edgesPerSec);
+    // host_* fields are wall clock and excluded from diffs.
+    w.key("host_wall_sec").value(report.wallSec);
+    w.key("host_edges_per_sec").value(report.edgesPerSec);
     w.endObject();
     return w.str();
 }

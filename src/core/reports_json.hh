@@ -94,7 +94,8 @@ std::string genJson(const gen::GenReport &report);
 /**
  * One generation telemetry record (a single JSONL line), tagged
  * "type":"generation" plus a caller-chosen label; the only place the
- * wall-clock edges/sec figure appears in machine-readable output.
+ * wall-clock figures appear in machine-readable output, as
+ * host_wall_sec and host_edges_per_sec.
  */
 std::string genRecordJson(const std::string &label,
                           const gen::GenReport &report);

@@ -6,7 +6,6 @@
 #include "base/logging.hh"
 #include "base/thread_pool.hh"
 #include "gen/families.hh"
-#include "obs/metrics.hh"
 
 namespace gnnmark {
 namespace gen {
@@ -94,12 +93,6 @@ ChunkedEdgeStream::refill()
     }
     peakResidentBytes_ = std::max(peakResidentBytes_, residentBytes_);
     generateSec_ += nowSec() - begin;
-
-    obs::Metrics &metrics = obs::Metrics::instance();
-    metrics.setGauge("gen.bytes_resident",
-                     static_cast<double>(residentBytes_));
-    metrics.setGauge("gen.bytes_resident_peak",
-                     static_cast<double>(peakResidentBytes_));
 }
 
 bool
@@ -116,12 +109,6 @@ ChunkedEdgeStream::next(EdgeBlock &out)
         checksum_ = edgeChecksum(checksum_, u, v);
     edgesEmitted_ += static_cast<int64_t>(out.edges.size());
     ++chunksEmitted_;
-
-    obs::Metrics &metrics = obs::Metrics::instance();
-    metrics.add("gen.chunks_emitted");
-    metrics.setGauge("gen.edges_total",
-                     static_cast<double>(edgesEmitted_));
-    metrics.setGauge("gen.edges_per_sec", edgesPerSec());
     return true;
 }
 

@@ -6,7 +6,6 @@
 
 #include "base/logging.hh"
 #include "core/checkpoint.hh"
-#include "obs/metrics.hh"
 #include "obs/span.hh"
 #include "ops/exec_context.hh"
 
@@ -245,16 +244,10 @@ DdpTrainer::measureImpl(Workload &workload, const WorkloadConfig &base,
         device.transferTimeSec() / measured_iterations;
     const double iters =
         static_cast<double>(workload.iterationsPerEpoch());
-    const ScalingResult res = ddp::pricePoint(
+    return ddp::pricePoint(
         interconnect_, timelines.iterations(), iter_transfer,
         iter_compute * iters, iters, workload.parameterBytes(),
         workload.samplerDdpCompatible(), world, options_);
-
-    obs::Metrics &metrics = obs::Metrics::instance();
-    metrics.setGauge("ddp.comm_total_sec", res.commTimeSec);
-    metrics.setGauge("ddp.comm_exposed_sec", res.commExposedSec);
-    metrics.setGauge("ddp.overlap_frac", res.overlapFrac);
-    return res;
 }
 
 ScalingResult
@@ -452,9 +445,6 @@ DdpTrainer::runEngine(Workload &workload, const WorkloadConfig &base,
                 out.recoveryTimeSec +=
                     kTransientDetectSec + iter_compute;
                 sim_time += kTransientDetectSec + iter_compute;
-                static obs::Counter transients(
-                    "fault.transient_recovered");
-                transients.add();
             }
         }
 
@@ -492,9 +482,6 @@ DdpTrainer::runEngine(Workload &workload, const WorkloadConfig &base,
                 const double io = ckptIoSec();
                 out.checkpointTimeSec += io;
                 sim_time += io;
-                static obs::Counter ckpts(
-                    "fault.checkpoints_written");
-                ckpts.add();
             }
             continue;
         }
@@ -545,10 +532,6 @@ DdpTrainer::runEngine(Workload &workload, const WorkloadConfig &base,
         const double overhead = detection + rollback + reshard;
         out.recoveryTimeSec += overhead;
         sim_time += overhead;
-        static obs::Counter crashes("fault.crash_recovered");
-        static obs::Counter lost("fault.rollback_iterations");
-        crashes.add();
-        lost.add(rec.lostIterations);
     }
 
     if (alive_count == 0) {

@@ -77,7 +77,7 @@ histogramBucketKey(const std::string &key, std::string &prefix,
     return true;
 }
 
-/** Nearest-rank quantile over log2 buckets (Metrics layout). */
+/** Nearest-rank quantile over log2 buckets (obs::histogramBucket). */
 double
 bucketQuantile(const std::map<int, double> &buckets, double total,
                double q)

@@ -85,9 +85,9 @@ double toleranceForKey(const CompareOptions &opts, const std::string &key);
 /**
  * Replace flattened histogram bucket keys with derived
  * count/p50/p95/p99 keys (see CompareOptions::histogramPercentiles).
- * Bucket indices use the obs::Metrics log2 layout: bucket 0 reads as
- * value 0, bucket b as the geometric midpoint 2^(b - 31.5). Keys that
- * are not histogram buckets pass through untouched.
+ * Bucket indices use the log2 layout of obs::histogramBucket: bucket 0
+ * reads as value 0, bucket b as the geometric midpoint 2^(b - 31.5).
+ * Keys that are not histogram buckets pass through untouched.
  */
 std::map<std::string, double> collapseHistogramBuckets(
     const std::map<std::string, double> &flat);

@@ -1,5 +1,8 @@
 #include "obs/telemetry.hh"
 
+#include <algorithm>
+#include <cmath>
+
 #include "base/io.hh"
 #include "obs/json.hh"
 
@@ -25,6 +28,15 @@ TelemetrySink::writeRecord(const std::string &json_object)
         throw IoError(IoError::Kind::ShortWrite,
                       "telemetry file '" + path_ + "': write failed");
     }
+}
+
+int
+histogramBucket(double value)
+{
+    if (!(value > 0))
+        return 0;
+    const int bucket = 32 + static_cast<int>(std::floor(std::log2(value)));
+    return std::clamp(bucket, 1, static_cast<int>(kHistogramBuckets) - 1);
 }
 
 void

@@ -14,13 +14,34 @@
 #ifndef GNNMARK_OBS_TELEMETRY_HH
 #define GNNMARK_OBS_TELEMETRY_HH
 
+#include <array>
+#include <cstdint>
 #include <fstream>
+#include <map>
 #include <string>
-
-#include "obs/metrics.hh"
 
 namespace gnnmark {
 namespace obs {
+
+/** Number of log2 buckets per histogram (see histogramBucket()). */
+constexpr size_t kHistogramBuckets = 64;
+
+/**
+ * Bucket index for a histogram observation: bucket 0 collects
+ * v <= 0; otherwise floor(log2(v)) + 32 clamped to [1, 63], so
+ * bucket 32 holds [1, 2), bucket 22 holds ~[1e-3, 2e-3), etc.
+ */
+int histogramBucket(double value);
+
+/** The "metrics" object of one iteration record. */
+struct MetricsSnapshot
+{
+    std::map<std::string, double> counters;
+    std::map<std::string, double> gauges;
+    /** Bucket counts; index semantics in histogramBucket(). */
+    std::map<std::string, std::array<int64_t, kHistogramBuckets>>
+        histograms;
+};
 
 /** Append-only JSONL writer; one JSON object per writeRecord call. */
 class TelemetrySink

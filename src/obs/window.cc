@@ -62,16 +62,25 @@ WindowedSeries::WindowedSeries(double widthSec, int64_t windowCap)
     GNN_ASSERT(windowCap > 0, "WindowedSeries cap must be > 0");
 }
 
+bool WindowedSeries::pastCap(double t) const
+{
+    return !(std::max(t, 0.0) / widthSec_ < static_cast<double>(cap_));
+}
+
+int64_t WindowedSeries::windowOf(double t) const
+{
+    // Test the cap in double and convert only values in range: past
+    // int64_t's range the conversion is undefined.
+    if (pastCap(t))
+        return cap_ - 1;
+    return static_cast<int64_t>(std::floor(std::max(t, 0.0) / widthSec_));
+}
+
 void WindowedSeries::observe(double t, double value)
 {
-    if (t < 0)
-        t = 0;
-    int64_t idx = static_cast<int64_t>(std::floor(t / widthSec_));
-    if (idx >= cap_) {
-        idx = cap_ - 1;
+    if (pastCap(t))
         capped_++;
-    }
-    Window &w = windows_[idx];
+    Window &w = windows_[windowOf(t)];
     if (w.count == 0) {
         w.minValue = value;
         w.maxValue = value;
@@ -93,9 +102,12 @@ std::vector<WindowStats> WindowedSeries::series(double horizonSec) const
     if (horizonSec > 0) {
         // ceil(horizon / width) windows cover [0, horizon); a horizon
         // landing exactly on a boundary does not open a new window.
-        int64_t fromHorizon =
-            static_cast<int64_t>(std::ceil(horizonSec / widthSec_)) - 1;
-        fromHorizon = std::min(fromHorizon, cap_ - 1);
+        // Capped in double before the conversion, as in windowOf().
+        const double windows = std::ceil(horizonSec / widthSec_);
+        const int64_t fromHorizon =
+            windows < static_cast<double>(cap_)
+                ? static_cast<int64_t>(windows) - 1
+                : cap_ - 1;
         last = std::max(last, fromHorizon);
     }
     std::vector<WindowStats> out;

@@ -104,7 +104,13 @@ class WindowedSeries
     /** @param widthSec  window width; must be > 0. */
     explicit WindowedSeries(double widthSec, int64_t windowCap = 4096);
 
-    /** Record `value` at simulated time `t` (t < 0 clamps to 0). */
+    /**
+     * Window that simulated time `t` falls in: t < 0 clamps to window
+     * 0, and a time past the cap (or NaN) to the last window.
+     */
+    int64_t windowOf(double t) const;
+
+    /** Record `value` in the window windowOf(t). */
     void observe(double t, double value);
 
     /** Total observations across all windows. */
@@ -122,6 +128,9 @@ class WindowedSeries
     std::vector<WindowStats> series(double horizonSec) const;
 
   private:
+    /** Whether `t` falls at or past window windowCap. */
+    bool pastCap(double t) const;
+
     struct Window
     {
         int64_t count = 0;

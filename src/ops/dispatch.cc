@@ -11,7 +11,6 @@
 
 #include "base/logging.hh"
 #include "base/rng.hh"
-#include "obs/metrics.hh"
 #include "ops/cpu_kernels.hh"
 
 namespace gnnmark {
@@ -54,7 +53,6 @@ struct Dispatch::Impl
     std::optional<GemmVariant> gemmOverride;
     std::optional<SpmmVariant> spmmCsrOverride;
 
-    std::atomic<bool> metricsEnabled{false};
     std::atomic<int64_t> gemmNaive{0};
     std::atomic<int64_t> gemmTiled{0};
     std::atomic<int64_t> spmmCsrScalar{0};
@@ -220,11 +218,6 @@ Dispatch::ensureCalibrated()
 
     impl_->calibMs = wallMs(t0);
     impl_->calibrated = true;
-    if (impl_->metricsEnabled.load(std::memory_order_relaxed)) {
-        obs::Metrics::instance().add("ops.calib.probes", 2.0);
-        obs::Metrics::instance().setGauge("ops.calib.ms",
-                                          impl_->calibMs);
-    }
 }
 
 GemmVariant
@@ -245,10 +238,6 @@ Dispatch::chooseGemm(int64_t m, int64_t n, int64_t k,
     auto &ctr = v == GemmVariant::Tiled ? impl_->gemmTiled
                                         : impl_->gemmNaive;
     ctr.fetch_add(1, std::memory_order_relaxed);
-    if (impl_->metricsEnabled.load(std::memory_order_relaxed)) {
-        obs::Metrics::instance().add(
-            std::string("ops.variant.gemm_") + gemmVariantName(v));
-    }
     return v;
 }
 
@@ -292,17 +281,7 @@ Dispatch::chooseSpmm(SparseFormat format, int64_t m, int64_t f,
         impl_->spmmBell.fetch_add(1, std::memory_order_relaxed);
         break;
     }
-    if (impl_->metricsEnabled.load(std::memory_order_relaxed)) {
-        obs::Metrics::instance().add(
-            std::string("ops.variant.spmm_") + spmmVariantName(v));
-    }
     return v;
-}
-
-void
-Dispatch::setMetricsEnabled(bool on)
-{
-    impl_->metricsEnabled.store(on, std::memory_order_relaxed);
 }
 
 DispatchStats

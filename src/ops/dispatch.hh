@@ -88,14 +88,6 @@ class Dispatch
     SpmmVariant chooseSpmm(SparseFormat format, int64_t m, int64_t f,
                            int64_t nnz);
 
-    /**
-     * Arm/disarm `ops.*` recording into obs::Metrics. Off by default
-     * so variant counters never leak into the full metrics snapshots
-     * that gated telemetry baselines diff exactly; `--opstats` and
-     * `gnnmark ops` arm it.
-     */
-    void setMetricsEnabled(bool on);
-
     DispatchStats stats() const;
     void resetStats();
 

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "base/logging.hh"
-#include "obs/metrics.hh"
 #include "obs/slo.hh"
 
 namespace gnnmark {
@@ -74,14 +73,6 @@ ServingSimulator::ServingSimulator(BatchCostTable table,
         tracer_ = std::make_unique<obs::RequestTracer>(opt_.traceSampleEvery);
 }
 
-int64_t
-ServingSimulator::windowIndex(double t) const
-{
-    if (t < 0)
-        t = 0;
-    return static_cast<int64_t>(std::floor(t / opt_.windowSec));
-}
-
 void
 ServingSimulator::push(double t, EvType type, int64_t a)
 {
@@ -106,7 +97,7 @@ ServingSimulator::resolve(int64_t req, Outcome outcome, double now)
         // latency lands in the *resolve* window, what a dashboard
         // tailing completions would plot.
         ServingWindow &wc =
-            winCounts_[windowIndex(requests_[req].arrivalSec)];
+            winCounts_[latencyWin_->windowOf(requests_[req].arrivalSec)];
         ++wc.offered;
         if (metSlo)
             ++wc.sloMet;
@@ -540,10 +531,7 @@ ServingSimulator::run()
                    "request %zu never resolved", i);
     }
 
-    ServingReport report = buildReport();
-    if (opt_.mirrorMetrics)
-        mirrorMetrics(report);
-    return report;
+    return buildReport();
 }
 
 ServingReport
@@ -679,46 +667,6 @@ ServingSimulator::drainRequestTraces()
     if (!tracer_)
         return {};
     return tracer_->drain();
-}
-
-void
-ServingSimulator::mirrorMetrics(const ServingReport &rep)
-{
-    obs::Metrics &m = obs::Metrics::instance();
-    m.add("serve.offered", static_cast<double>(rep.offered));
-    m.add("serve.full", static_cast<double>(rep.full));
-    m.add("serve.fallback", static_cast<double>(rep.fallback));
-    m.add("serve.shed", static_cast<double>(rep.shed));
-    m.add("serve.lost", static_cast<double>(rep.lost));
-    m.add("serve.slo_met", static_cast<double>(rep.sloMet));
-    m.add("serve.retries", static_cast<double>(rep.retries));
-    m.add("serve.hedges", static_cast<double>(rep.hedgesLaunched));
-    m.add("serve.hedge_wins", static_cast<double>(rep.hedgeWins));
-    m.add("serve.timeouts", static_cast<double>(rep.timeouts));
-    m.add("serve.breaker_opens",
-          static_cast<double>(rep.breakerOpens));
-    m.add("serve.cache_hits", static_cast<double>(rep.cacheHits));
-    m.add("serve.cache_misses",
-          static_cast<double>(rep.cacheMisses));
-    m.add("serve.batches", static_cast<double>(rep.batches));
-    for (double ms : latenciesMs_)
-        m.observe("serve.latency_ms", ms);
-    // Breaker state as a bounded gauge set: replica counts per state
-    // instead of one gauge per replica, so metric cardinality stays
-    // flat however many replicas a run configures.
-    int64_t closed = 0, halfOpen = 0, open = 0;
-    for (const ReplicaReport &r : rep.perReplica) {
-        if (r.breakerFinal == "open")
-            ++open;
-        else if (r.breakerFinal == "half_open")
-            ++halfOpen;
-        else
-            ++closed;
-    }
-    m.setGauge("serve.breaker.closed", static_cast<double>(closed));
-    m.setGauge("serve.breaker.half_open",
-               static_cast<double>(halfOpen));
-    m.setGauge("serve.breaker.open", static_cast<double>(open));
 }
 
 } // namespace serve

@@ -92,9 +92,6 @@ struct ServeOptions
     /** Scenario label echoed into the report. */
     std::string faultScenario = "none";
 
-    /** Mirror final counters/latencies into obs::Metrics. */
-    bool mirrorMetrics = true;
-
     /**
      * Tumbling-window width for the timeline sections of the report
      * (latency/goodput/queue-depth series + burn-rate alerts).
@@ -225,9 +222,6 @@ class ServingSimulator
     bool replicaAvailable(int r, double now);
 
     ServingReport buildReport();
-    void mirrorMetrics(const ServingReport &report);
-    /** Arrival-window index for a time (windowed runs only). */
-    int64_t windowIndex(double t) const;
     void buildTimeline(ServingReport &rep);
 
     BatchCostTable table_;

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "base/logging.hh"
-#include "obs/metrics.hh"
 #include "obs/span.hh"
 #include "sim/warp_pipeline.hh"
 
@@ -267,33 +266,6 @@ GpuDevice::launchGroup(std::span<GpuDevice *const> group,
         d.kernelTime_ += rec.timeSec;
         ++d.kernelCount_;
 
-        // Sim feed for the metrics registry. Kernel emission never
-        // leaves the launching thread, so these are deterministic (see
-        // metrics.hh).
-        {
-            static obs::Counter launches("sim.kernel_launches");
-            static obs::Counter cycles("sim.kernel_cycles");
-            static obs::Counter l1_hits("sim.l1_hits");
-            static obs::Counter l1_accesses("sim.l1_accesses");
-            static obs::Counter l2_hits("sim.l2_hits");
-            static obs::Counter l2_accesses("sim.l2_accesses");
-            static obs::Counter dram_bytes("sim.dram_bytes");
-            static obs::Counter stall_cycles("sim.stall_cycles");
-            static obs::Histogram kernel_us("sim.kernel_time_us");
-            launches.add();
-            cycles.add(rec.cycles);
-            l1_hits.add(rec.l1Hits);
-            l1_accesses.add(rec.l1Accesses);
-            l2_hits.add(rec.l2Hits);
-            l2_accesses.add(rec.l2Accesses);
-            dram_bytes.add(rec.dramBytes);
-            double stalls = 0;
-            for (double sc : rec.stallCycles)
-                stalls += sc;
-            stall_cycles.add(stalls);
-            kernel_us.observe(rec.timeSec * 1e6);
-        }
-
         d.notify(rec);
     }
     if (lead.hook_ != nullptr)
@@ -316,14 +288,6 @@ GpuDevice::recordTransfer(double bytes, double zero_fraction,
     }
     tr.timeSec = cfg_.pcieLatencySec + wire_bytes / cfg_.pcieBandwidth;
     transferTime_ += tr.timeSec;
-    {
-        static obs::Counter transfers("sim.transfers");
-        static obs::Counter xfer_bytes("sim.transfer_bytes");
-        static obs::Histogram xfer_kb("sim.transfer_kb");
-        transfers.add();
-        xfer_bytes.add(bytes);
-        xfer_kb.observe(bytes / 1024.0);
-    }
     for (auto *obs : observers_)
         obs->onTransfer(tr);
     return tr;

@@ -1,9 +1,8 @@
 /**
  * @file
  * Tests for the streaming producer itself: memory stays inside the
- * chunk budget, the materializing path agrees with the stream, the
- * checksum is an honest order-dependent digest, and the telemetry
- * gauges reflect what was emitted.
+ * chunk budget, the materializing path agrees with the stream, and
+ * the checksum is an honest order-dependent digest.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +13,6 @@
 #include "gen/config.hh"
 #include "gen/edge_stream.hh"
 #include "graph/graph.hh"
-#include "obs/metrics.hh"
 
 using namespace gnnmark;
 using gen::Family;
@@ -129,24 +127,6 @@ TEST(EdgeStream, ChecksumIsOrderDependent)
         for (const auto &[u, v] : block.edges)
             recomputed = gen::edgeChecksum(recomputed, u, v);
     EXPECT_EQ(recomputed, stream.checksum());
-}
-
-TEST(EdgeStream, TelemetryGaugesTrackEmission)
-{
-    obs::Metrics::instance().reset();
-    const GeneratorConfig cfg = smallConfig(Family::Rmat);
-    gen::ChunkedEdgeStream stream(cfg);
-    gen::EdgeBlock block;
-    while (stream.next(block)) {
-    }
-    const obs::MetricsSnapshot snap = obs::Metrics::instance().snapshot();
-    EXPECT_EQ(snap.gauges.at("gen.edges_total"),
-              static_cast<double>(stream.edgesEmitted()));
-    EXPECT_EQ(snap.gauges.at("gen.bytes_resident_peak"),
-              static_cast<double>(stream.peakResidentBytes()));
-    EXPECT_EQ(snap.counters.at("gen.chunks_emitted"),
-              static_cast<double>(stream.chunksEmitted()));
-    EXPECT_GE(snap.gauges.at("gen.edges_per_sec"), 0.0);
 }
 
 TEST(EdgeStream, ClampsChunksToUnitCount)

@@ -9,7 +9,6 @@
 
 #include "base/io.hh"
 #include "obs/json.hh"
-#include "obs/metrics.hh"
 #include "obs/telemetry.hh"
 
 using namespace gnnmark;
@@ -68,17 +67,29 @@ TEST(TelemetrySink, UnwritableDirectoryThrowsIoError)
                  IoError);
 }
 
+TEST(MetricsSnapshotJson, HistogramBucketsAreLog2)
+{
+    EXPECT_EQ(obs::histogramBucket(0), 0);
+    EXPECT_EQ(obs::histogramBucket(-3), 0);
+    EXPECT_EQ(obs::histogramBucket(1.0), 32);
+    EXPECT_EQ(obs::histogramBucket(1.5), 32);
+    EXPECT_EQ(obs::histogramBucket(2.0), 33);
+    EXPECT_EQ(obs::histogramBucket(0.5), 31);
+    // Extremes clamp instead of running off the array.
+    EXPECT_EQ(obs::histogramBucket(1e300), 63);
+    EXPECT_EQ(obs::histogramBucket(1e-300), 1);
+}
+
 TEST(MetricsSnapshotJson, HistogramsTrimTrailingZeroBuckets)
 {
-    obs::Metrics &m = obs::Metrics::instance();
-    m.reset();
-    m.add("snap.count", 3);
-    m.setGauge("snap.gauge", 0.25);
-    m.observe("snap.hist", 1.0); // bucket 32
+    obs::MetricsSnapshot snap;
+    snap.counters["snap.count"] = 3;
+    snap.gauges["snap.gauge"] = 0.25;
+    ++snap.histograms["snap.hist"][obs::histogramBucket(1.0)]; // 32
+    snap.histograms["snap.empty"].fill(0);
 
     obs::JsonWriter w;
-    obs::writeMetricsSnapshot(w, m.snapshot());
-    m.reset();
+    obs::writeMetricsSnapshot(w, snap);
 
     const obs::JsonValue doc = obs::parseJson(w.str());
     EXPECT_DOUBLE_EQ(doc.find("counters")->find("snap.count")->number,
@@ -92,4 +103,10 @@ TEST(MetricsSnapshotJson, HistogramsTrimTrailingZeroBuckets)
     ASSERT_EQ(hist->array.size(), 33u);
     EXPECT_DOUBLE_EQ(hist->array[32].number, 1);
     EXPECT_DOUBLE_EQ(hist->array[0].number, 0);
+    // A histogram with no observations is an empty array.
+    const obs::JsonValue *empty =
+        doc.find("histograms")->find("snap.empty");
+    ASSERT_NE(empty, nullptr);
+    EXPECT_TRUE(empty->isArray());
+    EXPECT_TRUE(empty->array.empty());
 }

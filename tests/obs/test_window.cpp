@@ -114,6 +114,20 @@ TEST(WindowedSeries, CapCollapsesOverflowIntoLastWindow)
     EXPECT_EQ(win.totalCount(), 10);
 }
 
+TEST(WindowedSeries, CapHoldsPastInt64Range)
+{
+    // horizon / width is 1e603, far past what int64_t can hold: the
+    // cap must apply before any conversion.
+    obs::WindowedSeries win(1e-303, /*windowCap=*/8);
+    win.observe(1e300, 2.0);
+    EXPECT_EQ(win.windowOf(1e300), 7);
+    EXPECT_EQ(win.cappedCount(), 1);
+    const std::vector<obs::WindowStats> s = win.series(1e300);
+    ASSERT_EQ(s.size(), 8u);
+    EXPECT_EQ(s[7].count, 1);
+    EXPECT_DOUBLE_EQ(s[7].sum, 2.0);
+}
+
 TEST(WindowedSeries, NegativeTimeClampsToWindowZero)
 {
     obs::WindowedSeries win(1.0);

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "base/rng.hh"
-#include "obs/metrics.hh"
 #include "ops/dispatch.hh"
 #include "ops/exec_context.hh"
 #include "ops/gemm.hh"
@@ -251,25 +250,4 @@ TEST(Dispatch, SampledZeroFractionDeterministic)
     EXPECT_EQ(Dispatch::sampledZeroFraction(ones.data(), ones.size()),
               0.0);
     EXPECT_EQ(Dispatch::sampledZeroFraction(nullptr, 0), 0.0);
-}
-
-TEST(Dispatch, MetricsDisarmedByDefault)
-{
-    // The ops.* counters must stay out of Metrics unless armed —
-    // gated telemetry baselines diff snapshots exactly.
-    const auto naive_count = [] {
-        const auto counters = obs::Metrics::instance().snapshot().counters;
-        const auto it = counters.find("ops.variant.gemm_naive");
-        return it == counters.end() ? 0.0 : it->second;
-    };
-    Dispatch &d = Dispatch::instance();
-    const double before = naive_count();
-    EXPECT_EQ(d.chooseGemm(1, 1, 1, 0.0), GemmVariant::Naive);
-    EXPECT_EQ(naive_count(), before);
-    d.setMetricsEnabled(true);
-    d.chooseGemm(1, 1, 1, 0.0);
-    EXPECT_EQ(naive_count(), before + 1);
-    d.setMetricsEnabled(false);
-    d.chooseGemm(1, 1, 1, 0.0);
-    EXPECT_EQ(naive_count(), before + 1);
 }

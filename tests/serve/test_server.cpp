@@ -41,7 +41,6 @@ baseOptions()
     opt.traffic.catalogItems = 64;
     opt.replicas = 2;
     opt.maxBatch = 8;
-    opt.mirrorMetrics = false; // keep the global registry quiet
     return opt;
 }
 

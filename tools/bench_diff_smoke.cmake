@@ -30,12 +30,24 @@ set(tele_bad ${CMAKE_CURRENT_BINARY_DIR}/bench_diff_smoke_bad.jsonl)
 # processes at the same seed: the cache model hashes simulated device
 # addresses assigned in program order (DESIGN.md §9), so every key,
 # cache counters and timing-histogram buckets included, reproduces.
-expect_exit(0 ${GNNMARK_BIN} run STGCN --scale 0.25 --iters 2
+# --opstats must add no wall-clock value to the records.
+expect_exit(0 ${GNNMARK_BIN} run STGCN --scale 0.25 --iters 2 --opstats
             --telemetry ${tele_a})
-expect_exit(0 ${GNNMARK_BIN} run STGCN --scale 0.25 --iters 2
+expect_exit(0 ${GNNMARK_BIN} run STGCN --scale 0.25 --iters 2 --opstats
             --telemetry ${tele_b})
 expect_exit(0 ${BENCH_DIFF_BIN} ${tele_a} ${tele_a})   # self-diff
 expect_exit(0 ${BENCH_DIFF_BIN} ${tele_a} ${tele_b})
+
+# So must two generation records: their wall-clock figures are named
+# host_* like every other wall-clock field.
+set(gen_a ${CMAKE_CURRENT_BINARY_DIR}/bench_diff_smoke_gen_a.jsonl)
+set(gen_b ${CMAKE_CURRENT_BINARY_DIR}/bench_diff_smoke_gen_b.jsonl)
+expect_exit(0 ${GNNMARK_BIN} gen --family rmat --n 65536
+            --telemetry ${gen_a})
+expect_exit(0 ${GNNMARK_BIN} gen --family rmat --n 65536
+            --telemetry ${gen_b})
+expect_exit(0 ${BENCH_DIFF_BIN} ${gen_a} ${gen_b})
+file(REMOVE ${gen_a} ${gen_b})
 
 # Inject a regression: scale every "sim_time_us" value up 50%. The
 # gate must fail at zero tolerance and pass once the tolerance covers

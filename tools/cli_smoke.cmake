@@ -84,6 +84,11 @@ expect_exit(0 serve --faults mixed --replicas 3 --duration 0.1
     --save-plan ${plan} --json)
 expect_exit(0 serve --plan ${plan} --replicas 3 --duration 0.1)
 file(REMOVE ${plan})
+# Horizons of 1e300 and 1e299 windows: the timeline stops at its
+# window cap instead of converting the count past int64_t's range.
+expect_exit(0 serve --rps 1e-300 --duration 1e300 --replicas 2 --window 1
+    --json)
+expect_exit(0 serve --window 1e-300 --duration 0.1 --json)
 
 # Generation at a tiny scale: every family materializes, and the
 # streamed-training path plus degree stats work in both output modes.

@@ -178,8 +178,6 @@ cmdRun(cli::Command &cmd)
         opt.extraObserver = &chrome;
     std::unique_ptr<obs::TelemetrySink> telemetry = out.openTelemetry();
     opt.telemetry = telemetry.get();
-    if (opstats)
-        ops::Dispatch::instance().setMetricsEnabled(true);
     CharacterizationRunner runner(opt);
     std::ostream &progress = out.progress();
     progress << (opt.inferenceOnly ? "Profiling (inference mode) "
@@ -510,8 +508,6 @@ cmdCharacterize(cli::Command &cmd)
     cmd.parse({kScale(opt.scale), kIters(opt.iterations),
                kInference(opt.inferenceOnly), kMemstats(memstats),
                kOpstats(opstats), out.jsonFlag, out.telemetryFlag});
-    if (opstats)
-        ops::Dispatch::instance().setMetricsEnabled(true);
     std::unique_ptr<obs::TelemetrySink> telemetry = out.openTelemetry();
     opt.telemetry = telemetry.get();
     CharacterizationRunner runner(opt);
@@ -985,8 +981,6 @@ cmdOps(cli::Command &cmd)
     Output out;
     cmd.parse({kSeed(seed), out.jsonFlag, out.telemetryFlag});
     const GpuConfig cfg = GpuConfig::v100();
-    ops::Dispatch &dispatch = ops::Dispatch::instance();
-    dispatch.setMetricsEnabled(true);
     std::ostream &progress = out.progress();
     progress << "Sweeping operator variants on the simulated V100 "
                 "(seed " << seed << ")...\n\n";
